@@ -3,9 +3,11 @@
 Payloads are single-line JSON on stdout and are byte-identical for
 identical (input, flags, seed); anything that varies between runs (wall
 time) lives in the one-line run report on stderr.  Exit codes: 0 ok,
-1 verification failure or pipeline bug, 2 usage or parse error, 3 size cap
-or budget hit, 4 counterexample candidate (a decompose failure on an input
-outside both guarantee hypotheses, multiplicity <= 2 and k <= 6).
+1 verification failure or pipeline bug, 2 usage, parse or input error (an
+unreadable, non-UTF-8 or malformed file), 3 size cap or budget hit, 4
+counterexample candidate (a decompose failure on an input outside both
+guarantee hypotheses, multiplicity <= 2 and k <= 6), 5 internal error (an
+unexpected exception, reported as JSON with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .coloring import COLOR_BUDGET_DEFAULT, find_coloring
@@ -38,6 +41,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAPPED = 3
 EXIT_CANDIDATE = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -200,13 +204,28 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _fuzz_case(params: tuple) -> dict:
-    index, n, max_mult, edge_prob, seed, xi_cap = params
+    """One fuzz instance.  An exception is recorded in the instance's
+    record as a crash, with its seed, and counted as an anomaly; it never
+    ends the campaign."""
+    index, _, _, _, seed, _ = params
+    record: dict[str, object] = {"index": index, "seed": seed}
+    anomalies: list[str] = []
+    try:
+        _fuzz_checks(params, record, anomalies)
+    except Exception as exc:
+        record["crash"] = {"error": type(exc).__name__, "message": str(exc)}
+        anomalies.append(f"crash: {type(exc).__name__}: {exc}")
+    record["anomalies"] = anomalies
+    return record
+
+
+def _fuzz_checks(params: tuple, record: dict, anomalies: list[str]) -> None:
+    _, n, max_mult, edge_prob, seed, xi_cap = params
     cfg = FuzzConfig(
         n=n, max_multiplicity=max_mult, edge_probability=edge_prob, seed=seed
     )
     g = random_multigraph(cfg)
-    record: dict[str, object] = {"index": index, "seed": seed, "edges": len(g.edges)}
-    anomalies: list[str] = []
+    record["edges"] = len(g.edges)
     bound = gupta_bound(g)
     mu = g.max_multiplicity()
     hypotheses = mu <= 2 or bound.k <= 6
@@ -237,8 +256,6 @@ def _fuzz_case(params: tuple) -> dict:
         record["sandwich_ok"] = sandwich
         if not sandwich:
             anomalies.append(f"sandwich violated: k={bound.k} xi={xi} upper={upper}")
-    record["anomalies"] = anomalies
-    return record
 
 
 def _cmd_fuzz(args) -> tuple[dict, int]:
@@ -258,11 +275,11 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
     records.sort(key=lambda r: r["index"])
     summary = {
         "instances": len(records),
-        "hypothesis_held": sum(1 for r in records if r["hypotheses_held"]),
-        "decompose_ok": sum(1 for r in records if r["decompose_ok"]),
+        "hypothesis_held": sum(1 for r in records if r.get("hypotheses_held")),
+        "decompose_ok": sum(1 for r in records if r.get("decompose_ok")),
         "sandwich_ok": sum(1 for r in records if r.get("sandwich_ok")),
         "counterexample_candidates": sum(
-            1 for r in records if r["counterexample_candidate"]
+            1 for r in records if r.get("counterexample_candidate")
         ),
         "anomalies": sum(len(r["anomalies"]) for r in records),
         "seed": seed,
@@ -312,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         payload, code = _HANDLERS[args.command](args)
-    except (GraphFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GraphFormatError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         _report(report, "error", err, started)
         print(json.dumps(err), file=sys.stderr)
@@ -327,6 +344,15 @@ def main(argv: list[str] | None = None) -> int:
         _report(report, "error", err, started)
         print(json.dumps(err), file=sys.stderr)
         return EXIT_VERIFY
+    except Exception as exc:  # last resort: a bug, never a traceback
+        err = {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "traceback": traceback.format_exc(),
+        }
+        _report(report, "internal-error", err, started)
+        print(json.dumps(err), file=sys.stderr)
+        return EXIT_INTERNAL
 
     outcome = "ok"
     if code == EXIT_CANDIDATE:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, StageAssertionFailed
 from .multigraph import Edge, Multigraph
 
 COLOR_BUDGET_DEFAULT = 10_000_000
@@ -149,13 +149,15 @@ def chain(coloring: EdgeColoring, g: Multigraph, v: int, alpha: int, beta: int) 
 
     if len(here) == 1:
         verts, eids, closed = walk(here[0])
-        assert not closed
+        if closed:
+            raise StageAssertionFailed("chain", "a walk from a path endpoint closed a cycle")
         vertices, edges = tuple(verts), tuple(eids)
     else:
         verts1, eids1, closed = walk(here[0])
         if closed:
             cyc_verts = verts1[:-1]
-            assert len(eids1) % 2 == 0, "two-color cycles are even"
+            if len(eids1) % 2:
+                raise StageAssertionFailed("chain", "two-color cycles are even")
             return _canonical_cycle(alpha, beta, cyc_verts, eids1)
         verts2, eids2, _ = walk(here[1])
         vertices = tuple(reversed(verts1)) + tuple(verts2[1:])

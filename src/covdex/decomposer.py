@@ -24,10 +24,10 @@ from . import dense_lift
 from .coloring import COLOR_BUDGET_DEFAULT, EdgeColoring, find_coloring, is_proper
 from .density import (
     SUBSET_CAP_DEFAULT,
+    OddSetTable,
     all_min_optimal_sets,
     codensity,
     gupta_bound,
-    min_optimal_containing,
 )
 from .errors import (
     AugmentationFailed,
@@ -179,16 +179,21 @@ def regularize(
     g: Multigraph, k: int, *, cap: int = SUBSET_CAP_DEFAULT
 ) -> tuple[Multigraph, SplitTrace]:
     """Split edges off high-degree vertices until every original vertex has
-    degree exactly k+1, re-verifying the odd-set bound after each split."""
+    degree exactly k+1, re-verifying the odd-set bound after each split.
+
+    One odd-set table over the original vertices, updated after every
+    split, answers both the tight-set search and the check; at the end it
+    must equal a table rebuilt from the final graph."""
     n = g.vertex_count
     if g.min_degree() < k + 1:
         raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
     h = g
     trace = SplitTrace()
     original = range(n)
+    table = OddSetTable(h, original, cap=cap)
     for x in original:
         while h.degree(x) >= k + 2:
-            cert = min_optimal_containing(h, x, k, restrict_to=original, cap=cap)
+            cert = table.min_optimal_containing(x, k)
             if cert is None:
                 eid = min(e.id for e in h.incident(x))
             else:
@@ -200,12 +205,14 @@ def regularize(
                     raise StageAssertionFailed(
                         "regularize", f"vertex {x} has no neighbor inside {sorted(members)}"
                     )
-                y = partners[0]
-                eid = min(e.id for e in h.incident(x) if e.touches(y))
+                eid = min(e.id for e in h.incident(x) if e.touches(partners[0]))
+            y = h.edge(eid).other(x)
             h, record = split_off(h, x, eid)
             trace = trace.extend(record)
-            value, witness = codensity(h, restrict_to=original, cap=cap)
-            if value is not None and value < k:
+            table.apply_split(x, y)
+            slack = table.min_slack(k)
+            if slack is not None and slack < 0:
+                value, witness = codensity(h, restrict_to=original, cap=cap)
                 raise CodensityDropped(
                     f"splitting edge {eid} off {x} dropped the odd-set bound: "
                     f"{value} < {k} at {witness.vertices if witness else ()}"
@@ -213,6 +220,10 @@ def regularize(
     for v in original:
         if h.degree(v) != k + 1:
             raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {h.degree(v)}")
+    if table.e_plus != OddSetTable(h, original, cap=cap).e_plus:
+        raise StageAssertionFailed(
+            "regularize", "odd-set table updated across the splits differs from a rebuild"
+        )
     return h, trace
 
 

@@ -2,21 +2,46 @@
 
 All ratios are exact rationals end to end: optimality is an exact equality
 test and floor(co-density) feeds an integer bound, so floats would corrupt
-both.  Enumeration is exhaustive over odd subsets (by increasing size, then
-lexicographic) and capped; the cap guards runtime, not correctness.
+both.
+
+Every odd-set question is answered from one table.  For a fixed universe
+of n vertices, ``OddSetTable`` holds e+(U), the number of edges incident to
+U, for all 2^n subsets U, indexed by bitmask (bit i stands for the
+universe's i-th vertex).  It is filled in O(2^n) time by
+
+    e+(S + i) = e+(S) + deg(i) - mult(i, S)    (i above every bit of S),
+
+where the row sums mult(i, S) are built by the same doubling over the bits
+below i.  It takes 5 * 2^n bytes (4 for e+ in an ``array('i')``, 1 for the
+set size), 80 MB at the default cap of 24 vertices; the cap guards runtime
+and memory, not correctness, and is checked before anything is allocated.
+For a given k, a set's integer slack is 2e+(U) - k(|U|+1): an odd set is
+optimal exactly when its slack is 0, and k <= co-density exactly when no
+odd set has negative slack.  Splitting edge (x, y) off x lowers e+ by one
+on exactly the sets that contain x and miss y, so ``regularize`` keeps one
+table current across all its splits instead of recounting.
+
+Witnesses follow the enumeration order of odd subsets by increasing size,
+then lexicographic in universe order.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from operator import sub
+from typing import Iterable, Sequence
 
 from .errors import BadSet, DisjointnessViolation, TooLarge
 from .multigraph import Multigraph
 
 SUBSET_CAP_DEFAULT = 24
+
+# bytes.translate table adding one to every byte value.
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+# Above every e+ value an array('i') can hold.
+_NO_SET = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -45,27 +70,146 @@ class GuptaBound:
     k: int
 
 
-def _edge_masks(g: Multigraph) -> list[int]:
-    return [(1 << e.u) | (1 << e.v) for e in g.edges]
-
-
-def _odd_subsets(universe: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Odd subsets of size >= 3, by increasing size then lexicographic."""
-    for size in range(3, len(universe) + 1, 2):
-        yield from combinations(universe, size)
-
-
 def _check_cap(size: int, cap: int) -> None:
     if size > cap:
         raise TooLarge(f"odd-subset enumeration over {size} vertices exceeds cap {cap}")
 
 
+class OddSetTable:
+    """e+(U) for every subset U of a fixed universe, kept by bitmask."""
+
+    def __init__(
+        self, g: Multigraph, universe: Sequence[int], *, cap: int = SUBSET_CAP_DEFAULT
+    ):
+        _check_cap(len(universe), cap)
+        self.universe = tuple(universe)
+        n = len(self.universe)
+        self._position = {v: i for i, v in enumerate(self.universe)}
+        degree = [0] * n
+        mult = [[0] * n for _ in range(n)]
+        for e in g.edges:
+            i = self._position.get(e.u)
+            j = self._position.get(e.v)
+            if i is not None:
+                degree[i] += 1
+            if j is not None:
+                degree[j] += 1
+                if i is not None:
+                    mult[i][j] += 1
+                    mult[j][i] += 1
+        e_plus = array("i", [0])
+        sizes = bytearray(1)
+        for i in range(n):
+            # row[S] = mult(i, S) - deg(i) over the subsets S of bits below i.
+            row = array("i", [-degree[i]])
+            for m in mult[i][:i]:
+                row += array("i", map(m.__add__, row)) if m else row
+            e_plus += array("i", map(sub, e_plus, row))
+            sizes += sizes.translate(_PLUS_ONE)
+        self.e_plus = e_plus
+        self.sizes = sizes
+
+    def _positions(self, mask: int) -> tuple[int, ...]:
+        return tuple(i for i in range(len(self.universe)) if mask >> i & 1)
+
+    def _certificate(self, mask: int, vertices: tuple[int, ...]) -> OddSetCertificate:
+        count = self.e_plus[mask]
+        return OddSetCertificate(vertices, count, Fraction(2 * count, len(vertices) + 1))
+
+    def _size_minima(self) -> list[int]:
+        lowest = [_NO_SET] * (len(self.universe) + 1)
+        for count, size in zip(self.e_plus, self.sizes):
+            if count < lowest[size]:
+                lowest[size] = count
+        return lowest
+
+    def min_slack(self, k: int) -> int | None:
+        """Minimum of 2e+(U) - k(|U|+1) over odd U of size >= 3, or None
+        when the universe has no such set."""
+        lowest = self._size_minima()
+        return min(
+            (2 * lowest[s] - k * (s + 1) for s in range(3, len(self.universe) + 1, 2)),
+            default=None,
+        )
+
+    def codensity(self) -> tuple[Fraction | None, OddSetCertificate | None]:
+        """Minimum of e+(U) / ((|U|+1)/2) over odd U of size >= 3, with the
+        first minimizer in (size, lexicographic) order as witness."""
+        lowest = self._size_minima()
+        best: int | None = None
+        for s in range(3, len(self.universe) + 1, 2):
+            # e(s)/(s+1) < e(best)/(best+1), cross-multiplied.
+            if best is None or lowest[s] * (best + 1) < lowest[best] * (s + 1):
+                best = s
+        if best is None:
+            return None, None
+        count = lowest[best]
+        ties = [
+            mask
+            for mask, (c, size) in enumerate(zip(self.e_plus, self.sizes))
+            if c == count and size == best
+        ]
+        mask = min(ties, key=self._positions)
+        witness = self._certificate(
+            mask, tuple(self.universe[i] for i in self._positions(mask))
+        )
+        return witness.ratio, witness
+
+    def tight_sets(self, k: int) -> list[int]:
+        """Masks of the odd sets of size >= 3 with slack 0 (the optimal sets)."""
+        # Slack 0 means e+ = k(s+1)/2; -1 marks sizes that are never odd sets.
+        need = [-1] * (len(self.universe) + 1)
+        for s in range(3, len(self.universe) + 1, 2):
+            need[s] = k * (s + 1) // 2
+        return [
+            mask
+            for mask, (count, size) in enumerate(zip(self.e_plus, self.sizes))
+            if count == need[size]
+        ]
+
+    def min_optimal_containing(self, x: int, k: int) -> OddSetCertificate | None:
+        """The unique minimum-size optimal set containing x, or None."""
+        return self._min_containing(x, self.tight_sets(k))
+
+    def _min_containing(self, x: int, tight: list[int]) -> OddSetCertificate | None:
+        if x not in self._position:
+            return None
+        bit = 1 << self._position[x]
+        mine = [mask for mask in tight if mask & bit]
+        if not mine:
+            return None
+        size = min(self.sizes[mask] for mask in mine)
+        found = sorted((m for m in mine if self.sizes[m] == size), key=self._positions)
+        vertices = [
+            tuple(sorted(self.universe[i] for i in self._positions(m))) for m in found[:2]
+        ]
+        if len(found) > 1:
+            raise DisjointnessViolation(
+                f"two minimum optimal sets of size {size} contain vertex {x}: "
+                f"{vertices[0]} and {vertices[1]}"
+            )
+        return self._certificate(found[0], vertices[0])
+
+    def apply_split(self, x: int, y: int) -> None:
+        """Account for ``split_off`` moving edge (x, y) off x: e+ drops by
+        one on exactly the sets that contain x and miss y.  A y outside the
+        universe is missed by every set."""
+        x_bit = 1 << self._position[x]
+        y_bit = 1 << self._position[y] if y in self._position else 0
+        free = (len(self.e_plus) - 1) & ~(x_bit | y_bit)
+        e_plus = self.e_plus
+        rest = free
+        while True:  # every submask of free, with x added
+            e_plus[rest | x_bit] -= 1
+            if not rest:
+                break
+            rest = (rest - 1) & free
+
+
 def e_plus(g: Multigraph, vertex_set: Iterable[int]) -> int:
     """Number of edges incident to at least one vertex of the set."""
-    mask = 0
-    for v in vertex_set:
-        mask |= 1 << v
-    return sum(1 for em in _edge_masks(g) if em & mask)
+    inside = set(vertex_set)
+    return sum(1 for e in g.edges if e.u in inside or e.v in inside)
 
 
 def codensity(
@@ -79,25 +223,13 @@ def codensity(
     Returns (None, None) when no admissible set exists.  The witness is the
     first minimizer in (size, lexicographic) enumeration order.
     """
-    universe = tuple(restrict_to) if restrict_to is not None else tuple(g.vertices())
-    _check_cap(len(universe), cap)
-    masks = _edge_masks(g)
-    best: Fraction | None = None
-    witness: OddSetCertificate | None = None
-    for subset in _odd_subsets(universe):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        count = sum(1 for em in masks if em & mask)
-        ratio = Fraction(2 * count, len(subset) + 1)
-        if best is None or ratio < best:
-            best = ratio
-            witness = OddSetCertificate(subset, count, ratio)
-    return best, witness
+    universe = g.vertices() if restrict_to is None else restrict_to
+    return OddSetTable(g, universe, cap=cap).codensity()
 
 
 def gupta_bound(g: Multigraph, *, cap: int = SUBSET_CAP_DEFAULT) -> GuptaBound:
     """delta, co-density, and k = min(delta - 1, floor(co-density)), k >= 0."""
+    _check_cap(g.vertex_count, cap)
     delta = g.min_degree()
     value, _ = codensity(g, cap=cap)
     if value is None:
@@ -129,30 +261,8 @@ def min_optimal_containing(
     graph's actual bound; a tie raises DisjointnessViolation rather than
     picking one arbitrarily.
     """
-    universe = tuple(restrict_to) if restrict_to is not None else tuple(g.vertices())
-    _check_cap(len(universe), cap)
-    if x not in universe:
-        return None
-    rest = tuple(v for v in universe if v != x)
-    masks = _edge_masks(g)
-    for size in range(3, len(universe) + 1, 2):
-        found: list[OddSetCertificate] = []
-        for others in combinations(rest, size - 1):
-            subset = tuple(sorted((x,) + others))
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            count = sum(1 for em in masks if em & mask)
-            if 2 * count == k * (size + 1):
-                found.append(OddSetCertificate(subset, count, Fraction(2 * count, size + 1)))
-        if len(found) > 1:
-            raise DisjointnessViolation(
-                f"two minimum optimal sets of size {size} contain vertex {x}: "
-                f"{found[0].vertices} and {found[1].vertices}"
-            )
-        if found:
-            return found[0]
-    return None
+    universe = g.vertices() if restrict_to is None else restrict_to
+    return OddSetTable(g, universe, cap=cap).min_optimal_containing(x, k)
 
 
 def all_min_optimal_sets(
@@ -164,17 +274,19 @@ def all_min_optimal_sets(
 ) -> list[OddSetCertificate]:
     """Inclusion-minimal optimal sets within the given universe.
 
-    Collects min_optimal_containing(x) over the universe and keeps the sets
-    that contain no smaller collected set.  Optimal sets can nest (a tight
-    set inside a larger tight set), but every optimal set contains an
-    inclusion-minimal one, and the inclusion-minimal ones are pairwise
-    vertex-disjoint; that disjointness is asserted, not assumed.
+    Collects the minimum optimal set containing x over the universe and
+    keeps the sets that contain no smaller collected set.  Optimal sets can
+    nest (a tight set inside a larger tight set), but every optimal set
+    contains an inclusion-minimal one, and the inclusion-minimal ones are
+    pairwise vertex-disjoint; that disjointness is checked, not assumed.
     """
     universe = tuple(sorted(set(restrict_to)))
+    table = OddSetTable(g, universe, cap=cap)
+    tight = table.tight_sets(k)
     collected: list[OddSetCertificate] = []
     seen: set[frozenset[int]] = set()
     for x in universe:
-        cert = min_optimal_containing(g, x, k, restrict_to=universe, cap=cap)
+        cert = table._min_containing(x, tight)
         if cert is None or cert.as_set() in seen:
             continue
         seen.add(cert.as_set())

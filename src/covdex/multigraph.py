@@ -21,9 +21,12 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
-    """One edge instance: a stable id plus its two (distinct) endpoints."""
+    """One edge instance: a stable id plus its two (distinct) endpoints.
+
+    Edges are the most numerous objects of a run; slots keep each one at
+    56 bytes instead of 96."""
 
     id: int
     u: int

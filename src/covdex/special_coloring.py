@@ -30,7 +30,7 @@ from .coloring import (
     missing,
     present,
 )
-from .errors import BudgetExhausted, PreconditionViolated
+from .errors import BudgetExhausted, PreconditionViolated, StageAssertionFailed
 from .multigraph import Multigraph
 
 
@@ -51,6 +51,9 @@ class Potentials:
 
 StepHook = Callable[[dict], None]
 SpendFn = Callable[[dict, EdgeColoring], None]
+
+# Stage named by the invariant failures raised here (decompose's name for it).
+_STAGE = "special-coloring"
 
 
 def potentials(g: Multigraph, coloring: EdgeColoring, k: int, S: Iterable[int]) -> Potentials:
@@ -131,7 +134,8 @@ def special_coloring(
         else:
             break
 
-    assert is_proper(g, cur)
+    if not is_proper(g, cur):
+        raise StageAssertionFailed(_STAGE, "final coloring is improper")
     return cur
 
 
@@ -168,9 +172,10 @@ def _lower_exposed(
             if common:
                 index, beta = j, min(common)
                 break
-        assert index is not None, "the far endpoint always shares a missing color"
-        if prev_index is not None:
-            assert index < prev_index, "chain index must drop between rounds"
+        if index is None:
+            raise StageAssertionFailed(_STAGE, "the far endpoint always shares a missing color")
+        if prev_index is not None and index >= prev_index:
+            raise StageAssertionFailed(_STAGE, "chain index must drop between rounds")
         prev_index = index
 
         if index == 1:
@@ -205,8 +210,10 @@ def _checked_progress(
     start: int,
 ) -> EdgeColoring:
     after = potentials(g, nxt, k, protected)
-    assert after.exposed < start, "phase-1 round must lower the exposed count"
-    assert is_proper(g, nxt)
+    if after.exposed >= start:
+        raise StageAssertionFailed(_STAGE, "phase-1 round must lower the exposed count")
+    if not is_proper(g, nxt):
+        raise StageAssertionFailed(_STAGE, "phase-1 round left an improper coloring")
     return nxt
 
 
@@ -232,7 +239,8 @@ def _lower_bridges(
         if other in protected and other != v:
             x = v
             break
-    assert x is not None, "a positive bridge count implies such a vertex"
+    if x is None:
+        raise StageAssertionFailed(_STAGE, "a positive bridge count implies such a vertex")
     start = pot.bridges
     prev_index: int | None = None
 
@@ -247,9 +255,10 @@ def _lower_bridges(
             if common:
                 index, beta = j, min(common)
                 break
-        assert index is not None, "the far endpoint shares a low missing color"
-        if prev_index is not None:
-            assert index < prev_index, "chain index must drop between rounds"
+        if index is None:
+            raise StageAssertionFailed(_STAGE, "the far endpoint shares a low missing color")
+        if prev_index is not None and index >= prev_index:
+            raise StageAssertionFailed(_STAGE, "chain index must drop between rounds")
         prev_index = index
 
         if index == 1:
@@ -259,7 +268,8 @@ def _lower_bridges(
 
         vi, vim1 = verts[index], verts[index - 1]
         gamma = min(missing(cur, g, vim1))
-        assert gamma <= k and gamma != beta, "interior vertices only miss low colors"
+        if gamma > k or gamma == beta:
+            raise StageAssertionFailed(_STAGE, "interior vertices only miss low colors")
         side = chain(cur, g, vi, beta, gamma)
         if vim1 in side.vertices:
             cur = kempe_swap(cur, side)
@@ -280,7 +290,10 @@ def _checked_bridge_progress(
     start: int,
 ) -> EdgeColoring:
     after = potentials(g, nxt, k, protected)
-    assert after.exposed == 0, "phase 2 must not re-expose the top color"
-    assert after.bridges < start, "phase-2 round must lower the bridge count"
-    assert is_proper(g, nxt)
+    if after.exposed:
+        raise StageAssertionFailed(_STAGE, "phase 2 must not re-expose the top color")
+    if after.bridges >= start:
+        raise StageAssertionFailed(_STAGE, "phase-2 round must lower the bridge count")
+    if not is_proper(g, nxt):
+        raise StageAssertionFailed(_STAGE, "phase-2 round left an improper coloring")
     return nxt

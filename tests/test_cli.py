@@ -4,8 +4,9 @@ import os
 import pytest
 
 from conftest import c5, k4, petersen
-from covdex import format_graph, write_graph
+from covdex import cli, format_graph, write_graph
 from covdex.cli import main
+from covdex.oracle import FuzzConfig, random_multigraph
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,36 @@ def test_malformed_graph_exit_code(capsys, tmp_path):
     assert "GraphFormatError" in err
 
 
+def test_binary_graph_file_exit_code(capsys, tmp_path):
+    path = tmp_path / "binary.graph"
+    path.write_bytes(b"\xff\xfe\x00\x81v 3\n")
+    code, out, err = run_cli(capsys, "bound", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == "UnicodeDecodeError"
+
+
+def test_directory_as_graph_exit_code(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "bound", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == "IsADirectoryError"
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, k4_path):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "bound", broken)
+    code, out, err = run_cli(capsys, "bound", k4_path)
+    assert code == 5
+    assert out == ""
+    report, error = (json.loads(line) for line in err.splitlines())
+    assert report["outcome"] == "internal-error"
+    assert error["error"] == "RuntimeError" and error["message"] == "boom"
+    assert "RuntimeError: boom" in error["traceback"]
+
+
 def test_too_large_exit_code(capsys, tmp_path, k4_path):
     code, _, err = run_cli(capsys, "codensity", k4_path, "--cap", "2")
     assert code == 3
@@ -133,6 +164,35 @@ def test_fuzz_summary_and_report(capsys, tmp_path):
     data = json.loads(report.read_text())
     assert len(data["records"]) == 15
     assert data["summary"] == summary
+
+
+def test_fuzz_records_a_crash_and_finishes_the_campaign(capsys, tmp_path, monkeypatch):
+    # --seed 42 runs seeds 42..49; the instance with seed 44 crashes.
+    doomed = random_multigraph(
+        FuzzConfig(n=5, max_multiplicity=2, edge_probability=0.5, seed=44)
+    )
+    real = cli.decompose
+
+    def flaky(g, options=None):
+        if g == doomed:
+            raise RuntimeError("boom")
+        return real(g, options)
+
+    monkeypatch.setattr(cli, "decompose", flaky)
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "fuzz", "--n", "5", "--count", "8", "--seed", "42",
+        "--jobs", "1", "--report", str(report),
+    )
+    assert code == 1  # a crash is an anomaly
+    summary = json.loads(out)
+    assert summary["instances"] == 8
+    assert summary["anomalies"] == 1
+    records = json.loads(report.read_text())["records"]
+    crashed = [r for r in records if "crash" in r]
+    assert [r["seed"] for r in crashed] == [44]
+    assert crashed[0]["crash"] == {"error": "RuntimeError", "message": "boom"}
+    assert all(r["decompose_ok"] for r in records if "crash" not in r)
 
 
 def test_fuzz_parallel_jobs_matches_serial(capsys):

@@ -75,6 +75,13 @@ def test_gupta_bound_named_instances(graph, delta, rho, k):
     assert (b.delta, b.codensity, b.k) == (delta, rho, k)
 
 
+def test_gupta_bound_checks_the_cap_before_building_tables():
+    g = build(10**6, [])
+    with pytest.raises(TooLarge):
+        gupta_bound(g)
+    assert "_incidence" not in vars(g)  # no per-vertex table was built
+
+
 def test_gupta_bound_clamps_at_zero():
     assert gupta_bound(build(2, [(0, 1)])).k == 0
     assert gupta_bound(build(1, [])).k == 0

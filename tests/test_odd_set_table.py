@@ -1,0 +1,190 @@
+"""The odd-set table against a direct enumeration of odd subsets.
+
+The reference below enumerates odd subsets with ``itertools.combinations``
+(by size, then lexicographic in universe order) and counts incident edges
+one subset at a time; it shares no code with the table.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from covdex import DisjointnessViolation, TooLarge, build, gupta_bound, split_off
+from covdex.density import (
+    OddSetTable,
+    all_min_optimal_sets,
+    codensity,
+    min_optimal_containing,
+)
+from covdex.oracle import FuzzConfig, random_multigraph
+
+
+def reference_counts(g, universe):
+    """e+(U) for every nonempty subset U of the universe, keyed by frozenset."""
+    counts = {}
+    for size in range(1, len(universe) + 1):
+        for subset in combinations(universe, size):
+            inside = set(subset)
+            counts[frozenset(subset)] = sum(1 for e in g.edges if e.u in inside or e.v in inside)
+    return counts
+
+
+def odd_subsets(universe):
+    for size in range(3, len(universe) + 1, 2):
+        yield from combinations(universe, size)
+
+
+def reference_codensity(counts, universe):
+    best = witness = None
+    for subset in odd_subsets(universe):
+        ratio = Fraction(2 * counts[frozenset(subset)], len(subset) + 1)
+        if best is None or ratio < best:
+            best, witness = ratio, subset
+    return best, witness
+
+
+def reference_min_optimal(counts, universe, x, k):
+    """The sorted minimum optimal set containing x, None, or the first two
+    sorted sets of a tie as ("tie", size, a, b)."""
+    if x not in universe:
+        return None
+    for size in range(3, len(universe) + 1, 2):
+        found = [
+            tuple(sorted(s))
+            for s in combinations(universe, size)
+            if x in s and 2 * counts[frozenset(s)] == k * (size + 1)
+        ]
+        if len(found) > 1:
+            return ("tie", size, found[0], found[1])
+        if found:
+            return found[0]
+    return None
+
+
+def reference_all_min_optimal(counts, universe, k):
+    """Inclusion-minimal members of the per-vertex minimum optimal sets,
+    or the first tie met in vertex order."""
+    collected = []
+    for x in universe:
+        found = reference_min_optimal(counts, universe, x, k)
+        if found is not None and found[0] == "tie":
+            return found, x
+        if found is not None and frozenset(found) not in map(frozenset, collected):
+            collected.append(found)
+    minimal = [a for a in collected if not any(set(b) < set(a) for b in collected)]
+    return sorted(minimal, key=lambda s: (len(s), s)), None
+
+
+def tie_message(x, tie):
+    _, size, a, b = tie
+    return f"two minimum optimal sets of size {size} contain vertex {x}: {a} and {b}"
+
+
+def corpus():
+    rng = random.Random(2024)
+    for seed in range(200):
+        n = 3 + seed % 8
+        g = random_multigraph(
+            FuzzConfig(
+                n=n,
+                max_multiplicity=1 + seed % 3,
+                edge_probability=rng.choice((0.3, 0.5, 0.8)),
+                seed=seed,
+            )
+        )
+        shuffled = rng.sample(range(n), n)
+        # The whole vertex set, a prefix (as regularize restricts to the
+        # original vertices), and a smaller subset in shuffled order.
+        yield g, (None, list(range(n - 1)), shuffled[: max(n - 2, 1)])
+
+
+def test_table_matches_enumeration_on_seeded_multigraphs():
+    witnesses = optimal = ties = 0
+    for g, universes in corpus():
+        bound = gupta_bound(g)
+        ks = {bound.k, bound.k + 1}
+        if bound.codensity is not None:
+            ks.add(int(bound.codensity))
+        for restrict in universes:
+            universe = tuple(g.vertices()) if restrict is None else tuple(restrict)
+            counts = reference_counts(g, universe)
+
+            value, witness = codensity(g, restrict_to=restrict)
+            ref_value, ref_witness = reference_codensity(counts, universe)
+            assert value == ref_value
+            if ref_witness is None:
+                assert witness is None
+            else:
+                assert witness.vertices == ref_witness
+                assert witness.e_plus == counts[frozenset(ref_witness)]
+                assert witness.ratio == ref_value
+                witnesses += 1
+
+            for k in sorted(ks):
+                for x in g.vertices():
+                    expected = reference_min_optimal(counts, universe, x, k)
+                    if expected is not None and expected[0] == "tie":
+                        with pytest.raises(DisjointnessViolation) as info:
+                            min_optimal_containing(g, x, k, restrict_to=restrict)
+                        assert str(info.value) == tie_message(x, expected)
+                        ties += 1
+                        continue
+                    cert = min_optimal_containing(g, x, k, restrict_to=restrict)
+                    if expected is None:
+                        assert cert is None
+                    else:
+                        assert cert.vertices == expected
+                        assert cert.e_plus == counts[frozenset(expected)]
+                        optimal += 1
+
+                if restrict is None:
+                    continue
+                expected, tie_at = reference_all_min_optimal(counts, tuple(sorted(universe)), k)
+                if tie_at is not None:
+                    with pytest.raises(DisjointnessViolation) as info:
+                        all_min_optimal_sets(g, k, restrict)
+                    assert str(info.value) == tie_message(tie_at, expected)
+                else:
+                    certs = all_min_optimal_sets(g, k, restrict)
+                    assert [c.vertices for c in certs] == expected
+    # The corpus reaches every branch: witnesses, optimal sets and ties.
+    assert witnesses >= 400 and optimal >= 100 and ties >= 50
+
+
+def test_split_updates_match_a_rebuilt_table():
+    rng = random.Random(7)
+    outside = 0
+    for seed in range(40):
+        n = 4 + seed % 6
+        g = random_multigraph(FuzzConfig(n=n, max_multiplicity=2, edge_probability=0.7, seed=seed))
+        table = OddSetTable(g, range(n))
+        h = g
+        for _ in range(12):
+            candidates = [x for x in range(n) if h.degree(x) > 0]
+            if not candidates:
+                break
+            x = rng.choice(candidates)
+            e = rng.choice(h.incident(x))
+            y = e.other(x)
+            outside += y >= n
+            h, _ = split_off(h, x, e.id)
+            table.apply_split(x, y)
+            assert table.e_plus == OddSetTable(h, range(n)).e_plus
+    # Some splits moved an edge whose far end was itself split off before.
+    assert outside > 0
+
+
+def test_table_values_are_incident_edge_counts():
+    g = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
+    table = OddSetTable(g, (2, 0, 3))  # bit 0 is vertex 2, bit 1 vertex 0
+    assert list(table.e_plus) == [0, 2, 3, 5, 2, 3, 4, 5]
+    assert list(table.sizes) == [0, 1, 1, 2, 1, 2, 2, 3]
+
+
+def test_table_checks_the_cap_before_building():
+    with pytest.raises(TooLarge):
+        OddSetTable(build(2, [(0, 1)]), range(10**6))
+    with pytest.raises(TooLarge):
+        OddSetTable(build(5, []), range(5), cap=4)
