@@ -1,11 +1,15 @@
 """Proper edge colorings: missing sets, two-color chains, Kempe swaps,
 and an exact fixed-palette coloring solver.
 
-The solver is plain backtracking with edge ordering, per-vertex color
-bitmasks, and color-symmetry breaking; at desk scale it both finds
-colorings and proves impossibility, and a node budget keeps either verdict
-honest (running out of budget is a distinct outcome, never reported as
-impossibility).
+The solver is a backtracking search with fail-first edge selection,
+per-vertex color bitmasks and color-symmetry breaking.  It runs as a loop
+over flat per-edge lists with an explicit stack of frames, so it has no
+recursion-depth limit, and its memory grows with the edge count rather
+than the declared vertex count.  It visits the same nodes in the same order
+as the earlier recursive version (kept as the reference in the tests), so
+colorings and node counts are unchanged.  At desk scale it both finds colorings and proves impossibility,
+and a node budget keeps either verdict honest (running out of budget is a
+distinct outcome, never reported as impossibility).
 """
 
 from __future__ import annotations
@@ -217,62 +221,77 @@ def find_coloring(
         raise ValueError("palette size must be non-negative")
     if not g.edges:
         return EdgeColoring(m, {})
-    if g.max_degree() > m:
+    # Degrees and color masks only for the vertices that edges touch, so the
+    # work grows with |E| and not with the declared vertex count.
+    degree: dict[int, int] = {}
+    for e in g.edges:
+        degree[e.u] = degree.get(e.u, 0) + 1
+        degree[e.v] = degree.get(e.v, 0) + 1
+    if max(degree.values()) > m:
         return None  # pigeonhole at a max-degree vertex
 
-    edges = sorted(g.edges, key=lambda e: (-(g.degree(e.u) + g.degree(e.v)), e.id))
-    full = (1 << m) - 1
-    used = [0] * g.vertex_count
-    assign: dict[int, int] = {}
-    pending = list(edges)
+    # Denser endpoints first, then smaller id.  pending stays a subsequence
+    # of this order, so its first edge with the fewest admissible colors is
+    # the fail-first choice by (count, -degree sum, id).
+    edges = sorted(g.edges, key=lambda e: (-(degree[e.u] + degree[e.v]), e.id))
+    slot = {v: i for i, v in enumerate(degree)}
+    eu = [slot[e.u] for e in edges]
+    ev = [slot[e.v] for e in edges]
+    used = [0] * len(slot)
+    # Symmetry breaking: with colors 1..j in use, only colors 1..j+1 are tried.
+    # Each colored edge brings in at most one new color, so j <= |E|.
+    caps = [(1 << min(m, j + 1)) - 1 for j in range(min(m, len(edges)) + 1)]
+    pending = list(range(len(edges)))
+    # One frame per colored edge: (position in pending, edge, its endpoints,
+    # untried color bits, the parent's ncolors, the color bit on the edge).
+    stack: list[tuple[int, int, int, int, int, int, int]] = []
+    ncolors = 0
     nodes = 0
-
-    def select(ncolors: int):
-        # Fail-first: fewest admissible colors, then denser endpoints.
-        cap = (1 << min(m, ncolors + 1)) - 1
-        best = None
-        best_key = None
-        for pos, e in enumerate(pending):
-            allowed = cap & full & ~(used[e.u] | used[e.v])
-            count = bin(allowed).count("1")
-            key = (count, -(g.degree(e.u) + g.degree(e.v)), e.id)
-            if best_key is None or key < best_key:
-                best, best_key = (pos, allowed), key
-                if count == 0:
-                    break
-        return best
-
-    def backtrack(ncolors: int) -> bool:
-        nonlocal nodes
-        if not pending:
-            return True
+    while pending:
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted(f"coloring search exceeded {budget} nodes")
-        pos, allowed = select(ncolors)
-        if not allowed:
-            return False
-        e = pending.pop(pos)
-        c = 1
-        while allowed:
-            if allowed & 1:
-                bit = 1 << (c - 1)
-                used[e.u] |= bit
-                used[e.v] |= bit
-                assign[e.id] = c
-                if backtrack(max(ncolors, c)):
-                    return True
-                used[e.u] &= ~bit
-                used[e.v] &= ~bit
-                del assign[e.id]
-            allowed >>= 1
-            c += 1
-        pending.insert(pos, e)
-        return False
-
-    if backtrack(0):
-        return EdgeColoring(m, dict(assign))
-    return None
+        cap = caps[ncolors]
+        best_count = m + 1
+        for i in pending:
+            allowed = cap & ~(used[eu[i]] | used[ev[i]])
+            count = allowed.bit_count()
+            if count < best_count:
+                best, best_allowed, best_count = i, allowed, count
+                if not count:
+                    break
+        if best_count:
+            # Descend: take the edge out of pending, try its lowest color.
+            pos = pending.index(best)
+            del pending[pos]
+            u, v = eu[best], ev[best]
+            bit = best_allowed & -best_allowed
+            stack.append((pos, best, u, v, best_allowed ^ bit, ncolors, bit))
+            used[u] |= bit
+            used[v] |= bit
+            c = bit.bit_length()
+            if c > ncolors:
+                ncolors = c
+            continue
+        # Dead end: move the deepest frame with an untried color to its next
+        # color, putting every exhausted edge back where it was.
+        while stack:
+            pos, i, u, v, untried, parent_ncolors, bit = stack[-1]
+            used[u] ^= bit
+            used[v] ^= bit
+            if untried:
+                bit = untried & -untried
+                stack[-1] = (pos, i, u, v, untried ^ bit, parent_ncolors, bit)
+                used[u] |= bit
+                used[v] |= bit
+                c = bit.bit_length()
+                ncolors = c if c > parent_ncolors else parent_ncolors
+                break
+            stack.pop()
+            pending.insert(pos, i)
+        else:
+            return None
+    return EdgeColoring(m, {edges[f[1]].id: f[6].bit_length() for f in stack})
 
 
 def chromatic_index(g: Multigraph, budget: int = COLOR_BUDGET_DEFAULT) -> int:

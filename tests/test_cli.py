@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import c5, k4, petersen
+from conftest import c5, k3, k4, petersen
 from covdex import cli, format_graph, write_graph
 from covdex.cli import main
 from covdex.oracle import FuzzConfig, random_multigraph
@@ -64,6 +67,23 @@ def test_color_budget_exit_code(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "color", str(path), "-m", "3", "--budget", "5")
     assert code == 3
     assert json.loads(out)["status"] == "budget"
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    path = tmp_path / "k3.graph"
+    write_graph(k3(), str(path))
+    code, expected, _ = run_cli(capsys, "bound", str(path))
+    assert code == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "covdex", "bound", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_decompose_writes_covers_that_verify(capsys, tmp_path, c5_path):
