@@ -40,12 +40,13 @@ from .errors import (
     TooLarge,
 )
 from .multigraph import (
+    Edge,
     Multigraph,
+    SplitRecord,
     SplitTrace,
     boundary_counts,
     contract_set,
     induced_subgraph,
-    split_off,
 )
 from .oracle import verify_decomposition
 from .special_coloring import special_coloring
@@ -175,48 +176,89 @@ class PipelineState:
         return out
 
 
+def _below_bound(table: OddSetTable, k: int) -> bool:
+    """Whether some odd set has negative slack (a full scan)."""
+    slack = table.min_slack(k)
+    return slack is not None and slack < 0
+
+
 def regularize(
-    g: Multigraph, k: int, *, cap: int = SUBSET_CAP_DEFAULT
+    g: Multigraph,
+    k: int,
+    *,
+    cap: int = SUBSET_CAP_DEFAULT,
+    table: OddSetTable | None = None,
 ) -> tuple[Multigraph, SplitTrace]:
     """Split edges off high-degree vertices until every original vertex has
     degree exactly k+1, re-verifying the odd-set bound after each split.
 
-    One odd-set table over the original vertices, updated after every
-    split, answers both the tight-set search and the check; at the end it
-    must equal a table rebuilt from the final graph."""
+    The splits are those of chained ``split_off`` calls (the moved edge
+    leaves the edge order, its replacement is appended with the next id),
+    kept in an edge dict and per-vertex incidence; the graph and its trace
+    are built once at the end.  One odd-set table over the original
+    vertices (``table``, updated in place, or one built here) answers the
+    tight-set search and the check.  The first split is followed by a full
+    scan of every odd set's slack; after that every odd set has slack >= 0,
+    so each later split is checked over the sets it changes, and the tight
+    list only grows.  After the last split (if any) the full scan runs once
+    more, and the table must equal one rebuilt from the final graph."""
     n = g.vertex_count
-    if g.min_degree() < k + 1:
-        raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
-    h = g
-    trace = SplitTrace()
     original = range(n)
-    table = OddSetTable(h, original, cap=cap)
+    incidence: dict[int, dict[int, int]] = {v: {} for v in original}
+    for e in g.edges:
+        incidence[e.u][e.id] = e.v
+        incidence[e.v][e.id] = e.u
+    if min(map(len, incidence.values()), default=0) < k + 1:
+        raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
+    if table is None:
+        table = OddSetTable(g, original, cap=cap)
+    edges = {e.id: e for e in g.edges}
+    next_id = g.next_edge_id()
+    records: list[SplitRecord] = []
+    tight: list[int] | None = None
     for x in original:
-        while h.degree(x) >= k + 2:
-            cert = table.min_optimal_containing(x, k)
+        mine = incidence[x]
+        while len(mine) >= k + 2:
+            if tight is None:
+                tight = table.tight_sets(k)
+            cert = table.min_containing(x, tight)
             if cert is None:
-                eid = min(e.id for e in h.incident(x))
+                eid = min(mine)
             else:
                 members = cert.as_set()
-                partners = sorted(
-                    e.other(x) for e in h.incident(x) if e.other(x) in members
-                )
+                partners = [w for w in mine.values() if w in members]
                 if not partners:
                     raise StageAssertionFailed(
                         "regularize", f"vertex {x} has no neighbor inside {sorted(members)}"
                     )
-                eid = min(e.id for e in h.incident(x) if e.touches(partners[0]))
-            y = h.edge(eid).other(x)
-            h, record = split_off(h, x, eid)
-            trace = trace.extend(record)
-            table.apply_split(x, y)
-            slack = table.min_slack(k)
-            if slack is not None and slack < 0:
+                partner = min(partners)
+                eid = min(f for f, w in mine.items() if w == partner)
+            y = mine.pop(eid)
+            new_vertex = n + len(records)
+            del edges[eid]
+            edges[next_id] = Edge(next_id, y, new_vertex)
+            if y < n:
+                del incidence[y][eid]
+                incidence[y][next_id] = new_vertex
+            records.append(SplitRecord(new_vertex, x, eid, next_id))
+            next_id += 1
+            dropped, became_tight = table.split(x, y, k)
+            if dropped or (len(records) == 1 and _below_bound(table, k)):
+                h = Multigraph(n + len(records), tuple(edges.values()))
                 value, witness = codensity(h, restrict_to=original, cap=cap)
                 raise CodensityDropped(
                     f"splitting edge {eid} off {x} dropped the odd-set bound: "
                     f"{value} < {k} at {witness.vertices if witness else ()}"
                 )
+            tight += became_tight
+    if not records:
+        h = g
+    else:
+        h = Multigraph(n + len(records), tuple(edges.values()))
+        if _below_bound(table, k):
+            raise StageAssertionFailed(
+                "regularize", f"an odd set fell below the bound {k} unnoticed by the split checks"
+            )
     for v in original:
         if h.degree(v) != k + 1:
             raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {h.degree(v)}")
@@ -224,15 +266,21 @@ def regularize(
         raise StageAssertionFailed(
             "regularize", "odd-set table updated across the splits differs from a rebuild"
         )
-    return h, trace
+    return h, SplitTrace(tuple(records))
 
 
 def puncture(
-    h: Multigraph, k: int, n_original: int, *, cap: int = SUBSET_CAP_DEFAULT
+    h: Multigraph,
+    k: int,
+    n_original: int,
+    *,
+    cap: int = SUBSET_CAP_DEFAULT,
+    table: OddSetTable | None = None,
 ) -> tuple[Multigraph, tuple[Puncture, ...]]:
     """Remove the smallest-id internal edge of every inclusion-minimal
-    optimal set, and re-verify the resulting internal edge counts."""
-    certs = all_min_optimal_sets(h, k, range(n_original), cap=cap)
+    optimal set, and re-verify the resulting internal edge counts.
+    ``table``, when given, is h's table over its first n_original vertices."""
+    certs = all_min_optimal_sets(h, k, range(n_original), cap=cap, table=table)
     h1 = h
     punctures = []
     for cert in certs:
@@ -438,7 +486,9 @@ def decompose(
     they say nothing about the input graph.
     """
     opts = options or DecomposeOptions()
-    bound = gupta_bound(g, cap=opts.subset_cap)
+    # One table for the bound, every split and the puncture.
+    table = OddSetTable(g, g.vertices(), cap=opts.subset_cap)
+    bound = gupta_bound(g, cap=opts.subset_cap, table=table)
     k = bound.k
     mu = g.max_multiplicity()
     hypotheses_held = mu <= 2 or k <= 6
@@ -459,12 +509,12 @@ def decompose(
 
     stage = "regularize"
     try:
-        h, trace = regularize(g, k, cap=opts.subset_cap)
+        h, trace = regularize(g, k, cap=opts.subset_cap, table=table)
         state.h, state.trace = h, trace
         stages["splits"] = len(trace.records)
 
         stage = "puncture"
-        h1, punctures = puncture(h, k, g.vertex_count, cap=opts.subset_cap)
+        h1, punctures = puncture(h, k, g.vertex_count, cap=opts.subset_cap, table=table)
         state.h1, state.punctures = h1, punctures
         stages["blocks"] = len(punctures)
         stages["block_sizes"] = sorted(len(p.block) for p in punctures)

@@ -18,8 +18,14 @@ and memory, not correctness, and is checked before anything is allocated.
 For a given k, a set's integer slack is 2e+(U) - k(|U|+1): an odd set is
 optimal exactly when its slack is 0, and k <= co-density exactly when no
 odd set has negative slack.  Splitting edge (x, y) off x lowers e+ by one
-on exactly the sets that contain x and miss y, so ``regularize`` keeps one
-table current across all its splits instead of recounting.
+on exactly the 2^(n-2) sets that contain x and miss y, so it lowers their
+slack, which is always even, by 2.  Once every odd set is known to have
+slack >= 0, a split is therefore checked by the same pass that applies it
+(``OddSetTable.split``): a touched set that was tight fails the bound, a
+touched set at slack 2 becomes tight, and the sets it does not touch keep
+the slack already approved.  ``decompose`` builds one table, reads the
+bound from it, lets ``regularize`` update it split by split, and reads the
+optimal sets for the puncture from it.
 
 Witnesses follow the enumeration order of odd subsets by increasing size,
 then lexicographic in universe order.
@@ -155,23 +161,26 @@ class OddSetTable:
         )
         return witness.ratio, witness
 
-    def tight_sets(self, k: int) -> list[int]:
-        """Masks of the odd sets of size >= 3 with slack 0 (the optimal sets)."""
-        # Slack 0 means e+ = k(s+1)/2; -1 marks sizes that are never odd sets.
+    def _need(self, k: int) -> list[int]:
+        """e+ at slack 0 per set size, k(s+1)/2 for the odd sizes s >= 3 and
+        -1 (below every count) for the sizes that are never odd sets."""
         need = [-1] * (len(self.universe) + 1)
         for s in range(3, len(self.universe) + 1, 2):
             need[s] = k * (s + 1) // 2
+        return need
+
+    def tight_sets(self, k: int) -> list[int]:
+        """Masks of the odd sets of size >= 3 with slack 0 (the optimal sets)."""
+        need = self._need(k)
         return [
             mask
             for mask, (count, size) in enumerate(zip(self.e_plus, self.sizes))
             if count == need[size]
         ]
 
-    def min_optimal_containing(self, x: int, k: int) -> OddSetCertificate | None:
-        """The unique minimum-size optimal set containing x, or None."""
-        return self._min_containing(x, self.tight_sets(k))
-
-    def _min_containing(self, x: int, tight: list[int]) -> OddSetCertificate | None:
+    def min_containing(self, x: int, tight: list[int]) -> OddSetCertificate | None:
+        """The unique minimum-size set among the tight masks that contains
+        x, or None; a tie raises DisjointnessViolation."""
         if x not in self._position:
             return None
         bit = 1 << self._position[x]
@@ -190,20 +199,38 @@ class OddSetTable:
             )
         return self._certificate(found[0], vertices[0])
 
-    def apply_split(self, x: int, y: int) -> None:
-        """Account for ``split_off`` moving edge (x, y) off x: e+ drops by
-        one on exactly the sets that contain x and miss y.  A y outside the
-        universe is missed by every set."""
+    def split(self, x: int, y: int, k: int) -> tuple[bool, list[int]]:
+        """Account for ``split_off`` moving edge (x, y) off x, and check it.
+
+        e+ drops by one on exactly the sets that contain x and miss y (a y
+        outside the universe is missed by every set), so their slack drops
+        by 2.  Returns whether a touched odd set went below slack 0 and the
+        masks of the touched odd sets that became tight.  Both answers
+        describe the whole table only if every odd set had slack >= 0
+        before the split."""
         x_bit = 1 << self._position[x]
         y_bit = 1 << self._position[y] if y in self._position else 0
         free = (len(self.e_plus) - 1) & ~(x_bit | y_bit)
         e_plus = self.e_plus
+        sizes = self.sizes
+        need = self._need(k)
+        dropped = False
+        tight = []
         rest = free
         while True:  # every submask of free, with x added
-            e_plus[rest | x_bit] -= 1
+            mask = rest | x_bit
+            count = e_plus[mask] - 1
+            e_plus[mask] = count
+            want = need[sizes[mask]]
+            if count <= want:
+                if count < want:
+                    dropped = True
+                else:
+                    tight.append(mask)
             if not rest:
                 break
             rest = (rest - 1) & free
+        return dropped, tight
 
 
 def e_plus(g: Multigraph, vertex_set: Iterable[int]) -> int:
@@ -227,11 +254,21 @@ def codensity(
     return OddSetTable(g, universe, cap=cap).codensity()
 
 
-def gupta_bound(g: Multigraph, *, cap: int = SUBSET_CAP_DEFAULT) -> GuptaBound:
-    """delta, co-density, and k = min(delta - 1, floor(co-density)), k >= 0."""
+def gupta_bound(
+    g: Multigraph,
+    *,
+    cap: int = SUBSET_CAP_DEFAULT,
+    table: OddSetTable | None = None,
+) -> GuptaBound:
+    """delta, co-density, and k = min(delta - 1, floor(co-density)), k >= 0.
+
+    ``table``, when given, is g's table over all of its vertices and is
+    read instead of building one."""
     _check_cap(g.vertex_count, cap)
     delta = g.min_degree()
-    value, _ = codensity(g, cap=cap)
+    if table is None:
+        table = OddSetTable(g, g.vertices(), cap=cap)
+    value, _ = table.codensity()
     if value is None:
         k = delta - 1
     else:
@@ -262,7 +299,8 @@ def min_optimal_containing(
     picking one arbitrarily.
     """
     universe = g.vertices() if restrict_to is None else restrict_to
-    return OddSetTable(g, universe, cap=cap).min_optimal_containing(x, k)
+    table = OddSetTable(g, universe, cap=cap)
+    return table.min_containing(x, table.tight_sets(k))
 
 
 def all_min_optimal_sets(
@@ -271,6 +309,7 @@ def all_min_optimal_sets(
     restrict_to: Sequence[int],
     *,
     cap: int = SUBSET_CAP_DEFAULT,
+    table: OddSetTable | None = None,
 ) -> list[OddSetCertificate]:
     """Inclusion-minimal optimal sets within the given universe.
 
@@ -279,14 +318,17 @@ def all_min_optimal_sets(
     nest (a tight set inside a larger tight set), but every optimal set
     contains an inclusion-minimal one, and the inclusion-minimal ones are
     pairwise vertex-disjoint; that disjointness is checked, not assumed.
+    ``table``, when given, is g's table over the sorted universe and is read
+    instead of building one.
     """
     universe = tuple(sorted(set(restrict_to)))
-    table = OddSetTable(g, universe, cap=cap)
+    if table is None:
+        table = OddSetTable(g, universe, cap=cap)
     tight = table.tight_sets(k)
     collected: list[OddSetCertificate] = []
     seen: set[frozenset[int]] = set()
     for x in universe:
-        cert = table._min_containing(x, tight)
+        cert = table.min_containing(x, tight)
         if cert is None or cert.as_set() in seen:
             continue
         seen.add(cert.as_set())

@@ -81,6 +81,10 @@ def brute_cover_index(g: Multigraph, cap: int = XI_EDGE_CAP_DEFAULT) -> int:
     """
     if len(g.edges) > cap:
         raise TooLarge(f"{len(g.edges)} edges exceeds cover-search cap {cap}")
+    # Answered before any per-vertex table: the declared vertex count can
+    # be far above what at most cap edges touch.
+    if len({w for e in g.edges for w in (e.u, e.v)}) < g.vertex_count:
+        return 0
     delta = g.min_degree()
     if g.vertex_count == 0:
         return 0

@@ -155,7 +155,7 @@ def test_table_matches_enumeration_on_seeded_multigraphs():
 
 def test_split_updates_match_a_rebuilt_table():
     rng = random.Random(7)
-    outside = 0
+    outside = dropped = became_tight = 0
     for seed in range(40):
         n = 4 + seed % 6
         g = random_multigraph(FuzzConfig(n=n, max_multiplicity=2, edge_probability=0.7, seed=seed))
@@ -169,11 +169,28 @@ def test_split_updates_match_a_rebuilt_table():
             e = rng.choice(h.incident(x))
             y = e.other(x)
             outside += y >= n
+            # The split check needs every odd set at slack >= 0 beforehand:
+            # k at most the floor of the current co-density guarantees it.
+            value, _ = table.codensity()
+            k = max(int(value) - rng.randrange(2), 0)
+            before = set(table.tight_sets(k))
             h, _ = split_off(h, x, e.id)
-            table.apply_split(x, y)
-            assert table.e_plus == OddSetTable(h, range(n)).e_plus
-    # Some splits moved an edge whose far end was itself split off before.
+            failed, tight = table.split(x, y, k)
+            rebuilt = OddSetTable(h, range(n))
+            assert table.e_plus == rebuilt.e_plus
+            assert failed == (rebuilt.min_slack(k) < 0)
+            assert len(tight) == len(set(tight))
+            assert set(tight) == set(rebuilt.tight_sets(k)) - before
+            if not failed:
+                # A touched tight set fails, so without a failure the old
+                # tight sets all stay tight.
+                assert before <= set(rebuilt.tight_sets(k))
+            dropped += failed
+            became_tight += bool(tight)
+    # Some splits moved an edge whose far end was itself split off before,
+    # and the check reached both of its answers.
     assert outside > 0
+    assert dropped >= 20 and became_tight >= 20
 
 
 def test_table_values_are_incident_edge_counts():

@@ -74,6 +74,14 @@ def test_brute_cover_index_isolated_vertex_and_cap():
         brute_cover_index(build(10, [(0, 1)] * 17))
 
 
+def test_brute_cover_index_answers_isolated_vertices_before_any_table():
+    # One edge among a million declared vertices: 0 at once, without the
+    # per-vertex incidence table.
+    g = build(10**6, [(0, 1)])
+    assert brute_cover_index(g) == 0
+    assert "_incidence" not in vars(g)
+
+
 def test_brute_cover_index_matches_naive_reference():
     checked = 0
     for seed in range(300):

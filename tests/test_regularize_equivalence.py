@@ -1,0 +1,161 @@
+"""regularize against a reference that rebuilds everything at every split.
+
+The reference below is the earlier ``regularize``: one ``split_off`` per
+split, the tight-set search on a table of the current graph, and a full
+scan of every odd set's slack after each split.  The production version
+keeps one edge dict and one table, checks each split only over the sets it
+changes, and builds the graph once; it must give the same graph (edge
+order and ids included), the same trace, and the same exception with the
+same text.
+"""
+
+import random
+
+from conftest import doubled_triangle, k4, nested_optimal, petersen
+from covdex import (
+    CodensityDropped,
+    CovdexError,
+    CoverDecomposition,
+    StageAssertionFailed,
+    decompose,
+    gupta_bound,
+    regularize,
+    split_off,
+)
+from covdex.decomposer import puncture
+from covdex.density import OddSetTable, codensity, min_optimal_containing
+from covdex.multigraph import SplitTrace
+from covdex.oracle import FuzzConfig, random_multigraph
+
+
+# decompose splits on both; only the second has a block to puncture.
+SPLITS = random_multigraph(FuzzConfig(n=6, max_multiplicity=2, edge_probability=0.8, seed=0))
+SPLITS_AND_BLOCK = random_multigraph(
+    FuzzConfig(n=7, max_multiplicity=2, edge_probability=0.8, seed=59)
+)
+
+
+def reference_regularize(g, k):
+    n = g.vertex_count
+    if g.min_degree() < k + 1:
+        raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
+    h = g
+    trace = SplitTrace()
+    original = range(n)
+    for x in original:
+        while h.degree(x) >= k + 2:
+            cert = min_optimal_containing(h, x, k, restrict_to=original)
+            if cert is None:
+                eid = min(e.id for e in h.incident(x))
+            else:
+                members = cert.as_set()
+                partners = sorted(e.other(x) for e in h.incident(x) if e.other(x) in members)
+                if not partners:
+                    raise StageAssertionFailed(
+                        "regularize", f"vertex {x} has no neighbor inside {sorted(members)}"
+                    )
+                eid = min(e.id for e in h.incident(x) if e.touches(partners[0]))
+            h, record = split_off(h, x, eid)
+            trace = trace.extend(record)
+            slack = OddSetTable(h, original).min_slack(k)
+            if slack is not None and slack < 0:
+                value, witness = codensity(h, restrict_to=original)
+                raise CodensityDropped(
+                    f"splitting edge {eid} off {x} dropped the odd-set bound: "
+                    f"{value} < {k} at {witness.vertices if witness else ()}"
+                )
+    for v in original:
+        if h.degree(v) != k + 1:
+            raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {h.degree(v)}")
+    return h, trace
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", result) or (exception type, message)."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except CovdexError as exc:
+        return type(exc), str(exc)
+
+
+def graph_key(h):
+    return h.vertex_count, h.edges
+
+
+def corpus():
+    rng = random.Random(11)
+    for seed in range(200):
+        yield random_multigraph(
+            FuzzConfig(
+                n=3 + seed % 8,
+                max_multiplicity=1 + seed % 3,
+                edge_probability=rng.choice((0.5, 0.7, 0.9)),
+                seed=1000 + seed,
+            )
+        )
+
+
+def test_regularize_matches_the_reference_on_seeded_multigraphs():
+    splits = blocks = dropped = rejected = 0
+    for g in corpus():
+        n = g.vertex_count
+        bound = gupta_bound(g)
+        assert gupta_bound(g, table=OddSetTable(g, range(n))) == bound
+        ks = [bound.k]
+        if bound.k + 2 <= bound.delta:  # k above the bound that delta allows
+            ks.append(bound.k + 1)
+        for k in ks:
+            expected = outcome(reference_regularize, g, k)
+            table = OddSetTable(g, range(n))
+            got = outcome(regularize, g, k, table=table)
+            assert got[0] == expected[0]
+            if expected[0] != "ok":
+                assert got[1] == expected[1]
+                assert outcome(regularize, g, k) == expected
+                dropped += expected[0] is CodensityDropped
+                rejected += expected[0] is StageAssertionFailed
+                continue
+            (h, trace), (ref_h, ref_trace) = got[1], expected[1]
+            assert graph_key(h) == graph_key(ref_h)
+            assert trace.records == ref_trace.records
+            h_alone, trace_alone = regularize(g, k)
+            assert graph_key(h_alone) == graph_key(h)
+            assert trace_alone.records == trace.records
+            # The table passed in now describes the regularized graph.
+            assert table.e_plus == OddSetTable(h, range(n)).e_plus
+            splits += len(trace.records)
+
+            shared = outcome(puncture, h, k, n, table=table)
+            alone = outcome(puncture, h, k, n)
+            assert shared[0] == alone[0]
+            if alone[0] != "ok":
+                assert shared[1] == alone[1]
+                continue
+            (h1, punctures), (ref_h1, ref_punctures) = shared[1], alone[1]
+            assert graph_key(h1) == graph_key(ref_h1)
+            assert punctures == ref_punctures
+            blocks += len(punctures)
+    # The corpus splits, meets optimal sets to puncture, and raises both
+    # errors.  Random graphs rarely leave room for k above the bound (delta
+    # must reach k + 2).  Where they do here, no set below the bound is one
+    # the first split touches, so only the full scan after that split
+    # reports it.
+    assert splits >= 2000 and blocks >= 10 and dropped >= 5 and rejected >= 1
+
+
+def test_decompose_builds_two_tables(monkeypatch):
+    built = []
+    init = OddSetTable.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OddSetTable, "__init__", counting)
+    # With and without splits, with and without punctured blocks.
+    for g in (k4(), petersen(), doubled_triangle(), nested_optimal(), SPLITS, SPLITS_AND_BLOCK):
+        built.clear()
+        result = decompose(g)
+        assert isinstance(result, CoverDecomposition) and result.k >= 1
+        # The shared table, and the rebuild that checks it after regularize.
+        assert len(built) == 2
