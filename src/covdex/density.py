@@ -12,9 +12,23 @@ universe's i-th vertex).  It is filled in O(2^n) time by
     e+(S + i) = e+(S) + deg(i) - mult(i, S)    (i above every bit of S),
 
 where the row sums mult(i, S) are built by the same doubling over the bits
-below i.  It takes 5 * 2^n bytes (4 for e+ in an ``array('i')``, 1 for the
-set size), 80 MB at the default cap of 24 vertices; the cap guards runtime
-and memory, not correctness, and is checked before anything is allocated.
+below i.  Each doubling step runs on one Python int that holds a lane per
+subset, as wide as an ``array('i')`` item: a step is a few shifts, adds
+and ORs of whole ints instead of a Python loop over its 2^i values, and
+no lane borrows or carries, because every value stays in [0, 2^(w-1)) for
+w-bit lanes.  The int is then unpacked into the ``array('i')``.  The table
+keeps 5 * 2^n bytes (4 for e+, 1 for the set size), 80 MB at the default
+cap of 24 vertices; while it is built, the packed int and its temporaries
+take about three times that.  The cap guards runtime and memory, not
+correctness, and is checked before anything is allocated.
+
+One scan over the table finds the minimum e+ of each odd size and the
+masks that reach it, and the table keeps that answer until the next
+split.  ``codensity`` and ``min_slack`` read the minima, the witness is
+the first minimizer, and the tight sets for a k are the minimizers of
+the sizes whose minimum has slack 0, as long as no odd set has negative
+slack (otherwise ``tight_sets`` scans every mask).
+
 For a given k, a set's integer slack is 2e+(U) - k(|U|+1): an odd set is
 optimal exactly when its slack is 0, and k <= co-density exactly when no
 odd set has negative slack.  Splitting edge (x, y) off x lowers e+ by one
@@ -33,10 +47,10 @@ then lexicographic in universe order.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import BadSet, DisjointnessViolation, TooLarge
@@ -46,8 +60,10 @@ SUBSET_CAP_DEFAULT = 24
 
 # bytes.translate table adding one to every byte value.
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
+# Bits per e+ count in the table's array('i').
+_LANE = 8 * array("i").itemsize
 # Above every e+ value an array('i') can hold.
-_NO_SET = 1 << 31
+_NO_SET = 1 << (_LANE - 1)
 
 
 @dataclass(frozen=True)
@@ -88,6 +104,10 @@ class OddSetTable:
         self, g: Multigraph, universe: Sequence[int], *, cap: int = SUBSET_CAP_DEFAULT
     ):
         _check_cap(len(universe), cap)
+        if len(g.edges) >= 1 << (_LANE - 2):
+            raise TooLarge(
+                f"{len(g.edges)} edges do not fit the {_LANE}-bit counts of the odd-set table"
+            )
         self.universe = tuple(universe)
         n = len(self.universe)
         self._position = {v: i for i, v in enumerate(self.universe)}
@@ -103,17 +123,33 @@ class OddSetTable:
                 if i is not None:
                     mult[i][j] += 1
                     mult[j][i] += 1
-        e_plus = array("i", [0])
+        # One lane per subset of a packed int, bit 0 of the mask lowest.
+        # Every lane stays in [0, 2^(_LANE-1)), so no operation below
+        # borrows or carries between lanes.
+        packed = 0
         sizes = bytearray(1)
         for i in range(n):
-            # row[S] = mult(i, S) - deg(i) over the subsets S of bits below i.
-            row = array("i", [-degree[i]])
-            for m in mult[i][:i]:
-                row += array("i", map(m.__add__, row)) if m else row
-            e_plus += array("i", map(sub, e_plus, row))
+            # row holds deg(i) - mult(i, S) in lane S, over the subsets S
+            # of the bits below i; ones is the repunit over row's lanes.
+            row, ones = degree[i], 1
+            for j, m in enumerate(mult[i][:i]):
+                shift = _LANE << j
+                row |= (row - m * ones if m else row) << shift
+                ones |= ones << shift
+            del ones
+            row += packed
+            packed |= row << (_LANE << i)
+            del row
             sizes += sizes.translate(_PLUS_ONE)
+        data = packed.to_bytes(_LANE // 8 << n, "little")
+        del packed
+        e_plus = array("i")
+        e_plus.frombytes(data)
+        if sys.byteorder == "big":
+            e_plus.byteswap()
         self.e_plus = e_plus
         self.sizes = sizes
+        self._minima: tuple[list[int], list[list[int]]] | None = None
 
     def _positions(self, mask: int) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.universe)) if mask >> i & 1)
@@ -122,17 +158,31 @@ class OddSetTable:
         count = self.e_plus[mask]
         return OddSetCertificate(vertices, count, Fraction(2 * count, len(vertices) + 1))
 
-    def _size_minima(self) -> list[int]:
-        lowest = [_NO_SET] * (len(self.universe) + 1)
-        for count, size in zip(self.e_plus, self.sizes):
-            if count < lowest[size]:
-                lowest[size] = count
-        return lowest
+    def _size_minima(self) -> tuple[list[int], list[list[int]]]:
+        """The minimum e+ per odd size s >= 3 and the masks, in increasing
+        order, that reach it, from one scan cached until the next split.
+        The other sizes read -1 with no masks."""
+        if self._minima is None:
+            n = len(self.universe)
+            # -1 is below every count, so the scan skips those sizes.
+            lowest = [-1] * (n + 1)
+            for s in range(3, n + 1, 2):
+                lowest[s] = _NO_SET
+            reach: list[list[int]] = [[] for _ in range(n + 1)]
+            for mask, count, size in zip(range(len(self.e_plus)), self.e_plus, self.sizes):
+                if count <= lowest[size]:
+                    if count < lowest[size]:
+                        lowest[size] = count
+                        reach[size] = [mask]
+                    else:
+                        reach[size].append(mask)
+            self._minima = lowest, reach
+        return self._minima
 
     def min_slack(self, k: int) -> int | None:
         """Minimum of 2e+(U) - k(|U|+1) over odd U of size >= 3, or None
         when the universe has no such set."""
-        lowest = self._size_minima()
+        lowest, _ = self._size_minima()
         return min(
             (2 * lowest[s] - k * (s + 1) for s in range(3, len(self.universe) + 1, 2)),
             default=None,
@@ -141,7 +191,7 @@ class OddSetTable:
     def codensity(self) -> tuple[Fraction | None, OddSetCertificate | None]:
         """Minimum of e+(U) / ((|U|+1)/2) over odd U of size >= 3, with the
         first minimizer in (size, lexicographic) order as witness."""
-        lowest = self._size_minima()
+        lowest, reach = self._size_minima()
         best: int | None = None
         for s in range(3, len(self.universe) + 1, 2):
             # e(s)/(s+1) < e(best)/(best+1), cross-multiplied.
@@ -149,13 +199,7 @@ class OddSetTable:
                 best = s
         if best is None:
             return None, None
-        count = lowest[best]
-        ties = [
-            mask
-            for mask, (c, size) in enumerate(zip(self.e_plus, self.sizes))
-            if c == count and size == best
-        ]
-        mask = min(ties, key=self._positions)
+        mask = min(reach[best], key=self._positions)
         witness = self._certificate(
             mask, tuple(self.universe[i] for i in self._positions(mask))
         )
@@ -170,8 +214,19 @@ class OddSetTable:
         return need
 
     def tight_sets(self, k: int) -> list[int]:
-        """Masks of the odd sets of size >= 3 with slack 0 (the optimal sets)."""
+        """Masks of the odd sets of size >= 3 with slack 0 (the optimal
+        sets), in increasing order."""
         need = self._need(k)
+        lowest, reach = self._size_minima()
+        if all(low >= want for low, want in zip(lowest, need)):
+            # No odd set is below the bound, so the tight sets of a size
+            # are its minimizers when the minimum is exactly tight.
+            return sorted(
+                mask
+                for low, want, masks in zip(lowest, need, reach)
+                if low == want
+                for mask in masks
+            )
         return [
             mask
             for mask, (count, size) in enumerate(zip(self.e_plus, self.sizes))
@@ -214,6 +269,7 @@ class OddSetTable:
         e_plus = self.e_plus
         sizes = self.sizes
         need = self._need(k)
+        self._minima = None
         dropped = False
         tight = []
         rest = free

@@ -2,12 +2,17 @@
 
 The reference below enumerates odd subsets with ``itertools.combinations``
 (by size, then lexicographic in universe order) and counts incident edges
-one subset at a time; it shares no code with the table.
+one subset at a time; it shares no code with the table.  The packed build
+is also compared with the same recurrence run on ``array('i')``, and the
+cached scan with full scans of a rebuilt table.
 """
 
 import random
+from array import array
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
+from types import SimpleNamespace
 
 import pytest
 
@@ -75,6 +80,42 @@ def reference_all_min_optimal(counts, universe, k):
             collected.append(found)
     minimal = [a for a in collected if not any(set(b) < set(a) for b in collected)]
     return sorted(minimal, key=lambda s: (len(s), s)), None
+
+
+def array_recurrence(g, universe):
+    """e+ by e+(S + i) = e+(S) + deg(i) - mult(i, S), run one subset at a
+    time on array('i'), as the table was built before its lanes were
+    packed into one int."""
+    position = {v: i for i, v in enumerate(universe)}
+    n = len(universe)
+    degree = [0] * n
+    mult = [[0] * n for _ in range(n)]
+    for e in g.edges:
+        i = position.get(e.u)
+        j = position.get(e.v)
+        if i is not None:
+            degree[i] += 1
+        if j is not None:
+            degree[j] += 1
+            if i is not None:
+                mult[i][j] += 1
+                mult[j][i] += 1
+    e_plus = array("i", [0])
+    for i in range(n):
+        row = array("i", [-degree[i]])
+        for m in mult[i][:i]:
+            row += array("i", map(m.__add__, row)) if m else row
+        e_plus += array("i", map(sub, e_plus, row))
+    return e_plus
+
+
+def full_scan_tight(table, k):
+    """Masks of the odd sets of size >= 3 at slack 0, read off every mask."""
+    return [
+        mask
+        for mask, (count, size) in enumerate(zip(table.e_plus, table.sizes))
+        if size >= 3 and size % 2 and 2 * count == k * (size + 1)
+    ]
 
 
 def tie_message(x, tie):
@@ -178,6 +219,10 @@ def test_split_updates_match_a_rebuilt_table():
             failed, tight = table.split(x, y, k)
             rebuilt = OddSetTable(h, range(n))
             assert table.e_plus == rebuilt.e_plus
+            # The split drops the scan cached before it.
+            assert table.codensity() == rebuilt.codensity()
+            assert table.min_slack(k) == rebuilt.min_slack(k)
+            assert table.tight_sets(k) == rebuilt.tight_sets(k) == full_scan_tight(rebuilt, k)
             assert failed == (rebuilt.min_slack(k) < 0)
             assert len(tight) == len(set(tight))
             assert set(tight) == set(rebuilt.tight_sets(k)) - before
@@ -193,6 +238,58 @@ def test_split_updates_match_a_rebuilt_table():
     assert dropped >= 20 and became_tight >= 20
 
 
+def test_packed_build_matches_the_array_recurrence():
+    rng = random.Random(11)
+    checked = 0
+    for g, universes in corpus():
+        for restrict in universes:
+            universe = tuple(g.vertices()) if restrict is None else tuple(restrict)
+            table = OddSetTable(g, universe)
+            assert table.e_plus == array_recurrence(g, universe)
+            assert list(table.sizes) == [mask.bit_count() for mask in range(1 << len(universe))]
+            checked += 1
+    # Counts above 255 use more than a lane's lowest byte.
+    triangle = build(3, [(0, 1), (1, 2), (0, 2)] * 40)
+    for universe in ((0, 1, 2), (2, 0, 1), (1,), (0, 2), ()):
+        assert OddSetTable(triangle, universe).e_plus == array_recurrence(triangle, universe)
+    assert max(OddSetTable(triangle, range(3)).e_plus) == 120
+    assert OddSetTable(triangle, range(3)).codensity()[0] == 60
+    # Universes of 0, 1 and 2 vertices, with edges that leave them.
+    g = random_multigraph(FuzzConfig(n=7, max_multiplicity=3, edge_probability=0.8, seed=5))
+    for size in (0, 1, 2, 3):
+        for _ in range(4):
+            universe = tuple(rng.sample(range(7), size))
+            table = OddSetTable(g, universe)
+            assert table.e_plus == array_recurrence(g, universe)
+            assert len(table.e_plus) == 1 << size
+            checked += 1
+    assert list(OddSetTable(g, ()).e_plus) == [0]
+    big = random_multigraph(FuzzConfig(n=20, max_multiplicity=2, edge_probability=0.5, seed=20))
+    assert OddSetTable(big, range(20)).e_plus == array_recurrence(big, range(20))
+    assert checked >= 600
+
+
+def test_tight_sets_match_a_full_scan_at_and_above_the_bound():
+    cached = scanned = 0
+    for g, universes in corpus():
+        for restrict in universes:
+            universe = tuple(g.vertices()) if restrict is None else tuple(restrict)
+            table = OddSetTable(g, universe)
+            value, _ = table.codensity()
+            if value is None:
+                continue
+            for k in range(int(value) + 3):
+                tight = table.tight_sets(k)
+                assert tight == full_scan_tight(table, k)
+                if table.min_slack(k) < 0:
+                    scanned += bool(tight)
+                else:
+                    cached += bool(tight)
+    # Both ways of answering found tight sets: from the cached minimizers
+    # and, above the bound, from the full scan.
+    assert cached >= 100 and scanned >= 100
+
+
 def test_table_values_are_incident_edge_counts():
     g = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
     table = OddSetTable(g, (2, 0, 3))  # bit 0 is vertex 2, bit 1 vertex 0
@@ -205,3 +302,10 @@ def test_table_checks_the_cap_before_building():
         OddSetTable(build(2, [(0, 1)]), range(10**6))
     with pytest.raises(TooLarge):
         OddSetTable(build(5, []), range(5), cap=4)
+
+
+def test_table_refuses_edge_counts_beyond_a_lane():
+    # Only the edge count is read before the check.
+    lane = 8 * array("i").itemsize
+    with pytest.raises(TooLarge, match="edges do not fit"):
+        OddSetTable(SimpleNamespace(edges=range(1 << (lane - 2))), range(3))
