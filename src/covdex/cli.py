@@ -8,6 +8,8 @@ unreadable, non-UTF-8 or malformed file), 3 size cap or budget hit, 4
 counterexample candidate (a decompose failure on an input outside both
 guarantee hypotheses, multiplicity <= 2 and k <= 6), 5 internal error (an
 unexpected exception, reported as JSON with its traceback on stderr).
+``fuzz`` exits 2 on a ``--jobs`` or ``--count`` below 1 and on a
+``COVDEX_SEED`` that is not an integer.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _ratio(value: Fraction | None) -> str:
@@ -112,10 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded random campaign with oracle checks")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--max-mult", type=int, default=2)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edge-prob", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--report", help="write per-instance records to a JSON file")
     return parser
 
@@ -258,17 +267,27 @@ def _fuzz_checks(params: tuple, record: dict, anomalies: list[str]) -> None:
             anomalies.append(f"sandwich violated: k={bound.k} xi={xi} upper={upper}")
 
 
+def _fuzz_workers(jobs: int, count: int) -> int:
+    """Worker processes for a campaign: no more than the jobs asked for,
+    the instances to run, or the CPUs there are."""
+    return min(jobs, count, os.cpu_count() or 1)
+
+
 def _cmd_fuzz(args) -> tuple[dict, int]:
     seed = args.seed
     env_seed = os.environ.get("COVDEX_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise _UsageError(f"COVDEX_SEED must be an integer, got {env_seed!r}") from None
     params = [
         (i, args.n, args.max_mult, args.edge_prob, seed + i, XI_EDGE_CAP_DEFAULT)
         for i in range(args.count)
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _fuzz_workers(args.jobs, args.count)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_fuzz_case, params))
     else:
         records = [_fuzz_case(p) for p in params]
@@ -313,9 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        _report(report, "error", {"error": "usage", "message": str(exc)}, started)
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(report, str(exc), started)
 
     report["command"] = args.command
     graph_path = getattr(args, "graph", None)
@@ -329,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         payload, code = _HANDLERS[args.command](args)
+    except _UsageError as exc:
+        return _usage_error(report, str(exc), started)
     except (GraphFormatError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         _report(report, "error", err, started)
@@ -365,6 +384,13 @@ def main(argv: list[str] | None = None) -> int:
     else:
         _emit(payload)
     return code
+
+
+def _usage_error(report: dict, message: str, started: float) -> int:
+    err = {"error": "usage", "message": message}
+    _report(report, "error", err, started)
+    print(json.dumps(err), file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _report(report: dict, outcome: str, payload: dict, started: float) -> None:

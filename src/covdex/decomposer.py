@@ -25,6 +25,7 @@ from .coloring import COLOR_BUDGET_DEFAULT, EdgeColoring, find_coloring, is_prop
 from .density import (
     SUBSET_CAP_DEFAULT,
     OddSetTable,
+    SplitCandidates,
     all_min_optimal_sets,
     codensity,
     gupta_bound,
@@ -195,13 +196,18 @@ def regularize(
     The splits are those of chained ``split_off`` calls (the moved edge
     leaves the edge order, its replacement is appended with the next id),
     kept in an edge dict and per-vertex incidence; the graph and its trace
-    are built once at the end.  One odd-set table over the original
-    vertices (``table``, updated in place, or one built here) answers the
-    tight-set search and the check.  The first split is followed by a full
-    scan of every odd set's slack; after that every odd set has slack >= 0,
-    so each later split is checked over the sets it changes, and the tight
-    list only grows.  After the last split (if any) the full scan runs once
-    more, and the table must equal one rebuilt from the final graph."""
+    are built once at the end.  ``table`` (or one built here) is g's table
+    over its vertices 0..n-1.  At the first split it gives the tight sets
+    and the split candidates: deg(x) - (k+1) splits are made at each
+    vertex x, so only the odd sets U whose slack is at most twice the sum
+    of that over U, the dense sets, can reach slack 0 or drop below it
+    (see ``SplitCandidates``).  Each split is checked over the candidates
+    it changes, and the tight list only grows; a k above the bound fails
+    at the first split.  Afterwards a table rebuilt from the final graph
+    must have no odd set below the bound, which also clears every graph in
+    between because no slack ever rises, and must agree with every tracked
+    candidate slack; ``table`` then takes over its counts and scan.  With
+    no split, ``table`` must equal the rebuild."""
     n = g.vertex_count
     original = range(n)
     incidence: dict[int, dict[int, int]] = {v: {} for v in original}
@@ -215,11 +221,15 @@ def regularize(
     edges = {e.id: e for e in g.edges}
     next_id = g.next_edge_id()
     records: list[SplitRecord] = []
-    tight: list[int] | None = None
+    candidates: SplitCandidates | None = None
+    tight: list[int] = []
     for x in original:
         mine = incidence[x]
         while len(mine) >= k + 2:
-            if tight is None:
+            if candidates is None:
+                candidates = SplitCandidates(
+                    table, k, [len(incidence[v]) - (k + 1) for v in table.universe]
+                )
                 tight = table.tight_sets(k)
             cert = table.min_containing(x, tight)
             if cert is None:
@@ -242,7 +252,7 @@ def regularize(
                 incidence[y][next_id] = new_vertex
             records.append(SplitRecord(new_vertex, x, eid, next_id))
             next_id += 1
-            dropped, became_tight = table.split(x, y, k)
+            dropped, became_tight = candidates.split(x, y)
             if dropped or (len(records) == 1 and _below_bound(table, k)):
                 h = Multigraph(n + len(records), tuple(edges.values()))
                 value, witness = codensity(h, restrict_to=original, cap=cap)
@@ -251,21 +261,28 @@ def regularize(
                     f"{value} < {k} at {witness.vertices if witness else ()}"
                 )
             tight += became_tight
-    if not records:
-        h = g
-    else:
-        h = Multigraph(n + len(records), tuple(edges.values()))
-        if _below_bound(table, k):
-            raise StageAssertionFailed(
-                "regularize", f"an odd set fell below the bound {k} unnoticed by the split checks"
-            )
+    h = g if not records else Multigraph(n + len(records), tuple(edges.values()))
     for v in original:
         if h.degree(v) != k + 1:
             raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {h.degree(v)}")
-    if table.e_plus != OddSetTable(h, original, cap=cap).e_plus:
+    # Only the slacks are compared; the per-vertex lists go before the
+    # rebuild reaches its peak.
+    tracked = None if candidates is None else candidates.slacks
+    del candidates
+    rebuilt = OddSetTable(h, original, cap=cap)
+    if tracked is None:
+        if table.e_plus != rebuilt.e_plus:
+            raise StageAssertionFailed("regularize", "odd-set table differs from a rebuild")
+        return h, SplitTrace()
+    if _below_bound(rebuilt, k):
         raise StageAssertionFailed(
-            "regularize", "odd-set table updated across the splits differs from a rebuild"
+            "regularize", f"an odd set fell below the bound {k} unnoticed by the split checks"
         )
+    if any(rebuilt.slack(mask, k) != slack for mask, slack in tracked.items()):
+        raise StageAssertionFailed(
+            "regularize", "candidate slacks tracked across the splits differ from a rebuild"
+        )
+    table.adopt(rebuilt)
     return h, SplitTrace(tuple(records))
 
 

@@ -23,23 +23,26 @@ take about three times that.  The cap guards runtime and memory, not
 correctness, and is checked before anything is allocated.
 
 One scan over the table finds the minimum e+ of each odd size and the
-masks that reach it, and the table keeps that answer until the next
-split.  ``codensity`` and ``min_slack`` read the minima, the witness is
-the first minimizer, and the tight sets for a k are the minimizers of
-the sizes whose minimum has slack 0, as long as no odd set has negative
-slack (otherwise ``tight_sets`` scans every mask).
+masks that reach it, and the table keeps that answer.  ``codensity`` and
+``min_slack`` read the minima, the witness is the first minimizer, and
+the tight sets for a k are the minimizers of the sizes whose minimum has
+slack 0, as long as no odd set has negative slack (otherwise
+``tight_sets`` scans every mask).
 
 For a given k, a set's integer slack is 2e+(U) - k(|U|+1): an odd set is
 optimal exactly when its slack is 0, and k <= co-density exactly when no
 odd set has negative slack.  Splitting edge (x, y) off x lowers e+ by one
-on exactly the 2^(n-2) sets that contain x and miss y, so it lowers their
-slack, which is always even, by 2.  Once every odd set is known to have
-slack >= 0, a split is therefore checked by the same pass that applies it
-(``OddSetTable.split``): a touched set that was tight fails the bound, a
-touched set at slack 2 becomes tight, and the sets it does not touch keep
-the slack already approved.  ``decompose`` builds one table, reads the
-bound from it, lets ``regularize`` update it split by split, and reads the
-optimal sets for the puncture from it.
+on exactly the sets that contain x and miss y, so it lowers their slack,
+which is always even, by 2, and leaves every other slack alone.  A set U
+therefore loses at most 2D(U), where D(U) counts the splits made at U's
+own vertices, and only a set whose slack starts at most 2D(U) can reach 0
+or drop below it.  ``SplitCandidates`` collects those sets in one pass
+over the table and keeps their slacks split by split; when every vertex
+is split down to degree k+1 they are exactly the dense sets, with at
+least (k+2)(|U|-1)/2 + 1 internal edges.  ``decompose`` builds one table,
+reads the bound from it, lets ``regularize`` check its splits over the
+candidates, and reads the optimal sets for the puncture from the table
+that ``regularize`` rebuilt from the final graph.
 
 Witnesses follow the enumeration order of odd subsets by increasing size,
 then lexicographic in universe order.
@@ -160,8 +163,8 @@ class OddSetTable:
 
     def _size_minima(self) -> tuple[list[int], list[list[int]]]:
         """The minimum e+ per odd size s >= 3 and the masks, in increasing
-        order, that reach it, from one scan cached until the next split.
-        The other sizes read -1 with no masks."""
+        order, that reach it, from one scan cached on the table.  The
+        other sizes read -1 with no masks."""
         if self._minima is None:
             n = len(self.universe)
             # -1 is below every count, so the scan skips those sizes.
@@ -206,9 +209,10 @@ class OddSetTable:
         return witness.ratio, witness
 
     def _need(self, k: int) -> list[int]:
-        """e+ at slack 0 per set size, k(s+1)/2 for the odd sizes s >= 3 and
-        -1 (below every count) for the sizes that are never odd sets."""
-        need = [-1] * (len(self.universe) + 1)
+        """e+ at slack 0 per set size: k(s+1)/2 for the odd sizes s >= 3,
+        and for the sizes that are never odd sets -2^(_LANE-1), which is
+        below every count, also less any split count of an array('i')."""
+        need = [-_NO_SET] * (len(self.universe) + 1)
         for s in range(3, len(self.universe) + 1, 2):
             need[s] = k * (s + 1) // 2
         return need
@@ -254,38 +258,75 @@ class OddSetTable:
             )
         return self._certificate(found[0], vertices[0])
 
-    def split(self, x: int, y: int, k: int) -> tuple[bool, list[int]]:
-        """Account for ``split_off`` moving edge (x, y) off x, and check it.
+    def slack(self, mask: int, k: int) -> int:
+        """2e+(U) - k(|U|+1) for the set U of the mask."""
+        return 2 * self.e_plus[mask] - k * (self.sizes[mask] + 1)
 
-        e+ drops by one on exactly the sets that contain x and miss y (a y
-        outside the universe is missed by every set), so their slack drops
-        by 2.  Returns whether a touched odd set went below slack 0 and the
-        masks of the touched odd sets that became tight.  Both answers
-        describe the whole table only if every odd set had slack >= 0
-        before the split."""
-        x_bit = 1 << self._position[x]
+    def adopt(self, other: OddSetTable) -> None:
+        """Take over the counts and the cached scan of a table over the
+        same universe, such as one rebuilt after the graph changed."""
+        if other.universe != self.universe:
+            raise ValueError("tables over different universes")
+        self.e_plus = other.e_plus
+        self._minima = other._minima
+
+
+class SplitCandidates:
+    """The odd sets that a planned run of splits can bring to slack 0 or
+    below, with their slacks kept split by split.
+
+    ``splits[i]`` is the number of splits planned at the universe's i-th
+    vertex, and D(U) their sum over U.  Splitting edge (x, y) off x lowers
+    the slack of exactly the sets that contain x and miss y, by 2, so a
+    set loses at most 2D(U) over the whole run.  The candidates are the odd
+    sets of size >= 3 whose slack in ``table`` is at most 2D(U): no other
+    odd set reaches slack 0 at any point of the run.  When the plan takes
+    every vertex down to degree k+1 (D(U) = sum of deg - (k+1)), the test
+    reads 2e_in(U) >= (k+2)|U| - k, and the candidates are the dense sets.
+    """
+
+    def __init__(self, table: OddSetTable, k: int, splits: Sequence[int]):
+        # D(U) for every mask, doubled one vertex at a time.
+        planned = array("i", [0])
+        for made in splits:
+            planned += array("i", map(made.__add__, planned)) if made else planned
+        need = table._need(k)
+        # slack <= 2D(U) is e+(U) - D(U) <= k(|U|+1)/2.
+        self.slacks = {
+            mask: 2 * count - k * (size + 1)
+            for mask, count, size, spent in zip(
+                range(len(table.e_plus)), table.e_plus, table.sizes, planned
+            )
+            if count - spent <= need[size]
+        }
+        del planned
+        self._position = table._position
+        # Per vertex, the candidates it belongs to; no split happens at a
+        # vertex with none planned.
+        self._containing = [
+            [mask for mask in self.slacks if mask >> i & 1] if made else []
+            for i, made in enumerate(splits)
+        ]
+
+    def split(self, x: int, y: int) -> tuple[bool, list[int]]:
+        """Account for ``split_off`` moving edge (x, y) off x, one of the
+        planned splits: the candidates that contain x and miss y (a y
+        outside the universe is missed by every set) lose 2 slack.  Returns
+        whether one of them is now below 0, and the masks of those now at
+        exactly 0."""
         y_bit = 1 << self._position[y] if y in self._position else 0
-        free = (len(self.e_plus) - 1) & ~(x_bit | y_bit)
-        e_plus = self.e_plus
-        sizes = self.sizes
-        need = self._need(k)
-        self._minima = None
+        slacks = self.slacks
         dropped = False
         tight = []
-        rest = free
-        while True:  # every submask of free, with x added
-            mask = rest | x_bit
-            count = e_plus[mask] - 1
-            e_plus[mask] = count
-            want = need[sizes[mask]]
-            if count <= want:
-                if count < want:
-                    dropped = True
-                else:
-                    tight.append(mask)
-            if not rest:
-                break
-            rest = (rest - 1) & free
+        for mask in self._containing[self._position[x]]:
+            if not mask & y_bit:
+                slack = slacks[mask] - 2
+                slacks[mask] = slack
+                if slack <= 0:
+                    if slack:
+                        dropped = True
+                    else:
+                        tight.append(mask)
         return dropped, tight
 
 

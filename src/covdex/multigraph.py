@@ -79,9 +79,6 @@ class Multigraph:
     def edge(self, edge_id: int) -> Edge:
         return self._by_id[edge_id]
 
-    def has_edge_id(self, edge_id: int) -> bool:
-        return edge_id in self._by_id
-
     def edge_ids(self) -> frozenset[int]:
         return frozenset(self._by_id)
 

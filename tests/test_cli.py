@@ -231,6 +231,35 @@ def test_fuzz_env_seed_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 77
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (["--jobs", "0"], None),
+        (["--count", "-3"], None),
+        (["--count", "0"], None),
+        ([], "abc"),
+    ],
+)
+def test_fuzz_rejects_bad_counts_and_seeds(capsys, monkeypatch, argv, env_seed):
+    if env_seed is not None:
+        monkeypatch.setenv("COVDEX_SEED", env_seed)
+    code, out, err = run_cli(capsys, "fuzz", "--n", "4", *argv)
+    assert code == 2
+    assert out == ""
+    report, error = (json.loads(line) for line in err.splitlines())
+    assert report["outcome"] == "error"
+    assert error["error"] == "usage" and "traceback" not in error
+
+
+def test_fuzz_workers_are_bounded_by_jobs_count_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._fuzz_workers(8, 100) == 4
+    assert cli._fuzz_workers(3, 100) == 3
+    assert cli._fuzz_workers(8, 2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._fuzz_workers(8, 100) == 1
+
+
 def test_pretty_flag(capsys, k4_path):
     code, out, _ = run_cli(capsys, "--pretty", "bound", k4_path)
     assert code == 0

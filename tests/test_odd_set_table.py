@@ -3,8 +3,9 @@
 The reference below enumerates odd subsets with ``itertools.combinations``
 (by size, then lexicographic in universe order) and counts incident edges
 one subset at a time; it shares no code with the table.  The packed build
-is also compared with the same recurrence run on ``array('i')``, and the
-cached scan with full scans of a rebuilt table.
+is also compared with the same recurrence run on ``array('i')``, the
+cached scan with full scans, and the split candidates with tables rebuilt
+after every split.
 """
 
 import random
@@ -19,6 +20,7 @@ import pytest
 from covdex import DisjointnessViolation, TooLarge, build, gupta_bound, split_off
 from covdex.density import (
     OddSetTable,
+    SplitCandidates,
     all_min_optimal_sets,
     codensity,
     min_optimal_containing,
@@ -195,41 +197,55 @@ def test_table_matches_enumeration_on_seeded_multigraphs():
 
 
 def test_split_updates_match_a_rebuilt_table():
+    """SplitCandidates over a planned run of splits, against a table rebuilt
+    after every split and a candidate list read off the enumeration."""
     rng = random.Random(7)
     outside = dropped = became_tight = 0
     for seed in range(40):
         n = 4 + seed % 6
         g = random_multigraph(FuzzConfig(n=n, max_multiplicity=2, edge_probability=0.7, seed=seed))
-        table = OddSetTable(g, range(n))
+        # Plan the splits first: the candidates depend on how many are
+        # made at each vertex.
+        plan = []
         h = g
         for _ in range(12):
-            candidates = [x for x in range(n) if h.degree(x) > 0]
-            if not candidates:
+            choices = [x for x in range(n) if h.degree(x) > 0]
+            if not choices:
                 break
-            x = rng.choice(candidates)
+            x = rng.choice(choices)
             e = rng.choice(h.incident(x))
-            y = e.other(x)
-            outside += y >= n
-            # The split check needs every odd set at slack >= 0 beforehand:
-            # k at most the floor of the current co-density guarantees it.
-            value, _ = table.codensity()
-            k = max(int(value) - rng.randrange(2), 0)
-            before = set(table.tight_sets(k))
             h, _ = split_off(h, x, e.id)
-            failed, tight = table.split(x, y, k)
+            plan.append((x, e.id))
+        planned = [sum(1 for x, _ in plan if x == v) for v in range(n)]
+        # At, below and above the bound: a k above it starts some sets
+        # below 0, and the candidates still hold every set at slack <= 0.
+        value, _ = codensity(g)
+        k = max(int(value) + rng.randrange(-1, 2), 0)
+        candidates = SplitCandidates(OddSetTable(g, range(n)), k, planned)
+
+        counts = reference_counts(g, range(n))
+        assert set(candidates.slacks) == {
+            sum(1 << v for v in subset)
+            for subset in odd_subsets(range(n))
+            if 2 * counts[frozenset(subset)] - k * (len(subset) + 1)
+            <= 2 * sum(planned[v] for v in subset)
+        }
+        odd = [mask for mask in range(1 << n) if mask.bit_count() % 2 and mask.bit_count() > 1]
+        h = g
+        for x, eid in plan:
+            y = h.edge(eid).other(x)
+            outside += y >= n
+            h, _ = split_off(h, x, eid)
+            failed, tight = candidates.split(x, y)
             rebuilt = OddSetTable(h, range(n))
-            assert table.e_plus == rebuilt.e_plus
-            # The split drops the scan cached before it.
-            assert table.codensity() == rebuilt.codensity()
-            assert table.min_slack(k) == rebuilt.min_slack(k)
-            assert table.tight_sets(k) == rebuilt.tight_sets(k) == full_scan_tight(rebuilt, k)
-            assert failed == (rebuilt.min_slack(k) < 0)
+            slack = {mask: rebuilt.slack(mask, k) for mask in odd}
+            assert {mask for mask in odd if slack[mask] <= 0} <= set(candidates.slacks)
+            assert all(slack[mask] == s for mask, s in candidates.slacks.items())
+            y_bit = 1 << y if y < n else 0
+            touched = [mask for mask in odd if mask >> x & 1 and not mask & y_bit]
+            assert failed == any(slack[mask] < 0 for mask in touched)
             assert len(tight) == len(set(tight))
-            assert set(tight) == set(rebuilt.tight_sets(k)) - before
-            if not failed:
-                # A touched tight set fails, so without a failure the old
-                # tight sets all stay tight.
-                assert before <= set(rebuilt.tight_sets(k))
+            assert set(tight) == {mask for mask in touched if slack[mask] == 0}
             dropped += failed
             became_tight += bool(tight)
     # Some splits moved an edge whose far end was itself split off before,
