@@ -8,8 +8,11 @@ unreadable, non-UTF-8 or malformed file), 3 size cap or budget hit, 4
 counterexample candidate (a decompose failure on an input outside both
 guarantee hypotheses, multiplicity <= 2 and k <= 6), 5 internal error (an
 unexpected exception, reported as JSON with its traceback on stderr).
-``fuzz`` exits 2 on a ``--jobs`` or ``--count`` below 1 and on a
-``COVDEX_SEED`` that is not an integer.
+Every numeric option is checked before any work starts, and a value out
+of range is a usage error (exit 2): ``-m``, ``--budget``, ``--cap`` and
+``fuzz --n`` below 0, ``fuzz --max-mult``, ``--jobs`` or ``--count``
+below 1, a ``fuzz --edge-prob`` outside [0, 1], and a ``COVDEX_SEED``
+that is not an integer.
 """
 
 from __future__ import annotations
@@ -55,10 +58,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _int_from(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_non_negative_int = _int_from(0)
+_positive_int = _int_from(1)
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
     return value
 
 
@@ -91,39 +109,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codensity", help="exact co-density and witness set")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=SUBSET_CAP_DEFAULT)
+    p.add_argument("--cap", type=_non_negative_int, default=SUBSET_CAP_DEFAULT)
 
     p = sub.add_parser("bound", help="minimum degree, co-density, and k")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=SUBSET_CAP_DEFAULT)
+    p.add_argument("--cap", type=_non_negative_int, default=SUBSET_CAP_DEFAULT)
 
     p = sub.add_parser("color", help="exact m-edge-coloring search")
     p.add_argument("graph")
-    p.add_argument("-m", "--colors", type=int, required=True)
-    p.add_argument("--budget", type=int, default=COLOR_BUDGET_DEFAULT)
+    p.add_argument("-m", "--colors", type=_non_negative_int, required=True)
+    p.add_argument("--budget", type=_non_negative_int, default=COLOR_BUDGET_DEFAULT)
 
     p = sub.add_parser("decompose", help="construct k edge-disjoint edge covers")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=SUBSET_CAP_DEFAULT)
-    p.add_argument("--budget", type=int, default=COLOR_BUDGET_DEFAULT)
+    p.add_argument("--cap", type=_non_negative_int, default=SUBSET_CAP_DEFAULT)
+    p.add_argument("--budget", type=_non_negative_int, default=COLOR_BUDGET_DEFAULT)
     p.add_argument("--json", dest="json_out", help="also write the payload to a file")
     p.add_argument("--dump-on-fail", dest="dump_dir", help="directory for state dumps")
     p.add_argument("--dot", dest="dot_dir", help="directory for an orientation DOT file")
 
     p = sub.add_parser("xi", help="exact cover index by exhaustive search")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=XI_EDGE_CAP_DEFAULT)
+    p.add_argument("--cap", type=_non_negative_int, default=XI_EDGE_CAP_DEFAULT)
 
     p = sub.add_parser("verify", help="check a covers file against a graph")
     p.add_argument("graph")
     p.add_argument("covers")
 
     p = sub.add_parser("fuzz", help="seeded random campaign with oracle checks")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--max-mult", type=int, default=2)
+    p.add_argument("--n", type=_non_negative_int, default=6)
+    p.add_argument("--max-mult", type=_positive_int, default=2)
     p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--edge-prob", type=float, default=0.5)
+    p.add_argument("--edge-prob", type=_probability, default=0.5)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--report", help="write per-instance records to a JSON file")
     return parser

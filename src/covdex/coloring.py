@@ -10,17 +10,72 @@ as the earlier recursive version (kept as the reference in the tests), so
 colorings and node counts are unchanged.  At desk scale it both finds colorings and proves impossibility,
 and a node budget keeps either verdict honest (running out of budget is a
 distinct outcome, never reported as impossibility).
+
+Odd-set look-ahead (``find_coloring(..., lookahead=True)``).  The
+obstruction that forces extra colors is odd-set density (Goldberg-Seymour,
+proved by Chen, Jing and Zang, arXiv:1901.10316), and it also bounds a
+partial coloring.  Let U be an odd vertex set and m the palette.  Each
+color class is a matching, so color c can still take at most
+floor(free_c(U)/2) of the uncolored edges inside U, where free_c(U) counts
+the vertices of U at which c is unused.  Summing over the palette, with
+used[v] the colors at v, e_in(U) the edges inside U (colored or not) and
+cbd(U) the colored edges with exactly one end in U:
+
+    sum_c free_c(U) = m|U| - 2 (colored edges inside U) - cbd(U),
+
+and because |U| is odd, free_c(U) is odd exactly when c is on an even
+number of U's vertices, so the colors with free_c(U) even are the set
+bits of X(U) = XOR of used[v] over v in U.  The uncolored edges of E[U]
+fit only if
+
+    h(U) = m(|U|-1) - 2 e_in(U) - (cbd(U) - popcount(X(U))) >= 0.
+
+h is even (popcount(X) has the parity of cbd), and a coloring that
+reaches h(U) < 0 has no extension, so the subtree below it can be cut.
+Coloring edge ab with c changes h only on the sets that hold exactly one
+of a and b: cbd rises by one and bit c of X flips, so h drops by 2 where
+c was already odd on U and stays put where it was even.  Uncoloring is
+the mirror image, and recoloring is an uncoloring then a coloring.  Since
+cbd - popcount(X) >= 0, h(U) >= m(|U|-1) - (degree sum of U), so a set
+whose degree sum is at most m(|U|-1) never fires, and neither does a
+single vertex (h = 0).  ``OddSetLookahead`` tracks the odd sets with
+3 <= |U| <= 5 over the touched vertices whose degree sum exceeds
+m(|U|-1) (larger sets solved no more instances in trials), holding h/2
+bit-sliced: one int per bit plane with a bit per set, one parity int per
+color, one membership int per vertex.  An update is a borrow or carry
+chain over a few planes, and a borrow out of the top plane means some
+set went negative.
+
+The look-ahead is lazy.  The plain search runs until, at a dead end, it
+has visited ``LOOKAHEAD_NODES_PER_SET`` times as many nodes as there are
+odd sets of size 3 and 5 to enumerate, so building the table never costs
+much more than the search already spent; most calls end before that.
+At switch-on the stack is replayed into the table, and the search jumps
+back to the shallowest prefix that already violates.  From then on a
+color that drives some h negative is treated as tried and failed, without
+counting a node.  Every cut subtree holds no coloring, and the search
+order is unchanged, so the depth-first search visits a subsequence of the
+plain search's nodes: it returns the same first coloring, or the same
+None, within at most the plain search's node count, and the budget still
+counts nodes.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import combinations
+from math import comb
+from typing import Mapping, Sequence
 
 from .errors import BudgetExhausted, StageAssertionFailed
 from .multigraph import Edge, Multigraph
 
 COLOR_BUDGET_DEFAULT = 10_000_000
+# The look-ahead switches on at the first dead end after the plain search
+# has visited this many nodes per odd set of size 3 and 5 to enumerate.
+LOOKAHEAD_NODES_PER_SET = 2
+# Odd set sizes the look-ahead tracks.
+LOOKAHEAD_SIZES = (3, 5)
 
 
 @dataclass(frozen=True)
@@ -209,13 +264,104 @@ def linked(
     return u in chain(coloring, g, v, alpha, beta).vertices
 
 
+class OddSetLookahead:
+    """h(U)/2 for every odd set U that can refute a partial m-coloring,
+    bit-sliced across the sets (see the module docstring).
+
+    Vertices are 0..n-1 and ``pairs`` lists the edges' endpoints.  Set i is
+    bit i of every int: ``planes[j]`` holds bit j of each h/2, ``member[v]``
+    the sets that contain v, and ``parity[bit]`` the sets on which that
+    color sits at an odd number of vertices.
+    """
+
+    def __init__(self, n: int, pairs: Sequence[tuple[int, int]], m: int) -> None:
+        degree = [0] * n
+        mult = [[0] * n for _ in range(n)]
+        for u, v in pairs:
+            degree[u] += 1
+            degree[v] += 1
+            mult[u][v] += 1
+            mult[v][u] += 1
+        sets: list[tuple[int, ...]] = []
+        halves: list[int] = []
+        for size in LOOKAHEAD_SIZES:
+            limit = m * (size - 1)
+            for members in combinations(range(n), size):
+                if sum(degree[x] for x in members) > limit:
+                    inside = sum(mult[a][b] for a, b in combinations(members, 2))
+                    sets.append(members)
+                    halves.append(limit // 2 - inside)
+        self.sets = sets
+        # Some set is over the bound before any edge is colored: no m-coloring.
+        self.refuted = any(h < 0 for h in halves)
+        # Each int is written as a row of binary digits, set i at digit
+        # count - i; the leading "0" keeps a row parseable with no sets.
+        count = len(sets)
+        width = max(halves, default=0).bit_length() or 1
+        planes = [bytearray(b"0" * (count + 1)) for _ in range(width)]
+        member = [bytearray(b"0" * (count + 1)) for _ in range(n)]
+        one = ord("1")
+        for i, (members, h) in enumerate(zip(sets, halves)):
+            for j in range(width):
+                if h >> j & 1:
+                    planes[j][count - i] = one
+            for x in members:
+                member[x][count - i] = one
+        self.planes = [int(row, 2) for row in planes]
+        self.member = [int(row, 2) for row in member]
+        self.parity: dict[int, int] = {}
+
+    def color(self, u: int, v: int, bit: int) -> bool:
+        """Color edge uv with the color ``bit``.  False when that drives some
+        h negative; the update is made either way, so uncolor() undoes it."""
+        moved = self.member[u] ^ self.member[v]
+        parity = self.parity.get(bit, 0)
+        self.parity[bit] = parity ^ moved
+        borrow = moved & parity
+        planes = self.planes
+        for j, plane in enumerate(planes):
+            if not borrow:
+                return True
+            planes[j] = plane ^ borrow
+            borrow &= ~plane
+        return not borrow
+
+    def uncolor(self, u: int, v: int, bit: int) -> None:
+        """Undo color(u, v, bit)."""
+        moved = self.member[u] ^ self.member[v]
+        parity = self.parity[bit] ^ moved
+        self.parity[bit] = parity
+        carry = moved & parity
+        planes = self.planes
+        for j, plane in enumerate(planes):
+            if not carry:
+                return
+            planes[j] = plane ^ carry
+            carry &= plane
+
+    def halves(self) -> list[int]:
+        """h(U)/2 of every tracked set, in the order of ``sets``."""
+        return [
+            sum((plane >> i & 1) << j for j, plane in enumerate(self.planes))
+            for i in range(len(self.sets))
+        ]
+
+
 def find_coloring(
-    g: Multigraph, m: int, budget: int = COLOR_BUDGET_DEFAULT
+    g: Multigraph,
+    m: int,
+    budget: int = COLOR_BUDGET_DEFAULT,
+    *,
+    lookahead: bool = False,
+    counters: dict[str, int] | None = None,
 ) -> EdgeColoring | None:
     """Search for a proper m-edge-coloring.
 
     Returns a coloring, or None when exhaustive search proves none exists.
-    Raises BudgetExhausted when the node budget runs out first.
+    Raises BudgetExhausted when the node budget runs out first.  With
+    ``lookahead`` the odd-set look-ahead cuts subtrees that hold no coloring
+    (see the module docstring); the result is the same.  ``counters``, when
+    given, gains the search's "nodes" and "prunes".
     """
     if m < 0:
         raise ValueError("palette size must be non-negative")
@@ -246,52 +392,85 @@ def find_coloring(
     # untried color bits, the parent's ncolors, the color bit on the edge).
     stack: list[tuple[int, int, int, int, int, int, int]] = []
     ncolors = 0
-    nodes = 0
-    while pending:
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(f"coloring search exceeded {budget} nodes")
-        cap = caps[ncolors]
-        best_count = m + 1
-        for i in pending:
-            allowed = cap & ~(used[eu[i]] | used[ev[i]])
-            count = allowed.bit_count()
-            if count < best_count:
-                best, best_allowed, best_count = i, allowed, count
-                if not count:
-                    break
-        if best_count:
-            # Descend: take the edge out of pending, try its lowest color.
-            pos = pending.index(best)
-            del pending[pos]
-            u, v = eu[best], ev[best]
-            bit = best_allowed & -best_allowed
-            stack.append((pos, best, u, v, best_allowed ^ bit, ncolors, bit))
-            used[u] |= bit
-            used[v] |= bit
-            c = bit.bit_length()
-            if c > ncolors:
-                ncolors = c
-            continue
-        # Dead end: move the deepest frame with an untried color to its next
-        # color, putting every exhausted edge back where it was.
-        while stack:
-            pos, i, u, v, untried, parent_ncolors, bit = stack[-1]
-            used[u] ^= bit
-            used[v] ^= bit
-            if untried:
-                bit = untried & -untried
-                stack[-1] = (pos, i, u, v, untried ^ bit, parent_ncolors, bit)
+    nodes = prunes = 0
+    look: OddSetLookahead | None = None
+    switch_at = None
+    if lookahead and len(slot) >= 3:
+        switch_at = LOOKAHEAD_NODES_PER_SET * sum(comb(len(slot), s) for s in LOOKAHEAD_SIZES)
+    try:
+        while pending:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted(f"coloring search exceeded {budget} nodes")
+            cap = caps[ncolors]
+            best_count = m + 1
+            for i in pending:
+                allowed = cap & ~(used[eu[i]] | used[ev[i]])
+                count = allowed.bit_count()
+                if count < best_count:
+                    best, best_allowed, best_count = i, allowed, count
+                    if not count:
+                        break
+            if best_count:
+                # Descend: take the edge out of pending, try its lowest color.
+                pos = pending.index(best)
+                del pending[pos]
+                u, v = eu[best], ev[best]
+                bit = best_allowed & -best_allowed
+                stack.append((pos, best, u, v, best_allowed ^ bit, ncolors, bit))
                 used[u] |= bit
                 used[v] |= bit
                 c = bit.bit_length()
-                ncolors = c if c > parent_ncolors else parent_ncolors
-                break
-            stack.pop()
-            pending.insert(pos, i)
-        else:
-            return None
-    return EdgeColoring(m, {edges[f[1]].id: f[6].bit_length() for f in stack})
+                if c > ncolors:
+                    ncolors = c
+                if look is None or look.color(u, v, bit):
+                    continue
+                prunes += 1  # the dead-end loop below undoes the refuted color
+            elif switch_at is not None and nodes >= switch_at:
+                switch_at = None
+                look = OddSetLookahead(len(slot), list(zip(eu, ev)), m)
+                if look.refuted:
+                    prunes += 1
+                    return None
+                # Replay the stack; jump back to the shallowest frame whose
+                # coloring already violates, dropping the frames above it.
+                for depth, frame in enumerate(stack):
+                    if not look.color(frame[2], frame[3], frame[6]):
+                        prunes += 1
+                        while len(stack) > depth + 1:
+                            pos, i, u, v, _, _, bit = stack.pop()
+                            used[u] ^= bit
+                            used[v] ^= bit
+                            pending.insert(pos, i)
+                        break
+            # Dead end: move the deepest frame with an untried color to its
+            # next color, putting every exhausted edge back where it was.
+            while stack:
+                pos, i, u, v, untried, parent_ncolors, bit = stack[-1]
+                used[u] ^= bit
+                used[v] ^= bit
+                if look is not None:
+                    look.uncolor(u, v, bit)
+                if untried:
+                    bit = untried & -untried
+                    stack[-1] = (pos, i, u, v, untried ^ bit, parent_ncolors, bit)
+                    used[u] |= bit
+                    used[v] |= bit
+                    c = bit.bit_length()
+                    ncolors = c if c > parent_ncolors else parent_ncolors
+                    if look is None or look.color(u, v, bit):
+                        break
+                    prunes += 1
+                    continue
+                stack.pop()
+                pending.insert(pos, i)
+            else:
+                return None
+        return EdgeColoring(m, {edges[f[1]].id: f[6].bit_length() for f in stack})
+    finally:
+        if counters is not None:
+            counters["nodes"] = counters.get("nodes", 0) + nodes
+            counters["prunes"] = counters.get("prunes", 0) + prunes
 
 
 def chromatic_index(g: Multigraph, budget: int = COLOR_BUDGET_DEFAULT) -> int:

@@ -538,7 +538,7 @@ def decompose(
 
         stage = "chi-prime"
         core = induced_subgraph(h1, range(g.vertex_count))
-        core_coloring = find_coloring(core, k + 2, opts.color_budget)
+        core_coloring = find_coloring(core, k + 2, opts.color_budget, lookahead=True)
         if core_coloring is None:
             raise StageAssertionFailed(
                 "chi-prime", f"punctured core admits no {k + 2}-edge-coloring"

@@ -251,6 +251,41 @@ def test_fuzz_rejects_bad_counts_and_seeds(capsys, monkeypatch, argv, env_seed):
     assert error["error"] == "usage" and "traceback" not in error
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["color", "GRAPH", "-m", "-1"], "-m/--colors"),
+        (["color", "GRAPH", "-m", "3", "--budget", "-5"], "--budget"),
+        (["decompose", "GRAPH", "--budget", "-1"], "--budget"),
+        (["decompose", "GRAPH", "--cap", "-1"], "--cap"),
+        (["bound", "GRAPH", "--cap", "-1"], "--cap"),
+        (["xi", "GRAPH", "--cap", "-1"], "--cap"),
+        (["fuzz", "--edge-prob", "1.5"], "--edge-prob"),
+        (["fuzz", "--edge-prob", "nan"], "--edge-prob"),
+        (["fuzz", "--n", "-1"], "--n"),
+        (["fuzz", "--max-mult", "0"], "--max-mult"),
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(capsys, k4_path, argv, option):
+    argv = [k4_path if a == "GRAPH" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    report, error = (json.loads(line) for line in err.splitlines())
+    assert report["outcome"] == "error"
+    assert error["error"] == "usage" and "traceback" not in error
+    assert error["message"].startswith(f"argument {option}:")
+
+
+def test_range_edges_are_accepted(capsys, k4_path):
+    code, out, _ = run_cli(capsys, "color", k4_path, "-m", "0")
+    assert code == 0 and json.loads(out)["status"] == "impossible"
+    code, out, _ = run_cli(capsys, "color", k4_path, "-m", "3", "--budget", "0")
+    assert code == 3 and json.loads(out)["status"] == "budget"
+    code, out, _ = run_cli(capsys, "fuzz", "--n", "4", "--count", "2", "--edge-prob", "1")
+    assert code == 0 and json.loads(out)["instances"] == 2
+
+
 def test_fuzz_workers_are_bounded_by_jobs_count_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert cli._fuzz_workers(8, 100) == 4

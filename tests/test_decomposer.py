@@ -14,7 +14,7 @@ from covdex import (
     regularize,
     verify_decomposition,
 )
-from covdex.decomposer import contract_blocks, puncture
+from covdex.decomposer import DecomposeOptions, contract_blocks, puncture
 from covdex.multigraph import SplitRecord, SplitTrace
 from covdex.oracle import FuzzConfig, random_multigraph
 
@@ -204,3 +204,17 @@ def test_end_to_end_fuzz_small_k_hypothesis():
             continue
         done += 1
         decomposed_ok(g)
+
+
+@pytest.mark.parametrize("seed", [7, 28, 34, 37])
+def test_dense_cores_that_exhausted_the_plain_solver_decompose(seed):
+    # n = 8 at edge probability 0.93, k = 11: without the odd-set look-ahead
+    # the chi-prime search on these cores ran past 10^7 nodes.
+    g = random_multigraph(
+        FuzzConfig(n=8, max_multiplicity=2, edge_probability=0.93, seed=seed)
+    )
+    result = decompose(g, DecomposeOptions(color_budget=50_000))
+    assert isinstance(result, CoverDecomposition), getattr(result, "message", None)
+    assert result.k == 11 == gupta_bound(g).k
+    verdict = verify_decomposition(g, [sorted(c) for c in result.covers])
+    assert verdict.ok, verdict.problems
