@@ -2,7 +2,8 @@
 
 Payloads are single-line JSON on stdout and are byte-identical for
 identical (input, flags, seed); anything that varies between runs (wall
-time) lives in the one-line run report on stderr.  Exit codes: 0 ok,
+time, and for ``decompose`` the per-stage spans and counters under "run")
+lives in the one-line run report on stderr.  Exit codes: 0 ok,
 1 verification failure or pipeline bug, 2 usage, parse or input error (an
 unreadable, non-UTF-8 or malformed file), 3 size cap or budget hit, 4
 counterexample candidate (a decompose failure on an input outside both
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_codensity(args) -> tuple[dict, int]:
+def _cmd_codensity(args, report: dict) -> tuple[dict, int]:
     g = read_graph(args.graph)
     value, witness = codensity(g, cap=args.cap)
     payload = {
@@ -158,13 +159,13 @@ def _cmd_codensity(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _cmd_bound(args) -> tuple[dict, int]:
+def _cmd_bound(args, report: dict) -> tuple[dict, int]:
     g = read_graph(args.graph)
     b = gupta_bound(g, cap=args.cap)
     return {"delta": b.delta, "codensity": _ratio(b.codensity), "k": b.k}, EXIT_OK
 
 
-def _cmd_color(args) -> tuple[dict, int]:
+def _cmd_color(args, report: dict) -> tuple[dict, int]:
     g = read_graph(args.graph)
     try:
         coloring = find_coloring(g, args.colors, args.budget)
@@ -176,10 +177,11 @@ def _cmd_color(args) -> tuple[dict, int]:
     return {"status": "found", "assignment": assignment}, EXIT_OK
 
 
-def _cmd_decompose(args) -> tuple[dict, int]:
+def _cmd_decompose(args, report: dict) -> tuple[dict, int]:
     g = read_graph(args.graph)
     opts = DecomposeOptions(subset_cap=args.cap, color_budget=args.budget)
     result = decompose(g, opts)
+    report["run"] = result.run
     if isinstance(result, CoverDecomposition):
         payload = result.to_dict()
         code = EXIT_OK
@@ -215,12 +217,12 @@ def _write_dot(args, g: Multigraph, result: CoverDecomposition) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _cmd_xi(args) -> tuple[dict, int]:
+def _cmd_xi(args, report: dict) -> tuple[dict, int]:
     g = read_graph(args.graph)
     return {"xi": brute_cover_index(g, cap=args.cap)}, EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args, report: dict) -> tuple[dict, int]:
     g = read_graph(args.graph)
     with open(args.covers, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -291,7 +293,7 @@ def _fuzz_workers(jobs: int, count: int) -> int:
     return min(jobs, count, os.cpu_count() or 1)
 
 
-def _cmd_fuzz(args) -> tuple[dict, int]:
+def _cmd_fuzz(args, report: dict) -> tuple[dict, int]:
     seed = args.seed
     env_seed = os.environ.get("COVDEX_SEED")
     if env_seed is not None:
@@ -331,6 +333,8 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
     return summary, EXIT_OK
 
 
+# Each handler takes the parsed arguments and the run report, which it may
+# extend, and returns the payload with its exit code.
 _HANDLERS = {
     "codensity": _cmd_codensity,
     "bound": _cmd_bound,
@@ -350,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        return _usage_error(report, str(exc), started)
+        return _error(report, started, EXIT_USAGE, "usage", str(exc))
 
     report["command"] = args.command
     graph_path = getattr(args, "graph", None)
@@ -363,24 +367,17 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     try:
-        payload, code = _HANDLERS[args.command](args)
+        payload, code = _HANDLERS[args.command](args, report)
     except _UsageError as exc:
-        return _usage_error(report, str(exc), started)
+        return _error(report, started, EXIT_USAGE, "usage", str(exc))
+    # GraphFormatError, TooLarge and BudgetExhausted subclass CovdexError, so
+    # their clauses come first.
     except (GraphFormatError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        _report(report, "error", err, started)
-        print(json.dumps(err), file=sys.stderr)
-        return EXIT_USAGE
+        return _error(report, started, EXIT_USAGE, type(exc).__name__, str(exc))
     except (TooLarge, BudgetExhausted) as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        _report(report, "error", err, started)
-        print(json.dumps(err), file=sys.stderr)
-        return EXIT_CAPPED
+        return _error(report, started, EXIT_CAPPED, type(exc).__name__, str(exc))
     except CovdexError as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        _report(report, "error", err, started)
-        print(json.dumps(err), file=sys.stderr)
-        return EXIT_VERIFY
+        return _error(report, started, EXIT_VERIFY, type(exc).__name__, str(exc))
     except Exception as exc:  # last resort: a bug, never a traceback
         err = {
             "error": type(exc).__name__,
@@ -404,11 +401,11 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def _usage_error(report: dict, message: str, started: float) -> int:
-    err = {"error": "usage", "message": message}
+def _error(report: dict, started: float, code: int, error: str, message: str) -> int:
+    err = {"error": error, "message": message}
     _report(report, "error", err, started)
     print(json.dumps(err), file=sys.stderr)
-    return EXIT_USAGE
+    return code
 
 
 def _report(report: dict, outcome: str, payload: dict, started: float) -> None:

@@ -12,13 +12,20 @@ guarantee is proven under either of two hypotheses: maximum multiplicity
 at most 2, or k at most 6.  Failures are returned as a report carrying the
 failed stage and whether a hypothesis held (a hypothesis-satisfying
 failure means a bug; a hypothesis-violating one is a data point on open
-territory).
+territory), and with a dump of every artifact built up to the failure.
+
+Both outcomes also carry ``run``: the wall time of each stage reached, in
+``perf_counter_ns`` (``spans_ns``, from "bound" on), and work counters
+(the chi-prime solver's "nodes" and "prunes", and "moves.<kind>" for each
+kind of recoloring move).  It varies between runs, so it is left out of
+equality and of ``to_dict()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from time import perf_counter_ns
+from typing import Callable, Mapping, Sequence
 
 from . import dense_lift
 from .coloring import COLOR_BUDGET_DEFAULT, EdgeColoring, find_coloring, is_proper
@@ -77,6 +84,7 @@ class CoverDecomposition:
     k: int
     covers: tuple[frozenset[int], ...]
     stages: Mapping[str, object] = field(default_factory=dict)
+    run: Mapping[str, object] | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -96,6 +104,7 @@ class FailureReport:
     hypotheses_held: bool
     stages: Mapping[str, object] = field(default_factory=dict)
     state: Mapping[str, object] | None = None
+    run: Mapping[str, object] | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -114,7 +123,6 @@ class FailureReport:
 class DecomposeOptions:
     subset_cap: int = SUBSET_CAP_DEFAULT
     color_budget: int = COLOR_BUDGET_DEFAULT
-    step_budget: int | None = None
 
 
 def _graph_obj(g: Multigraph) -> dict:
@@ -125,56 +133,34 @@ def _coloring_obj(c: EdgeColoring) -> dict:
     return {"palette": c.palette, "assignment": sorted(c.assignment.items())}
 
 
-@dataclass
-class PipelineState:
-    """Accumulated artifacts of one run, serializable for post-mortems."""
+class _Run:
+    """The record of one ``decompose`` run: the stage it is in, with a
+    ``perf_counter_ns`` span per stage reached, the payload's ``stages``
+    summary, work counters (solver nodes and prunes, Kempe moves by kind),
+    and the failure dump's artifacts as thunks, serialized only if a stage
+    fails.  Thunks are called late, so none may read a name that is bound
+    again after it is stored."""
 
-    original: Multigraph
-    k: int = 0
-    h: Multigraph | None = None
-    trace: SplitTrace = SplitTrace()
-    punctures: tuple[Puncture, ...] = ()
-    h1: Multigraph | None = None
-    core_coloring: EdgeColoring | None = None
-    h2: Multigraph | None = None
-    vertex_map: dict[int, int] | None = None
-    contracted_coloring: EdgeColoring | None = None
-    lifted_coloring: EdgeColoring | None = None
-    orientation: Orientation | None = None
-    covers_h1: tuple[frozenset[int], ...] = ()
-    covers: tuple[frozenset[int], ...] = ()
+    def __init__(self) -> None:
+        self.stage = "bound"
+        self.spans_ns: dict[str, int] = {}
+        self.stages: dict[str, object] = {}
+        self.counters: dict[str, int] = {}
+        self.dump: dict[str, Callable[[], object]] = {}
+        self._since = perf_counter_ns()
 
-    def to_dict(self) -> dict:
-        out: dict[str, object] = {"original": _graph_obj(self.original), "k": self.k}
-        if self.h is not None:
-            out["regularized"] = _graph_obj(self.h)
-            out["splits"] = [
-                [r.new_vertex, r.original_vertex, r.moved_edge, r.new_edge]
-                for r in self.trace.records
-            ]
-        if self.punctures:
-            out["punctures"] = [
-                {"block": sorted(p.block), "x": p.x, "y": p.y, "edge": p.edge}
-                for p in self.punctures
-            ]
-        if self.h1 is not None:
-            out["punctured"] = _graph_obj(self.h1)
-        if self.core_coloring is not None:
-            out["core_coloring"] = _coloring_obj(self.core_coloring)
-        if self.h2 is not None:
-            out["contracted"] = _graph_obj(self.h2)
-            out["vertex_map"] = sorted((self.vertex_map or {}).items())
-        if self.contracted_coloring is not None:
-            out["contracted_coloring"] = _coloring_obj(self.contracted_coloring)
-        if self.lifted_coloring is not None:
-            out["lifted_coloring"] = _coloring_obj(self.lifted_coloring)
-        if self.orientation is not None:
-            out["arcs"] = [list(a) for a in self.orientation.arcs]
-        if self.covers_h1:
-            out["covers_before_mapping"] = [sorted(c) for c in self.covers_h1]
-        if self.covers:
-            out["covers"] = [sorted(c) for c in self.covers]
-        return out
+    def enter(self, stage: str) -> None:
+        now = perf_counter_ns()
+        self.spans_ns[self.stage] = now - self._since
+        self.stage, self._since = stage, now
+
+    def report(self) -> dict:
+        """Spans (the current stage's up to now) and counters."""
+        spans = {**self.spans_ns, self.stage: perf_counter_ns() - self._since}
+        return {"spans_ns": spans, "counters": dict(self.counters)}
+
+    def state(self) -> dict:
+        return {key: thunk() for key, thunk in self.dump.items()}
 
 
 def _below_bound(table: OddSetTable, k: int) -> bool:
@@ -500,45 +486,59 @@ def decompose(
     """Run the whole pipeline; never raises on pipeline-semantic failures.
 
     TooLarge and BudgetExhausted (resource caps) still propagate, since
-    they say nothing about the input graph.
+    they say nothing about the input graph.  The result's ``run`` holds the
+    stage spans and counters of this call.
     """
     opts = options or DecomposeOptions()
+    run = _Run()
     # One table for the bound, every split and the puncture.
     table = OddSetTable(g, g.vertices(), cap=opts.subset_cap)
     bound = gupta_bound(g, cap=opts.subset_cap, table=table)
     k = bound.k
     mu = g.max_multiplicity()
     hypotheses_held = mu <= 2 or k <= 6
-    stages: dict[str, object] = {
-        "delta": bound.delta,
-        "codensity": "inf" if bound.codensity is None else str(bound.codensity),
-        "k": k,
-        "mu": mu,
-        "hypothesis_multiplicity": mu <= 2,
-        "hypothesis_small_k": k <= 6,
-        "hypotheses_held": hypotheses_held,
-    }
-    state = PipelineState(original=g, k=k)
+    stages = run.stages
+    stages.update(
+        delta=bound.delta,
+        codensity="inf" if bound.codensity is None else str(bound.codensity),
+        k=k,
+        mu=mu,
+        hypothesis_multiplicity=mu <= 2,
+        hypothesis_small_k=k <= 6,
+        hypotheses_held=hypotheses_held,
+    )
     if k <= 0:
         stages["blocks"] = 0
         stages["splits"] = 0
-        return CoverDecomposition(k=0, covers=(), stages=stages)
+        return CoverDecomposition(k=0, covers=(), stages=stages, run=run.report())
+    run.dump.update(original=lambda: _graph_obj(g), k=lambda: k)
 
-    stage = "regularize"
     try:
+        run.enter("regularize")
         h, trace = regularize(g, k, cap=opts.subset_cap, table=table)
-        state.h, state.trace = h, trace
         stages["splits"] = len(trace.records)
+        run.dump["regularized"] = lambda: _graph_obj(h)
+        run.dump["splits"] = lambda: [
+            [r.new_vertex, r.original_vertex, r.moved_edge, r.new_edge]
+            for r in trace.records
+        ]
 
-        stage = "puncture"
+        run.enter("puncture")
         h1, punctures = puncture(h, k, g.vertex_count, cap=opts.subset_cap, table=table)
-        state.h1, state.punctures = h1, punctures
         stages["blocks"] = len(punctures)
         stages["block_sizes"] = sorted(len(p.block) for p in punctures)
+        if punctures:
+            run.dump["punctures"] = lambda: [
+                {"block": sorted(p.block), "x": p.x, "y": p.y, "edge": p.edge}
+                for p in punctures
+            ]
+        run.dump["punctured"] = lambda: _graph_obj(h1)
 
-        stage = "chi-prime"
+        run.enter("chi-prime")
         core = induced_subgraph(h1, range(g.vertex_count))
-        core_coloring = find_coloring(core, k + 2, opts.color_budget, lookahead=True)
+        core_coloring = find_coloring(
+            core, k + 2, opts.color_budget, lookahead=True, counters=run.counters
+        )
         if core_coloring is None:
             raise StageAssertionFailed(
                 "chi-prime", f"punctured core admits no {k + 2}-edge-coloring"
@@ -546,7 +546,7 @@ def decompose(
         full = _extend_to_pendants(h1, core_coloring, k + 2)
         if not is_proper(h1, full):
             raise StageAssertionFailed("chi-prime", "extended coloring is improper")
-        state.core_coloring = full
+        run.dump["core_coloring"] = lambda: _coloring_obj(full)
         for p in punctures:
             seen: set[int] = set()
             for e in h1.edges:
@@ -559,29 +559,26 @@ def decompose(
                         )
                     seen.add(c)
 
-        stage = "contract"
+        run.enter("contract")
         h2, vmap, merged, degree_ok = contract_blocks(h1, punctures, k, hypotheses_held)
-        state.h2, state.vertex_map = h2, vmap
+        run.dump["contracted"] = lambda: _graph_obj(h2)
+        run.dump["vertex_map"] = lambda: sorted(vmap.items())
         stages["degree_bound_ok"] = degree_ok
 
-        stage = "special-coloring"
+        run.enter("special-coloring")
         # The proven H1 coloring restricts to a proper coloring of the
         # contracted graph (boundary colors at each block are distinct), so
         # the recoloring loop starts from it instead of solving again.
         h2_start = EdgeColoring(
             k + 2, {e.id: full.color_of(e.id) for e in h2.edges}
         )
-        phi2 = special_coloring(
-            h2,
-            k,
-            merged,
-            opts.step_budget,
-            color_budget=opts.color_budget,
-            initial=h2_start,
-        )
-        state.contracted_coloring = phi2
+        phi2, moves = special_coloring(h2, k, merged, initial=h2_start)
+        for move in moves:
+            key = f"moves.{move['move']}"
+            run.counters[key] = run.counters.get(key, 0) + 1
+        run.dump["contracted_coloring"] = lambda: _coloring_obj(phi2)
 
-        stage = "lift"
+        run.enter("lift")
         blocks = []
         for p in punctures:
             block_start = EdgeColoring(
@@ -603,21 +600,21 @@ def decompose(
             }
             blocks.append(dense_lift.permute_block_palette(bc, requirements, h1, k))
         psi = dense_lift.assemble_lift(h1, phi2, blocks, k)
-        state.lifted_coloring = psi
+        run.dump["lifted_coloring"] = lambda: _coloring_obj(psi)
 
-        stage = "augment"
+        run.enter("augment")
         covers_h1, orientation = orient_and_augment(
             h1, psi, punctures, k, g.vertex_count
         )
-        state.covers_h1 = tuple(covers_h1)
-        state.orientation = orientation
+        run.dump["arcs"] = lambda: [list(a) for a in orientation.arcs]
+        run.dump["covers_before_mapping"] = lambda: [sorted(c) for c in covers_h1]
         stages["reserve_arcs"] = [list(a) for a in orientation.arcs]
 
-        stage = "map-back"
+        run.enter("map-back")
         covers = map_back(covers_h1, trace)
-        state.covers = tuple(covers)
+        run.dump["covers"] = lambda: [sorted(c) for c in covers]
 
-        stage = "verify"
+        run.enter("verify")
         verdict = verify_decomposition(g, covers)
         if not verdict:
             raise AugmentationFailed("; ".join(verdict.problems))
@@ -625,13 +622,14 @@ def decompose(
         raise
     except CovdexError as exc:
         return FailureReport(
-            stage=stage,
+            stage=run.stage,
             error=type(exc).__name__,
             message=str(exc),
             hypotheses_held=hypotheses_held,
             stages=stages,
-            state=state.to_dict(),
+            state=run.state(),
+            run=run.report(),
         )
 
     stages["covers"] = k
-    return CoverDecomposition(k=k, covers=tuple(covers), stages=stages)
+    return CoverDecomposition(k=k, covers=tuple(covers), stages=stages, run=run.report())

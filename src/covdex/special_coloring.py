@@ -11,8 +11,13 @@ color to zero: each move either lowers that count or keeps it while
 strictly lowering the working chain index, so it terminates.  Phase 2 does
 the same for the count of (k+1, k+2) chains joining two S-vertices, using
 swap colors drawn from [1, k] only, so phase 1's achievement is never
-undone.  A step cap guards against implementation bugs: exceeding it
-raises instead of looping forever.
+undone.  A move cap of 10·|E|·(k+2)² guards against implementation bugs:
+exceeding it raises instead of looping forever.
+
+Every move is returned as a dict: its phase, its kind ("endpoint-swap",
+"recolor-first", "linked-swap" or "detach"), the chain index it worked at,
+its step number and both potentials after it.  Each round's progress check
+and the main loop read those potentials instead of computing them again.
 """
 
 from __future__ import annotations
@@ -49,9 +54,6 @@ class Potentials:
         return (self.exposed, self.bridges)
 
 
-StepHook = Callable[[dict], None]
-SpendFn = Callable[[dict, EdgeColoring], None]
-
 # Stage named by the invariant failures raised here (decompose's name for it).
 _STAGE = "special-coloring"
 
@@ -76,13 +78,13 @@ def special_coloring(
     g: Multigraph,
     k: int,
     S: Iterable[int],
-    budget: int | None = None,
     *,
     color_budget: int = COLOR_BUDGET_DEFAULT,
     initial: EdgeColoring | None = None,
-    on_step: StepHook | None = None,
-) -> EdgeColoring:
-    """Produce a proper (k+2)-coloring with both potentials at zero.
+) -> tuple[EdgeColoring, list[dict]]:
+    """Produce a proper (k+2)-coloring with both potentials at zero, and
+    the moves that led to it from the start coloring (``initial``, or the
+    solver's coloring within ``color_budget`` nodes).
 
     Raises PreconditionViolated when k < 1, when Delta(g) > k+1, when some
     S-vertex has degree above k/2, or when no (k+2)-coloring exists at all.
@@ -109,34 +111,27 @@ def special_coloring(
             raise PreconditionViolated(f"graph admits no {top}-edge-coloring")
         cur = found
 
-    if budget is None:
-        budget = max(1, 10 * len(g.edges) * top * top)
-    steps = 0
+    budget = max(1, 10 * len(g.edges) * top * top)
+    moves: list[dict] = []
 
-    def spend(event: dict, after: EdgeColoring) -> None:
-        nonlocal steps
-        steps += 1
-        if steps > budget:
+    def spend(move: dict, after: EdgeColoring) -> Potentials:
+        if len(moves) >= budget:
             raise BudgetExhausted(f"recoloring exceeded {budget} moves")
-        if on_step is not None:
-            pot = potentials(g, after, k, protected)
-            event["step"] = steps
-            event["exposed"] = pot.exposed
-            event["bridges"] = pot.bridges
-            on_step(event)
+        pot = potentials(g, after, k, protected)
+        move.update(step=len(moves) + 1, exposed=pot.exposed, bridges=pot.bridges)
+        moves.append(move)
+        return pot
 
-    while True:
-        pot = potentials(g, cur, k, protected)
-        if pot.exposed > 0:
-            cur = _lower_exposed(g, cur, k, protected, pot, spend)
-        elif pot.bridges > 0:
-            cur = _lower_bridges(g, cur, k, protected, pot, spend)
+    pot = potentials(g, cur, k, protected)
+    while pot.exposed or pot.bridges:
+        if pot.exposed:
+            cur, pot = _lower_exposed(g, cur, k, protected, pot, spend)
         else:
-            break
+            cur, pot = _lower_bridges(g, cur, k, protected, pot, spend)
 
     if not is_proper(g, cur):
         raise StageAssertionFailed(_STAGE, "final coloring is improper")
-    return cur
+    return cur, moves
 
 
 def _lower_exposed(
@@ -145,8 +140,8 @@ def _lower_exposed(
     k: int,
     protected: list[int],
     pot: Potentials,
-    spend: SpendFn,
-) -> EdgeColoring:
+    spend: Callable[[dict, EdgeColoring], Potentials],
+) -> tuple[EdgeColoring, Potentials]:
     """One outer phase-1 round: return a coloring with fewer exposed vertices."""
     top = k + 2
     x = min(v for v in protected if top in present(cur, g, v))
@@ -160,8 +155,8 @@ def _lower_exposed(
         y = verts[-1]
         if y not in protected or top in present(cur, g, y):
             nxt = kempe_swap(cur, ch)
-            spend({"phase": 1, "move": "endpoint-swap", "index": None}, nxt)
-            return _checked_progress(g, nxt, k, protected, start)
+            after = spend({"phase": 1, "move": "endpoint-swap", "index": None}, nxt)
+            return _checked_progress(g, nxt, after, start)
 
         # y is protected, presents alpha, misses the top color: work inward.
         miss_x = missing(cur, g, x)
@@ -180,8 +175,8 @@ def _lower_exposed(
 
         if index == 1:
             nxt = cur.with_colors({eids[0]: beta})
-            spend({"phase": 1, "move": "recolor-first", "index": index}, nxt)
-            return _checked_progress(g, nxt, k, protected, start)
+            after = spend({"phase": 1, "move": "recolor-first", "index": index}, nxt)
+            return _checked_progress(g, nxt, after, start)
 
         vi, vim1 = verts[index], verts[index - 1]
         gamma = min(missing(cur, g, vim1) - {alpha, beta, top})
@@ -198,23 +193,18 @@ def _lower_exposed(
         if alpha in missing(nxt, g, vim1) or vim1 not in protected:
             tail = chain(nxt, g, x, alpha, top)
             nxt = kempe_swap(nxt, tail)
-        spend({"phase": 1, "move": "detach", "index": index}, nxt)
-        return _checked_progress(g, nxt, k, protected, start)
+        after = spend({"phase": 1, "move": "detach", "index": index}, nxt)
+        return _checked_progress(g, nxt, after, start)
 
 
 def _checked_progress(
-    g: Multigraph,
-    nxt: EdgeColoring,
-    k: int,
-    protected: list[int],
-    start: int,
-) -> EdgeColoring:
-    after = potentials(g, nxt, k, protected)
+    g: Multigraph, nxt: EdgeColoring, after: Potentials, start: int
+) -> tuple[EdgeColoring, Potentials]:
     if after.exposed >= start:
         raise StageAssertionFailed(_STAGE, "phase-1 round must lower the exposed count")
     if not is_proper(g, nxt):
         raise StageAssertionFailed(_STAGE, "phase-1 round left an improper coloring")
-    return nxt
+    return nxt, after
 
 
 def _lower_bridges(
@@ -223,8 +213,8 @@ def _lower_bridges(
     k: int,
     protected: list[int],
     pot: Potentials,
-    spend: SpendFn,
-) -> EdgeColoring:
+    spend: Callable[[dict, EdgeColoring], Potentials],
+) -> tuple[EdgeColoring, Potentials]:
     """One outer phase-2 round: return a coloring with fewer bridge chains."""
     top = k + 2
     x = None
@@ -263,8 +253,8 @@ def _lower_bridges(
 
         if index == 1:
             nxt = cur.with_colors({eids[0]: beta})
-            spend({"phase": 2, "move": "recolor-first", "index": index}, nxt)
-            return _checked_bridge_progress(g, nxt, k, protected, start)
+            after = spend({"phase": 2, "move": "recolor-first", "index": index}, nxt)
+            return _checked_bridge_progress(g, nxt, after, start)
 
         vi, vim1 = verts[index], verts[index - 1]
         gamma = min(missing(cur, g, vim1))
@@ -278,22 +268,17 @@ def _lower_bridges(
 
         nxt = kempe_swap(cur, side)
         nxt = nxt.with_colors({eids[index - 1]: gamma})
-        spend({"phase": 2, "move": "detach", "index": index}, nxt)
-        return _checked_bridge_progress(g, nxt, k, protected, start)
+        after = spend({"phase": 2, "move": "detach", "index": index}, nxt)
+        return _checked_bridge_progress(g, nxt, after, start)
 
 
 def _checked_bridge_progress(
-    g: Multigraph,
-    nxt: EdgeColoring,
-    k: int,
-    protected: list[int],
-    start: int,
-) -> EdgeColoring:
-    after = potentials(g, nxt, k, protected)
+    g: Multigraph, nxt: EdgeColoring, after: Potentials, start: int
+) -> tuple[EdgeColoring, Potentials]:
     if after.exposed:
         raise StageAssertionFailed(_STAGE, "phase 2 must not re-expose the top color")
     if after.bridges >= start:
         raise StageAssertionFailed(_STAGE, "phase-2 round must lower the bridge count")
     if not is_proper(g, nxt):
         raise StageAssertionFailed(_STAGE, "phase-2 round left an improper coloring")
-    return nxt
+    return nxt, after

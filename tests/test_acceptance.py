@@ -170,8 +170,7 @@ def test_criterion_6_special_coloring_suite():
         pmap = {i + 1: perm[i] for i in range(k + 2)}
         initial = EdgeColoring(k + 2, {e: pmap[c] for e, c in base.assignment.items()})
         start = potentials(g, initial, k, S)
-        events = []
-        out = special_coloring(g, k, S, initial=initial, on_step=lambda e: events.append(e))
+        out, events = special_coloring(g, k, S, initial=initial)
         assert potentials(g, out, k, S).as_tuple() == (0, 0)
         assert is_proper(g, out)
         prev = (start.exposed, start.bridges, INF)

@@ -152,7 +152,7 @@ def test_directory_as_graph_exit_code(capsys, tmp_path):
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, k4_path):
-    def broken(args):
+    def broken(args, report):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._HANDLERS, "bound", broken)
@@ -347,3 +347,38 @@ def test_decompose_dump_on_fail(capsys, tmp_path):
     assert len(dumps) == 1
     state = json.loads(dumps[0].read_text())
     assert "original" in state and "contracted" in state
+
+
+DECOMPOSE_STAGES = [
+    "bound", "regularize", "puncture", "chi-prime", "contract",
+    "special-coloring", "lift", "augment", "map-back", "verify",
+]
+
+
+@pytest.mark.parametrize(
+    "graph,last_stage",
+    [
+        (c5(), "verify"),
+        (random_multigraph(
+            FuzzConfig(n=5, max_multiplicity=5, edge_probability=0.7, seed=200000)
+        ), "special-coloring"),
+        (k3().without_edge(0), "bound"),  # a path: k = 0
+    ],
+)
+def test_decompose_run_report(capsys, tmp_path, graph, last_stage):
+    path = tmp_path / "g.graph"
+    write_graph(graph, str(path))
+    code, first, err = run_cli(capsys, "decompose", str(path))
+    _, second, _ = run_cli(capsys, "decompose", str(path))
+    assert first == second  # no timing reaches stdout
+    payload = json.loads(first)
+    run = json.loads(err)["run"]
+    if code != 0:
+        assert payload["failed_stage"] == last_stage
+    reached = DECOMPOSE_STAGES[: DECOMPOSE_STAGES.index(last_stage) + 1]
+    assert sorted(run["spans_ns"]) == sorted(reached)
+    assert all(isinstance(ns, int) and ns >= 0 for ns in run["spans_ns"].values())
+    if payload["stages"]["k"] >= 1:
+        assert run["counters"]["nodes"] > 0
+    else:
+        assert run["counters"] == {}

@@ -218,3 +218,21 @@ def test_dense_cores_that_exhausted_the_plain_solver_decompose(seed):
     assert result.k == 11 == gupta_bound(g).k
     verdict = verify_decomposition(g, [sorted(c) for c in result.covers])
     assert verdict.ok, verdict.problems
+
+
+def test_run_record_counts_moves_and_stays_out_of_the_payload():
+    # Two planted tight blocks of five vertices each, k = 6: the recoloring
+    # of the contracted graph makes one move.
+    pairs = [(0, 2), (0, 3), (0, 3), (0, 4), (1, 0), (1, 0), (1, 2), (1, 3), (1, 4)]
+    pairs += [(1, 4), (2, 1), (2, 3), (2, 4), (3, 0), (3, 2), (4, 2), (4, 3), (4, 6)]
+    pairs += [(5, 6), (5, 7), (5, 7), (5, 8), (5, 9), (5, 9), (5, 9), (6, 7), (6, 7)]
+    pairs += [(6, 8), (6, 8), (6, 9), (7, 8), (7, 8), (7, 9), (8, 9), (8, 9)]
+    g = build(10, pairs)
+    first = decomposed_ok(g)
+    assert first.k == 6 and first.stages["blocks"] == 2
+    counters = first.run["counters"]
+    assert counters["moves.recolor-first"] == 1
+    assert counters["nodes"] > 0 and counters["prunes"] >= 0
+    second = decompose(g)
+    assert first == second  # spans differ, but the run record is not compared
+    assert "run" not in first.to_dict()

@@ -1,10 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "covdex").glob("*.py"))
+import covdex.decomposer
+import covdex.density
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "covdex").glob("*.py"))
 
 
 def test_sources_found():
@@ -41,3 +46,26 @@ def test_imports_are_the_package_or_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names | {"covdex"}
             ]
     assert found == []
+
+
+def _tracer_layers() -> list[tuple[str, str]]:
+    # Read from the source, so the benchmark's tracer is never imported.
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def test_benchmark_tracer_layers_resolve():
+    # The traced benchmark run wraps each (module, function) in LAYERS and
+    # its self-test patches codensity in decomposer as well as in density.
+    layers = _tracer_layers()
+    assert layers
+    missing = [
+        f"covdex.{module}.{name}"
+        for module, name in layers
+        if not callable(getattr(importlib.import_module(f"covdex.{module}"), name, None))
+    ]
+    assert missing == []
+    assert covdex.decomposer.codensity is covdex.density.codensity

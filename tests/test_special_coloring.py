@@ -60,7 +60,7 @@ def test_potentials_counts_bridge_between_protected_endpoints():
 
 def test_trivial_when_protected_set_empty():
     g = c5()
-    out = special_coloring(g, 1, [])
+    out, _ = special_coloring(g, 1, [])
     assert is_proper(g, out)
     assert potentials(g, out, 1, []).as_tuple() == (0, 0)
 
@@ -68,7 +68,7 @@ def test_trivial_when_protected_set_empty():
 def test_unchanged_when_already_clean():
     g = build(3, [(0, 1), (1, 2)])
     clean = EdgeColoring(4, {0: 1, 1: 2})
-    out = special_coloring(g, 2, [0, 2], initial=clean)
+    out, _ = special_coloring(g, 2, [0, 2], initial=clean)
     assert out.assignment == clean.assignment
 
 
@@ -81,8 +81,7 @@ def test_star_reachable_from_every_proper_coloring():
     for combo in itertools.permutations(range(1, 7), 3):
         initial = EdgeColoring(6, dict(zip(range(3), combo)))
         assert is_proper(g, initial)
-        events = []
-        out = special_coloring(g, k, leaves, initial=initial, on_step=lambda e: events.append(e))
+        out, events = special_coloring(g, k, leaves, initial=initial)
         assert potentials(g, out, k, leaves).as_tuple() == (0, 0)
         assert is_proper(g, out)
         start = potentials(g, initial, k, leaves)
@@ -127,8 +126,7 @@ def test_frozen_instances_exercise_every_branch(seed, n, mm, prob, k, perm, expe
     base = find_coloring(g, k + 2, 200_000)
     start_coloring = scrambled(base, perm)
     start = potentials(g, start_coloring, k, S)
-    events = []
-    out = special_coloring(g, k, S, initial=start_coloring, on_step=lambda e: events.append(e))
+    out, events = special_coloring(g, k, S, initial=start_coloring)
     assert potentials(g, out, k, S).as_tuple() == (0, 0)
     assert is_proper(g, out)
     assert {e["move"] for e in events} == expected_moves
@@ -158,8 +156,7 @@ def test_randomized_instances_converge_with_descending_potential():
         rng.shuffle(perm)
         initial = scrambled(base, perm)
         start = potentials(g, initial, k, S)
-        events = []
-        out = special_coloring(g, k, S, initial=initial, on_step=lambda e: events.append(e))
+        out, events = special_coloring(g, k, S, initial=initial)
         assert potentials(g, out, k, S).as_tuple() == (0, 0)
         assert is_proper(g, out)
         assert_lexicographic_descent(g, k, S, start, events)
