@@ -5,6 +5,7 @@ from .coloring import (
     Chain,
     EdgeColoring,
     chain,
+    chains,
     chromatic_index,
     find_coloring,
     is_proper,

@@ -180,7 +180,11 @@ def _cmd_color(args, report: dict) -> tuple[dict, int]:
 def _cmd_decompose(args, report: dict) -> tuple[dict, int]:
     g = read_graph(args.graph)
     opts = DecomposeOptions(subset_cap=args.cap, color_budget=args.budget)
-    result = decompose(g, opts)
+    try:
+        result = decompose(g, opts)
+    except (TooLarge, BudgetExhausted) as exc:
+        report["run"] = exc.run
+        raise
     report["run"] = result.run
     if isinstance(result, CoverDecomposition):
         payload = result.to_dict()

@@ -7,9 +7,10 @@ over flat per-edge lists with an explicit stack of frames, so it has no
 recursion-depth limit, and its memory grows with the edge count rather
 than the declared vertex count.  It visits the same nodes in the same order
 as the earlier recursive version (kept as the reference in the tests), so
-colorings and node counts are unchanged.  At desk scale it both finds colorings and proves impossibility,
-and a node budget keeps either verdict honest (running out of budget is a
-distinct outcome, never reported as impossibility).
+colorings and node counts are unchanged.  At desk scale it both finds
+colorings and proves impossibility, and a node budget keeps either verdict
+honest (running out of budget is a distinct outcome, never reported as
+impossibility).
 
 Odd-set look-ahead (``find_coloring(..., lookahead=True)``).  The
 obstruction that forces extra colors is odd-set density (Goldberg-Seymour,
@@ -166,6 +167,11 @@ def missing(coloring: EdgeColoring, g: Multigraph, v: int) -> frozenset[int]:
 def _two_color_incidence(
     coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int
 ) -> dict[int, list[Edge]]:
+    if alpha == beta:
+        raise ValueError("chain colors must differ")
+    for c in (alpha, beta):
+        if not (1 <= c <= coloring.palette):
+            raise ValueError(f"color {c} outside palette [1,{coloring.palette}]")
     table: dict[int, list[Edge]] = {}
     for e in g.edges:
         if coloring.assignment[e.id] in (alpha, beta):
@@ -181,12 +187,25 @@ def chain(coloring: EdgeColoring, g: Multigraph, v: int, alpha: int, beta: int) 
     vertex and head toward the smaller neighbor (smaller edge id on a tie,
     which covers the two-vertex parallel-edge cycle).
     """
-    if alpha == beta:
-        raise ValueError("chain colors must differ")
-    for c in (alpha, beta):
-        if not (1 <= c <= coloring.palette):
-            raise ValueError(f"color {c} outside palette [1,{coloring.palette}]")
+    return _component(_two_color_incidence(coloring, g, alpha, beta), v, alpha, beta)
+
+
+def chains(coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int) -> list[Chain]:
+    """Every nontrivial two-color component, each ordered as by chain():
+    the paths, then the cycles, each by first vertex."""
     table = _two_color_incidence(coloring, g, alpha, beta)
+    found: list[Chain] = []
+    seen: set[int] = set()
+    for v in sorted(table):
+        if v not in seen:
+            ch = _component(table, v, alpha, beta)
+            seen.update(ch.vertices)
+            found.append(ch)
+    found.sort(key=lambda ch: (ch.kind == "cycle", ch.vertices[0]))
+    return found
+
+
+def _component(table: dict[int, list[Edge]], v: int, alpha: int, beta: int) -> Chain:
     here = table.get(v, [])
     if not here:
         return Chain(alpha, beta, (v,), (), "path")

@@ -4,8 +4,9 @@ Stages: compute the bound k; split high-degree vertices down to degree
 k+1; puncture one internal edge of every inclusion-minimal optimal set;
 certify the core is (k+2)-edge-colorable; contract the punctured blocks;
 recolor the contracted graph so the two reserve colors avoid the block
-vertices; color each block and splice; orient the reserve subgraph and
-patch the first k color classes into covers; map split edges back.
+vertices; check each block's coloring and splice; orient the reserve
+chains and patch the first k color classes into covers; map split edges
+back.
 
 Every stage re-verifies the counting identities it relies on.  The k-cover
 guarantee is proven under either of two hypotheses: maximum multiplicity
@@ -28,7 +29,14 @@ from time import perf_counter_ns
 from typing import Callable, Mapping, Sequence
 
 from . import dense_lift
-from .coloring import COLOR_BUDGET_DEFAULT, EdgeColoring, find_coloring, is_proper
+from .coloring import (
+    COLOR_BUDGET_DEFAULT,
+    EdgeColoring,
+    chains,
+    find_coloring,
+    is_proper,
+    present,
+)
 from .density import (
     SUBSET_CAP_DEFAULT,
     OddSetTable,
@@ -349,86 +357,40 @@ def orient_and_augment(
     n_original: int,
 ) -> tuple[list[frozenset[int]], Orientation]:
     """Orient the two reserve color classes and patch classes 1..k into
-    sets that each saturate the original vertices."""
+    sets that each saturate the original vertices.
+
+    The reserve subgraph is the union of the (k+1, k+2)-chains.  Each is
+    oriented as ``chains`` orders it (paths, then cycles, each by first
+    vertex), except that a path whose smaller endpoint is designated is
+    reversed, so no designated vertex starts a path."""
     top = k + 2
-    reserve = {
-        eid for eid, c in psi.assignment.items() if c in (k + 1, top)
-    }
-    adj: dict[int, list] = {}
-    for eid in sorted(reserve):
-        e = h1.edge(eid)
-        adj.setdefault(e.u, []).append(e)
-        adj.setdefault(e.v, []).append(e)
     x_set = {p.x for p in punctures}
     for x in sorted(x_set):
-        if len(adj.get(x, [])) > 1:
-            raise AugmentationFailed(
-                f"designated vertex {x} has reserve degree {len(adj[x])}"
-            )
+        if {k + 1, top} <= present(psi, h1, x):
+            raise AugmentationFailed(f"designated vertex {x} has reserve degree 2")
 
     arcs: list[tuple[int, int, int]] = []
-    seen_edges: set[int] = set()
-
-    def walk(start: int, first) -> tuple[list[int], list[int]]:
-        verts, eids = [start], []
-        cur, e = start, first
-        while True:
-            eids.append(e.id)
-            cur = e.other(cur)
-            verts.append(cur)
-            if cur == start:
-                return verts, eids
-            options = [f for f in adj[cur] if f.id != e.id and f.id not in seen_edges]
-            if not options:
-                return verts, eids
-            e = options[0]
-
-    def emit(verts: list[int], eids: list[int]) -> None:
-        for i, eid in enumerate(eids):
-            arcs.append((verts[i], verts[i + 1], eid))
-            seen_edges.add(eid)
-
-    endpoints = sorted(v for v, es in adj.items() if len(es) == 1)
-    for v in endpoints:
-        pending = [e for e in adj[v] if e.id not in seen_edges]
-        if not pending:
-            continue
-        verts, eids = walk(v, pending[0])
-        head, tail = verts[-1], verts[0]
-        if tail in x_set and head in x_set:
-            raise AugmentationFailed(
-                f"reserve path joins designated vertices {tail} and {head}"
-            )
-        if tail in x_set or (head not in x_set and tail > head):
-            verts.reverse()
-            eids.reverse()
-        emit(verts, eids)
-    for v in sorted(adj):
-        pending = [e for e in adj[v] if e.id not in seen_edges]
-        if not pending:
-            continue
-        first = min(
-            pending, key=lambda e: (e.other(v), e.id)
-        )  # cycle: head toward the smaller neighbor, then smaller edge id
-        verts, eids = walk(v, first)
-        if verts[-1] != v:
-            raise AugmentationFailed(f"leftover reserve component at {v} is not a cycle")
-        emit(verts, eids)
+    for ch in chains(psi, h1, k + 1, top):
+        verts, eids = ch.vertices, ch.edges
+        if ch.kind == "path":
+            tail, head = ch.endpoints
+            if tail in x_set and head in x_set:
+                raise AugmentationFailed(
+                    f"reserve path joins designated vertices {tail} and {head}"
+                )
+            if tail in x_set:
+                verts, eids = ch.oriented_from(head)
+        else:
+            verts += verts[:1]
+        arcs += zip(verts, verts[1:], eids)
 
     in_arc = {head: eid for _, head, eid in arcs}
     classes: dict[int, set[int]] = {c: set(psi.color_class(c)) for c in range(1, k + 1)}
-    present_low: dict[int, set[int]] = {v: set() for v in range(n_original)}
-    for eid, c in psi.assignment.items():
-        if c > k:
-            continue
-        e = h1.edge(eid)
-        for w in (e.u, e.v):
-            if w < n_original:
-                present_low[w].add(c)
     y_of = {p.y: p for p in punctures}
+    low = frozenset(range(1, k + 1))
 
     for v in range(n_original):
-        gaps = [c for c in range(1, k + 1) if c not in present_low[v]]
+        gaps = sorted(low - present(psi, h1, v))
         if v in y_of:
             p = y_of[v]
             if len(gaps) > 2:
@@ -486,34 +448,36 @@ def decompose(
     """Run the whole pipeline; never raises on pipeline-semantic failures.
 
     TooLarge and BudgetExhausted (resource caps) still propagate, since
-    they say nothing about the input graph.  The result's ``run`` holds the
+    they say nothing about the input graph; they carry the run record up
+    to the cap as their ``run`` attribute.  The result's ``run`` holds the
     stage spans and counters of this call.
     """
     opts = options or DecomposeOptions()
     run = _Run()
-    # One table for the bound, every split and the puncture.
-    table = OddSetTable(g, g.vertices(), cap=opts.subset_cap)
-    bound = gupta_bound(g, cap=opts.subset_cap, table=table)
-    k = bound.k
-    mu = g.max_multiplicity()
-    hypotheses_held = mu <= 2 or k <= 6
-    stages = run.stages
-    stages.update(
-        delta=bound.delta,
-        codensity="inf" if bound.codensity is None else str(bound.codensity),
-        k=k,
-        mu=mu,
-        hypothesis_multiplicity=mu <= 2,
-        hypothesis_small_k=k <= 6,
-        hypotheses_held=hypotheses_held,
-    )
-    if k <= 0:
-        stages["blocks"] = 0
-        stages["splits"] = 0
-        return CoverDecomposition(k=0, covers=(), stages=stages, run=run.report())
-    run.dump.update(original=lambda: _graph_obj(g), k=lambda: k)
-
+    # Until hypotheses_held is bound, only TooLarge (from the table) can rise.
     try:
+        # One table for the bound, every split and the puncture.
+        table = OddSetTable(g, g.vertices(), cap=opts.subset_cap)
+        bound = gupta_bound(g, cap=opts.subset_cap, table=table)
+        k = bound.k
+        mu = g.max_multiplicity()
+        hypotheses_held = mu <= 2 or k <= 6
+        stages = run.stages
+        stages.update(
+            delta=bound.delta,
+            codensity="inf" if bound.codensity is None else str(bound.codensity),
+            k=k,
+            mu=mu,
+            hypothesis_multiplicity=mu <= 2,
+            hypothesis_small_k=k <= 6,
+            hypotheses_held=hypotheses_held,
+        )
+        if k <= 0:
+            stages["blocks"] = 0
+            stages["splits"] = 0
+            return CoverDecomposition(k=0, covers=(), stages=stages, run=run.report())
+        run.dump.update(original=lambda: _graph_obj(g), k=lambda: k)
+
         run.enter("regularize")
         h, trace = regularize(g, k, cap=opts.subset_cap, table=table)
         stages["splits"] = len(trace.records)
@@ -590,8 +554,7 @@ def decompose(
                 },
             )
             bc = dense_lift.make_block(
-                h1, sorted(p.block), p.x, p.y, k + 2, opts.color_budget,
-                initial=block_start,
+                h1, sorted(p.block), p.x, p.y, k + 2, initial=block_start
             )
             requirements = {
                 e.id: phi2.color_of(e.id)
@@ -618,7 +581,8 @@ def decompose(
         verdict = verify_decomposition(g, covers)
         if not verdict:
             raise AugmentationFailed("; ".join(verdict.problems))
-    except (TooLarge, BudgetExhausted):
+    except (TooLarge, BudgetExhausted) as exc:
+        exc.run = run.report()
         raise
     except CovdexError as exc:
         return FailureReport(

@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .coloring import (
-    COLOR_BUDGET_DEFAULT,
-    EdgeColoring,
-    chain,
-    find_coloring,
-    is_proper,
-    missing,
-)
+from .coloring import EdgeColoring, chain, is_proper, missing
 from .errors import (
     DensityMismatch,
     LiftInvariantViolated,
@@ -55,17 +48,12 @@ class BlockColoring:
         return frozenset(self.vertices)
 
 
-def color_dense_block(
-    block: Multigraph,
-    s: int,
-    budget: int = COLOR_BUDGET_DEFAULT,
-    initial: EdgeColoring | None = None,
-) -> EdgeColoring:
-    """Properly s-color a block with exactly s(|V|-1)/2 edges.
+def color_dense_block(block: Multigraph, s: int, *, initial: EdgeColoring) -> EdgeColoring:
+    """Check a proper s-coloring ``initial`` of a block with exactly
+    s(|V|-1)/2 edges (in the pipeline, a restriction of the certified host
+    coloring) and return it.
 
-    A caller that already holds a proper s-coloring (a restriction of a
-    host coloring) can pass it instead of re-solving.  Either way the
-    structural consequences are verified: every class is a near-perfect
+    The structural consequences are verified: every class is a near-perfect
     matching, missing sets of distinct vertices are disjoint, and each
     vertex is missed by exactly s - d(v) classes.
     """
@@ -74,37 +62,32 @@ def color_dense_block(
         raise DensityMismatch(
             f"block has {len(block.edges)} edges on {n} vertices; expected {s}*({n}-1)/2"
         )
-    if initial is not None:
-        if initial.palette != s or not is_proper(block, initial):
-            raise PreconditionViolated("supplied block coloring is not a proper s-coloring")
-        coloring = initial
-    else:
-        coloring = find_coloring(block, s, budget)
-    if coloring is None:
-        raise LiftInvariantViolated(0, f"dense block admits no {s}-edge-coloring")
+    if initial.palette != s or not is_proper(block, initial):
+        raise PreconditionViolated("supplied block coloring is not a proper s-coloring")
     half = (n - 1) // 2
     for c in range(1, s + 1):
-        if len(coloring.color_class(c)) != half:
+        if len(initial.color_class(c)) != half:
             raise LiftInvariantViolated(0, f"class {c} is not a near-perfect matching")
-    miss = {v: missing(coloring, block, v) for v in block.vertices()}
+    miss = {v: missing(initial, block, v) for v in block.vertices()}
     for v in block.vertices():
         if len(miss[v]) != s - block.degree(v):
             raise LiftInvariantViolated(0, f"vertex {v} missed by {len(miss[v])} classes")
         for w in range(v + 1, n):
             if miss[v] & miss[w]:
                 raise LiftInvariantViolated(0, f"vertices {v},{w} share a missing class")
-    return coloring
+    return initial
 
 
 def make_block(
     host: Multigraph, block_vertices: Sequence[int], x: int, y: int, s: int,
-    budget: int = COLOR_BUDGET_DEFAULT,
-    initial: EdgeColoring | None = None,
+    *,
+    initial: EdgeColoring,
 ) -> BlockColoring:
-    """Induce, density-check, and color one block of the host graph."""
+    """Induce and density-check one block of the host graph, and check its
+    s-coloring ``initial``."""
     verts = tuple(sorted(block_vertices))
     graph = induced_subgraph(host, verts)
-    coloring = color_dense_block(graph, s, budget, initial)
+    coloring = color_dense_block(graph, s, initial=initial)
     return BlockColoring(vertices=verts, graph=graph, coloring=coloring, x=x, y=y)
 
 

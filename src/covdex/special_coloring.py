@@ -25,16 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .coloring import (
-    COLOR_BUDGET_DEFAULT,
-    EdgeColoring,
-    chain,
-    find_coloring,
-    is_proper,
-    kempe_swap,
-    missing,
-    present,
-)
+from .coloring import Chain, EdgeColoring, chain, chains, is_proper, kempe_swap, missing, present
 from .errors import BudgetExhausted, PreconditionViolated, StageAssertionFailed
 from .multigraph import Multigraph
 
@@ -60,18 +51,19 @@ _STAGE = "special-coloring"
 
 def potentials(g: Multigraph, coloring: EdgeColoring, k: int, S: Iterable[int]) -> Potentials:
     """Recompute both counters from scratch."""
-    protected = sorted(set(S))
+    protected = set(S)
     top = k + 2
     exposed = sum(1 for v in protected if top in present(coloring, g, v))
-    bridge_ids: set[frozenset[int]] = set()
-    for x in protected:
-        ch = chain(coloring, g, x, k + 1, top)
-        if ch.kind != "path" or ch.is_trivial:
-            continue
-        p, q = ch.endpoints
-        if p in protected and q in protected and p != q:
-            bridge_ids.add(frozenset(ch.edges))
-    return Potentials(exposed, len(bridge_ids))
+    return Potentials(exposed, len(_bridges(g, coloring, k, protected)))
+
+
+def _bridges(g: Multigraph, coloring: EdgeColoring, k: int, protected: set[int]) -> list[Chain]:
+    """The (k+1, k+2) path-chains joining two protected vertices, in
+    ``chains`` order; with fewer than two protected, none is walked."""
+    if len(protected) < 2:
+        return []
+    walks = chains(coloring, g, k + 1, k + 2)
+    return [ch for ch in walks if ch.kind == "path" and protected.issuperset(ch.endpoints)]
 
 
 def special_coloring(
@@ -79,17 +71,15 @@ def special_coloring(
     k: int,
     S: Iterable[int],
     *,
-    color_budget: int = COLOR_BUDGET_DEFAULT,
-    initial: EdgeColoring | None = None,
+    initial: EdgeColoring,
 ) -> tuple[EdgeColoring, list[dict]]:
     """Produce a proper (k+2)-coloring with both potentials at zero, and
-    the moves that led to it from the start coloring (``initial``, or the
-    solver's coloring within ``color_budget`` nodes).
+    the moves that led to it from the proper (k+2)-coloring ``initial``.
 
     Raises PreconditionViolated when k < 1, when Delta(g) > k+1, when some
-    S-vertex has degree above k/2, or when no (k+2)-coloring exists at all.
-    Raises BudgetExhausted if the move cap is hit (a bug indicator, since
-    termination is otherwise guaranteed).
+    S-vertex has degree above k/2, or when ``initial`` is not a proper
+    (k+2)-coloring.  Raises BudgetExhausted if the move cap is hit (a bug
+    indicator, since termination is otherwise guaranteed).
     """
     protected = sorted(set(S))
     top = k + 2
@@ -101,15 +91,9 @@ def special_coloring(
         if 2 * g.degree(v) > k:
             raise PreconditionViolated(f"vertex {v} has degree {g.degree(v)} > k/2")
 
-    if initial is not None:
-        if initial.palette != top or not is_proper(g, initial):
-            raise PreconditionViolated("initial coloring is not a proper (k+2)-coloring")
-        cur = initial
-    else:
-        found = find_coloring(g, top, color_budget)
-        if found is None:
-            raise PreconditionViolated(f"graph admits no {top}-edge-coloring")
-        cur = found
+    if initial.palette != top or not is_proper(g, initial):
+        raise PreconditionViolated("initial coloring is not a proper (k+2)-coloring")
+    cur = initial
 
     budget = max(1, 10 * len(g.edges) * top * top)
     moves: list[dict] = []
@@ -217,20 +201,10 @@ def _lower_bridges(
 ) -> tuple[EdgeColoring, Potentials]:
     """One outer phase-2 round: return a coloring with fewer bridge chains."""
     top = k + 2
-    x = None
-    for v in protected:
-        if (k + 1) not in present(cur, g, v):
-            continue
-        ch = chain(cur, g, v, k + 1, top)
-        if ch.kind != "path":
-            continue
-        p, q = ch.endpoints
-        other = q if p == v else p
-        if other in protected and other != v:
-            x = v
-            break
-    if x is None:
-        raise StageAssertionFailed(_STAGE, "a positive bridge count implies such a vertex")
+    bridges = _bridges(g, cur, k, set(protected))
+    if not bridges:
+        raise StageAssertionFailed(_STAGE, "a positive bridge count implies a bridge")
+    x = bridges[0].vertices[0]  # the smallest endpoint of any bridge
     start = pot.bridges
     prev_index: int | None = None
 

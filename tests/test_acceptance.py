@@ -185,7 +185,7 @@ def test_criterion_6_special_coloring_suite():
 
 def test_criterion_7_dense_block_suite():
     def check(g, s):
-        coloring = color_dense_block(g, s)
+        coloring = color_dense_block(g, s, initial=find_coloring(g, s))
         half = (g.vertex_count - 1) // 2
         for c in range(1, s + 1):
             assert len(coloring.color_class(c)) == half

@@ -356,29 +356,37 @@ DECOMPOSE_STAGES = [
 
 
 @pytest.mark.parametrize(
-    "graph,last_stage",
+    "graph,flags,last_stage",
     [
-        (c5(), "verify"),
+        (c5(), [], "verify"),
         (random_multigraph(
             FuzzConfig(n=5, max_multiplicity=5, edge_probability=0.7, seed=200000)
-        ), "special-coloring"),
-        (k3().without_edge(0), "bound"),  # a path: k = 0
+        ), [], "special-coloring"),
+        (k3().without_edge(0), [], "bound"),  # a path: k = 0
+        # Capped runs (exit 3, nothing on stdout) still report their run.
+        (c5(), ["--budget", "1"], "chi-prime"),
+        (c5(), ["--cap", "2"], "bound"),
+    ],
+    ids=[
+        "graph0-verify", "graph1-special-coloring", "graph2-bound",
+        "graph3-budget-chi-prime", "graph4-cap-bound",
     ],
 )
-def test_decompose_run_report(capsys, tmp_path, graph, last_stage):
+def test_decompose_run_report(capsys, tmp_path, graph, flags, last_stage):
     path = tmp_path / "g.graph"
     write_graph(graph, str(path))
-    code, first, err = run_cli(capsys, "decompose", str(path))
-    _, second, _ = run_cli(capsys, "decompose", str(path))
+    code, first, err = run_cli(capsys, "decompose", str(path), *flags)
+    _, second, _ = run_cli(capsys, "decompose", str(path), *flags)
     assert first == second  # no timing reaches stdout
-    payload = json.loads(first)
-    run = json.loads(err)["run"]
-    if code != 0:
-        assert payload["failed_stage"] == last_stage
+    run = json.loads(err.splitlines()[0])["run"]  # the run report's line
+    if flags:
+        assert code == 3 and first == ""
+    elif code != 0:
+        assert json.loads(first)["failed_stage"] == last_stage
     reached = DECOMPOSE_STAGES[: DECOMPOSE_STAGES.index(last_stage) + 1]
     assert sorted(run["spans_ns"]) == sorted(reached)
     assert all(isinstance(ns, int) and ns >= 0 for ns in run["spans_ns"].values())
-    if payload["stages"]["k"] >= 1:
+    if "chi-prime" in reached:
         assert run["counters"]["nodes"] > 0
     else:
         assert run["counters"] == {}

@@ -9,6 +9,7 @@ from covdex import (
     BudgetExhausted,
     build,
     chain,
+    chains,
     chromatic_index,
     find_coloring,
     is_proper,
@@ -207,3 +208,12 @@ def test_chains_partition_two_color_subgraph(seed):
             edge_sets.append(frozenset(ch.edges))
     two_colored = {e.id for e in g.edges if coloring.assignment[e.id] in (a, b)}
     assert set().union(*edge_sets) == two_colored if edge_sets else not two_colored
+    # chains() lists each nontrivial component once, as chain() gives it
+    # from any of its vertices: the paths, then the cycles, by first vertex.
+    listed = chains(coloring, g, a, b)
+    assert len(listed) == len(edge_sets)
+    assert {frozenset(ch.edges) for ch in listed} == set(edge_sets)
+    assert listed == sorted(listed, key=lambda ch: (ch.kind == "cycle", ch.vertices[0]))
+    for ch in listed:
+        for v in ch.vertices:
+            assert chain(coloring, g, v, a, b) == ch

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import c5, digon, doubled_triangle, k4, k5, nested_optimal, petersen
 from covdex import (
+    AugmentationFailed,
     CoverDecomposition,
     FailureReport,
     StageAssertionFailed,
@@ -14,7 +15,14 @@ from covdex import (
     regularize,
     verify_decomposition,
 )
-from covdex.decomposer import DecomposeOptions, contract_blocks, puncture
+from covdex.coloring import EdgeColoring
+from covdex.decomposer import (
+    DecomposeOptions,
+    Puncture,
+    contract_blocks,
+    orient_and_augment,
+    puncture,
+)
 from covdex.multigraph import SplitRecord, SplitTrace
 from covdex.oracle import FuzzConfig, random_multigraph
 
@@ -236,3 +244,58 @@ def test_run_record_counts_moves_and_stays_out_of_the_payload():
     second = decompose(g)
     assert first == second  # spans differ, but the run record is not compared
     assert "run" not in first.to_dict()
+
+
+# orient_and_augment on crafted colorings with k = 1: palette 3, the low
+# color 1 and the reserve colors 2 and 3.  A Puncture's block is not read
+# there, and its edge id only joins a cover.
+
+
+def oriented(pairs, colors, punctures=()):
+    g = build(1 + max(max(p) for p in pairs), pairs)
+    psi = EdgeColoring(3, dict(enumerate(colors)))
+    return orient_and_augment(g, psi, list(punctures), 1, g.vertex_count)
+
+
+def designated(x, y=None):
+    return Puncture(frozenset({x}), x, x if y is None else y, 99)
+
+
+def test_orient_two_edge_reserve_cycle_starts_along_smaller_edge_id():
+    # Edges 1 and 2 join 0 and 1 in colors 3 and 2; edge 0 carries color 1.
+    covers, orientation = oriented([(0, 1)] * 3, [1, 3, 2])
+    assert orientation.arcs == ((0, 1, 1), (1, 0, 2))
+    assert covers == [frozenset({0})]
+
+
+def test_orient_even_cycle_starts_at_smallest_vertex_toward_smaller_neighbor():
+    # The 4-cycle 0-3-1-2-0: from 0 the smaller neighbor is 2, over edge 3.
+    _, orientation = oriented([(0, 3), (3, 1), (1, 2), (2, 0)], [2, 3, 2, 3])
+    assert orientation.arcs == ((0, 2, 3), (2, 1, 2), (1, 3, 1), (3, 0, 0))
+
+
+def test_orient_reverses_a_path_whose_smaller_endpoint_is_designated():
+    # The reserve path 0-1-2 with 0 designated (its punctured edge ends at 3)
+    # runs from 2 to 0, so vertex 0, which misses color 1, gets an in-arc.
+    pairs = [(0, 1), (1, 2), (1, 3), (2, 4)]
+    covers, orientation = oriented(pairs, [2, 3, 1, 1], [designated(0, 3)])
+    assert orientation.arcs == ((2, 1, 1), (1, 0, 0))
+    assert covers == [frozenset({0, 2, 3})]
+
+
+def test_orient_rejects_a_reserve_path_between_designated_vertices():
+    punctures = [designated(0), designated(2)]
+    with pytest.raises(AugmentationFailed, match="reserve path joins designated vertices 0 and 2"):
+        oriented([(0, 1), (1, 2)], [2, 3], punctures)
+
+
+def test_orient_rejects_a_designated_vertex_with_both_reserve_colors():
+    with pytest.raises(AugmentationFailed, match="designated vertex 1 has reserve degree 2"):
+        oriented([(0, 1), (1, 2)], [2, 3], [designated(1)])
+
+
+def test_orient_emits_paths_before_cycles():
+    # The reserve digon on 0 and 1 comes after the path 2-3-4.
+    pairs = [(0, 1), (0, 1), (2, 3), (3, 4), (2, 5)]
+    _, orientation = oriented(pairs, [2, 3, 2, 3, 1])
+    assert orientation.arcs == ((2, 3, 2), (3, 4, 3), (0, 1, 0), (1, 0, 1))

@@ -40,7 +40,7 @@ def matching_union(n, s, seed):
 
 
 def test_color_dense_block_k3():
-    coloring = color_dense_block(k3(), 3)
+    coloring = color_dense_block(k3(), 3, initial=find_coloring(k3(), 3))
     for c in range(1, 4):
         assert len(coloring.color_class(c)) == 1
     g = k3()
@@ -50,23 +50,24 @@ def test_color_dense_block_k3():
 
 def test_color_dense_block_k5():
     g = k5()
-    coloring = color_dense_block(g, 5)
+    coloring = color_dense_block(g, 5, initial=find_coloring(g, 5))
     for c in range(1, 6):
         assert len(coloring.color_class(c)) == 2  # near-perfect on 5 vertices
 
 
 def test_color_dense_block_path():
     g = build(3, [(0, 1), (1, 2)])
-    coloring = color_dense_block(g, 2)
+    coloring = color_dense_block(g, 2, initial=find_coloring(g, 2))
     assert coloring.color_class(1) != coloring.color_class(2)
     assert missing(coloring, g, 1) == frozenset()
 
 
 def test_color_dense_block_rejects_wrong_counts():
     with pytest.raises(DensityMismatch):
-        color_dense_block(k3(), 4)  # 3 edges != 4*(3-1)/2
+        color_dense_block(k3(), 4, initial=find_coloring(k3(), 4))  # 3 edges != 4*(3-1)/2
     with pytest.raises(DensityMismatch):
-        color_dense_block(build(4, [(0, 1), (2, 3)]), 1)  # even order
+        even = build(4, [(0, 1), (2, 3)])
+        color_dense_block(even, 1, initial=find_coloring(even, 1))  # even order
 
 
 def test_color_dense_block_accepts_matching_unions():
@@ -75,7 +76,7 @@ def test_color_dense_block_accepts_matching_unions():
         s = 2 + seed % 4
         g = matching_union(n, s, seed)
         assert is_s_dense(g) == s
-        coloring = color_dense_block(g, s)
+        coloring = color_dense_block(g, s, initial=find_coloring(g, s))
         miss = [missing(coloring, g, v) for v in g.vertices()]
         for a, b in itertools.combinations(range(n), 2):
             assert not (miss[a] & miss[b])
@@ -162,7 +163,7 @@ def test_permute_agrees_with_exhaustive_bijection_search():
     while agreements < 40:
         n, s = 5, rng.randint(3, 5)
         block_graph = matching_union(n, s, rng.randrange(10**6))
-        coloring = color_dense_block(block_graph, s)
+        coloring = color_dense_block(block_graph, s, initial=find_coloring(block_graph, s))
         outside = n + 2
         boundary = []
         used_colors = rng.sample(range(1, s + 1), min(s - 1, rng.randint(0, 3)))
@@ -216,7 +217,7 @@ def test_assemble_lift_single_block_no_boundary():
     # outside, so the assembled coloring is the permuted block coloring.
     h1 = doubled_triangle().without_edge(0)
     block_graph = induced_subgraph(h1, {0, 1, 2})
-    coloring = color_dense_block(block_graph, 5)
+    coloring = color_dense_block(block_graph, 5, initial=find_coloring(block_graph, 5))
     bc = BlockColoring(vertices=(0, 1, 2), graph=block_graph, coloring=coloring, x=0, y=1)
     fixed = permute_block_palette(bc, {}, h1, 3)
     outer = EdgeColoring(5, {})

@@ -69,3 +69,18 @@ def test_benchmark_tracer_layers_resolve():
     ]
     assert missing == []
     assert covdex.decomposer.codensity is covdex.density.codensity
+
+
+def test_block_path_never_solves_for_a_coloring():
+    # The recoloring and the lift start from the coloring certified at
+    # chi-prime, so only the solver's own module, decompose's certify step
+    # and the CLI's "color" command name find_coloring in code (the package
+    # __init__ re-exports it by import, which is not a use).
+    users = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "find_coloring")
+        or (isinstance(node, ast.Attribute) and node.attr == "find_coloring")
+    }
+    assert users == {"coloring.py", "decomposer.py", "cli.py"}

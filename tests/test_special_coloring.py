@@ -60,7 +60,7 @@ def test_potentials_counts_bridge_between_protected_endpoints():
 
 def test_trivial_when_protected_set_empty():
     g = c5()
-    out, _ = special_coloring(g, 1, [])
+    out, _ = special_coloring(g, 1, [], initial=find_coloring(g, 3))
     assert is_proper(g, out)
     assert potentials(g, out, 1, []).as_tuple() == (0, 0)
 
@@ -91,23 +91,17 @@ def test_star_reachable_from_every_proper_coloring():
 
 
 def test_precondition_checks():
+    # The first three start colorings are proper, so the named check fails.
     with pytest.raises(PreconditionViolated):
-        special_coloring(k3(), 0, [])
+        special_coloring(k3(), 0, [], initial=find_coloring(k3(), 3))
     with pytest.raises(PreconditionViolated):
-        special_coloring(doubled_triangle(), 1, [])  # max degree 4 > k+1
+        # max degree 4 > k+1
+        special_coloring(doubled_triangle(), 1, [], initial=find_coloring(doubled_triangle(), 6))
     with pytest.raises(PreconditionViolated):
-        special_coloring(k3(), 2, [0])  # degree 2 > k/2
+        special_coloring(k3(), 2, [0], initial=find_coloring(k3(), 4))  # degree 2 > k/2
     with pytest.raises(PreconditionViolated):
         # an improper initial coloring is refused
         special_coloring(k3(), 2, [], initial=EdgeColoring(4, {0: 1, 1: 1, 2: 2}))
-
-
-def test_no_coloring_at_all_is_a_precondition_failure():
-    # 5-cycle with every edge tripled: max degree 6, k = 5, but 15 edges on
-    # 5 vertices force 8 colors, one more than k+2.
-    g = build(5, [(i, (i + 1) % 5) for i in range(5)] * 3)
-    with pytest.raises(PreconditionViolated):
-        special_coloring(g, 5, [])
 
 
 FROZEN_BRANCHES = [
