@@ -8,12 +8,14 @@ lives in the one-line run report on stderr.  Exit codes: 0 ok,
 unreadable, non-UTF-8 or malformed file), 3 size cap or budget hit, 4
 counterexample candidate (a decompose failure on an input outside both
 guarantee hypotheses, multiplicity <= 2 and k <= 6), 5 internal error (an
-unexpected exception, reported as JSON with its traceback on stderr).
-Every numeric option is checked before any work starts, and a value out
-of range is a usage error (exit 2): ``-m``, ``--budget``, ``--cap`` and
-``fuzz --n`` below 0, ``fuzz --max-mult``, ``--jobs`` or ``--count``
-below 1, a ``fuzz --edge-prob`` outside [0, 1], and a ``COVDEX_SEED``
-that is not an integer.
+unexpected exception).  A command stopped by an exception writes nothing
+on stdout, and the run report's "payload" holds the error, the message
+and, for an internal error, the traceback.  Every numeric option is
+checked before any work starts, and a value out of range is a usage
+error (exit 2): ``-m``, ``--budget``, ``--cap`` and ``fuzz --n`` below 0,
+``fuzz --max-mult``, ``--jobs`` or ``--count`` below 1, a
+``fuzz --edge-prob`` outside [0, 1], and a ``COVDEX_SEED`` that is not an
+integer.
 """
 
 from __future__ import annotations
@@ -389,7 +391,6 @@ def main(argv: list[str] | None = None) -> int:
             "traceback": traceback.format_exc(),
         }
         _report(report, "internal-error", err, started)
-        print(json.dumps(err), file=sys.stderr)
         return EXIT_INTERNAL
 
     outcome = "ok"
@@ -406,9 +407,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _error(report: dict, started: float, code: int, error: str, message: str) -> int:
-    err = {"error": error, "message": message}
-    _report(report, "error", err, started)
-    print(json.dumps(err), file=sys.stderr)
+    _report(report, "error", {"error": error, "message": message}, started)
     return code
 
 

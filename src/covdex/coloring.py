@@ -143,14 +143,18 @@ class Chain:
 
 def is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
     """True when every edge has a color in range and no vertex repeats one."""
+    assignment, palette = coloring.assignment, coloring.palette
+    # Per vertex, bit c is set once an edge of color c has been met there.
+    used = [0] * g.vertex_count
     for e in g.edges:
-        c = coloring.assignment.get(e.id)
-        if c is None or not (1 <= c <= coloring.palette):
+        c = assignment.get(e.id)
+        if c is None or not (1 <= c <= palette):
             return False
-    for v in g.vertices():
-        seen = [coloring.assignment[e.id] for e in g.incident(v)]
-        if len(seen) != len(set(seen)):
+        bit = 1 << c
+        if (used[e.u] | used[e.v]) & bit:
             return False
+        used[e.u] |= bit
+        used[e.v] |= bit
     return True
 
 

@@ -259,12 +259,10 @@ def regularize(
     for v in original:
         if h.degree(v) != k + 1:
             raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {h.degree(v)}")
-    # Only the slacks are compared; the per-vertex lists go before the
-    # rebuild reaches its peak.
-    tracked = None if candidates is None else candidates.slacks
-    del candidates
+    if candidates is not None:
+        candidates.end_splits()
     rebuilt = OddSetTable(h, original, cap=cap)
-    if tracked is None:
+    if candidates is None:
         if table.e_plus != rebuilt.e_plus:
             raise StageAssertionFailed("regularize", "odd-set table differs from a rebuild")
         return h, SplitTrace()
@@ -272,7 +270,7 @@ def regularize(
         raise StageAssertionFailed(
             "regularize", f"an odd set fell below the bound {k} unnoticed by the split checks"
         )
-    if any(rebuilt.slack(mask, k) != slack for mask, slack in tracked.items()):
+    if not candidates.agrees_with(rebuilt):
         raise StageAssertionFailed(
             "regularize", "candidate slacks tracked across the splits differ from a rebuild"
         )
@@ -385,7 +383,10 @@ def orient_and_augment(
         arcs += zip(verts, verts[1:], eids)
 
     in_arc = {head: eid for _, head, eid in arcs}
-    classes: dict[int, set[int]] = {c: set(psi.color_class(c)) for c in range(1, k + 1)}
+    classes: dict[int, set[int]] = {c: set() for c in range(1, k + 1)}
+    for eid, c in psi.assignment.items():
+        if c in classes:
+            classes[c].add(eid)
     y_of = {p.y: p for p in punctures}
     low = frozenset(range(1, k + 1))
 

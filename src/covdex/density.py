@@ -36,13 +36,16 @@ on exactly the sets that contain x and miss y, so it lowers their slack,
 which is always even, by 2, and leaves every other slack alone.  A set U
 therefore loses at most 2D(U), where D(U) counts the splits made at U's
 own vertices, and only a set whose slack starts at most 2D(U) can reach 0
-or drop below it.  ``SplitCandidates`` collects those sets in one pass
-over the table and keeps their slacks split by split; when every vertex
-is split down to degree k+1 they are exactly the dense sets, with at
-least (k+2)(|U|-1)/2 + 1 internal edges.  ``decompose`` builds one table,
-reads the bound from it, lets ``regularize`` check its splits over the
-candidates, and reads the optimal sets for the puncture from the table
-that ``regularize`` rebuilt from the final graph.
+or drop below it.  ``SplitCandidates`` selects those sets and keeps their
+slacks split by split, both on packed lanes like the table's build: the
+selection tests 2^14 masks with one lane-wise subtraction, and each split
+is a few operations on one int that holds a lane per candidate.  When
+every vertex is split down to degree k+1 the candidates are exactly the
+dense sets, with at least (k+2)(|U|-1)/2 + 1 internal edges.
+``decompose`` builds one table, reads the bound from it, lets
+``regularize`` check its splits over the candidates, and reads the
+optimal sets for the puncture from the table that ``regularize`` rebuilt
+from the final graph.
 
 Witnesses follow the enumeration order of odd subsets by increasing size,
 then lexicographic in universe order.
@@ -54,6 +57,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import BadSet, DisjointnessViolation, TooLarge
@@ -63,10 +67,42 @@ SUBSET_CAP_DEFAULT = 24
 
 # bytes.translate table adding one to every byte value.
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
-# Bits per e+ count in the table's array('i').
+# bytes.translate table from a set size to 1 for the odd sizes >= 3, else 0.
+_ODD_SET = bytes(size % 2 == 1 and size >= 3 for size in range(256))
+# Bits per lane of a packed int, the width of an array('i') item.
 _LANE = 8 * array("i").itemsize
 # Above every e+ value an array('i') can hold.
 _NO_SET = 1 << (_LANE - 1)
+# Added to every lane of the split candidates, so that the bit it sets is
+# clear exactly when the lane's value without it is negative.
+_OFFSET = 1 << (_LANE - 2)
+# The split candidates are selected 2^_CHUNK_BITS masks at a time.
+_CHUNK_BITS = 14
+
+
+def _pack(values: array) -> int:
+    """One lane per item of an array('i'), item 0 lowest."""
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return int.from_bytes(values, "little")
+
+
+def _unpack(packed: int, count: int) -> array:
+    """The lowest count lanes of a packed int as an array('i'); every lane
+    must be below 2^(_LANE-1) and every higher lane 0."""
+    values = array("i")
+    values.frombytes(packed.to_bytes(_LANE // 8 * count, "little"))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
+def _byte_lanes(data: bytes) -> int:
+    """One lane per byte of data, holding the byte's value."""
+    lanes = bytearray(_LANE // 8 * len(data))
+    lanes[:: _LANE // 8] = data
+    return int.from_bytes(lanes, "little")
 
 
 @dataclass(frozen=True)
@@ -144,13 +180,7 @@ class OddSetTable:
             packed |= row << (_LANE << i)
             del row
             sizes += sizes.translate(_PLUS_ONE)
-        data = packed.to_bytes(_LANE // 8 << n, "little")
-        del packed
-        e_plus = array("i")
-        e_plus.frombytes(data)
-        if sys.byteorder == "big":
-            e_plus.byteswap()
-        self.e_plus = e_plus
+        self.e_plus = _unpack(packed, 1 << n)
         self.sizes = sizes
         self._minima: tuple[list[int], list[list[int]]] | None = None
 
@@ -211,7 +241,7 @@ class OddSetTable:
     def _need(self, k: int) -> list[int]:
         """e+ at slack 0 per set size: k(s+1)/2 for the odd sizes s >= 3,
         and for the sizes that are never odd sets -2^(_LANE-1), which is
-        below every count, also less any split count of an array('i')."""
+        below every count."""
         need = [-_NO_SET] * (len(self.universe) + 1)
         for s in range(3, len(self.universe) + 1, 2):
             need[s] = k * (s + 1) // 2
@@ -283,51 +313,107 @@ class SplitCandidates:
     odd set reaches slack 0 at any point of the run.  When the plan takes
     every vertex down to degree k+1 (D(U) = sum of deg - (k+1)), the test
     reads 2e_in(U) >= (k+2)|U| - k, and the candidates are the dense sets.
+
+    Both the selection and the tracking run on packed lanes.  The test
+    2e+(U) <= k(|U|+1) + 2D(U) is one lane-wise subtraction per chunk of
+    2^_CHUNK_BITS masks: the right side is k plus a weight k + 2D({i}) per
+    vertex of U, doubled over the chunk's low bits like the table's build,
+    and the chunk's high bits add a constant.  The candidates' slacks, each
+    plus 2^(_LANE-2), are lanes of one int in increasing mask order, and
+    every vertex of the universe has a membership int with a 1 in the lanes
+    of the candidates that contain it.  A split subtracts 2 from the lanes
+    of x's membership that are not in y's.  Every lane stays in
+    [0, 2^(_LANE-1)), which is checked before anything is packed.
     """
 
     def __init__(self, table: OddSetTable, k: int, splits: Sequence[int]):
-        # D(U) for every mask, doubled one vertex at a time.
-        planned = array("i", [0])
-        for made in splits:
-            planned += array("i", map(made.__add__, planned)) if made else planned
-        need = table._need(k)
-        # slack <= 2D(U) is e+(U) - D(U) <= k(|U|+1)/2.
-        self.slacks = {
-            mask: 2 * count - k * (size + 1)
-            for mask, count, size, spent in zip(
-                range(len(table.e_plus)), table.e_plus, table.sizes, planned
+        n = len(table.universe)
+        # k(|U|+1) + 2D(U) is k plus the weights of U's vertices.
+        weights = [k + 2 * made for made in splits]
+        # Every lane below is 2^(_LANE-2) plus at most k + sum(weights),
+        # less at most twice the largest count.
+        if k + sum(weights) + 2 * table.e_plus[-1] >= _OFFSET:
+            raise TooLarge(
+                f"slacks of the split candidates over {n} vertices do not fit "
+                f"{_LANE}-bit lanes"
             )
-            if count - spent <= need[size]
-        }
-        del planned
+        low = min(n, _CHUNK_BITS)
+        size = 1 << low
+        # Lane l: 2^(_LANE-2) + k + the weights of l's vertices, for the
+        # low masks l of a chunk; chunk_ones is the repunit over its lanes.
+        bound, chunk_ones = _OFFSET + k, 1
+        for i, weight in enumerate(weights[:low]):
+            shift = _LANE << i
+            bound |= (bound + weight * chunk_ones) << shift
+            chunk_ones |= chunk_ones << shift
+        # The weights of each chunk's high bits, doubled the same way.
+        high = [0]
+        for weight in weights[low:]:
+            high += [extra + weight for extra in high]
+        masks = array("i")
+        for h, extra in enumerate(high):
+            start = h << low
+            # Bit _LANE-2 of a lane is set exactly when 2e+(U) is at most
+            # k(|U|+1) + 2D(U); only the odd sets of size >= 3 are kept.
+            over = bound + extra * chunk_ones - (_pack(table.e_plus[start:start + size]) << 1)
+            odd = _byte_lanes(table.sizes[start:start + size].translate(_ODD_SET))
+            flags = over >> (_LANE - 2) & odd
+            if flags:
+                masks.extend(compress(range(start, start + size), _unpack(flags, size)))
+        self._masks = masks
         self._position = table._position
-        # Per vertex, the candidates it belongs to; no split happens at a
-        # vertex with none planned.
-        self._containing = [
-            [mask for mask in self.slacks if mask >> i & 1] if made else []
-            for i, made in enumerate(splits)
-        ]
+        ones = _byte_lanes(b"\1" * len(masks))
+        packed = _pack(masks)
+        self._member = [packed >> i & ones for i in range(n)]
+        del packed
+        # 2^(_LANE-2) - k(|U|+1) per candidate; a lane is this plus 2e+(U).
+        self._base = (_OFFSET - k) * ones - k * sum(self._member)
+        self._lanes = self._slack_lanes(table)
+        self._offsets = _OFFSET * ones
+        # Added to a lane below 2^(_LANE-1), sets its top bit unless it is 0.
+        self._to_top = (_NO_SET - 1) * ones
+
+    def _slack_lanes(self, table: OddSetTable) -> int:
+        counts = _pack(array("i", map(table.e_plus.__getitem__, self._masks)))
+        return (counts << 1) + self._base
+
+    @property
+    def slacks(self) -> dict[int, int]:
+        """Each candidate's mask with its current slack."""
+        lanes = _unpack(self._lanes, len(self._masks))
+        return dict(zip(self._masks, map((-_OFFSET).__add__, lanes)))
 
     def split(self, x: int, y: int) -> tuple[bool, list[int]]:
         """Account for ``split_off`` moving edge (x, y) off x, one of the
         planned splits: the candidates that contain x and miss y (a y
         outside the universe is missed by every set) lose 2 slack.  Returns
         whether one of them is now below 0, and the masks of those now at
-        exactly 0."""
-        y_bit = 1 << self._position[y] if y in self._position else 0
-        slacks = self.slacks
-        dropped = False
-        tight = []
-        for mask in self._containing[self._position[x]]:
-            if not mask & y_bit:
-                slack = slacks[mask] - 2
-                slacks[mask] = slack
-                if slack <= 0:
-                    if slack:
-                        dropped = True
-                    else:
-                        tight.append(mask)
-        return dropped, tight
+        exactly 0, in increasing order."""
+        touched = self._member[self._position[x]]
+        if y in self._position:
+            touched &= ~self._member[self._position[y]]
+        self._lanes -= touched << 1
+        lanes = self._lanes
+        # A lane's offset bit is clear exactly when its slack is negative.
+        dropped = (lanes >> (_LANE - 2)) & touched != touched
+        # XOR leaves 0 in the lanes at slack 0, and the addition then sets
+        # the top bit of every other lane.
+        zero = touched & ~(((lanes ^ self._offsets) + self._to_top) >> (_LANE - 1))
+        if not zero:
+            return dropped, []
+        return dropped, list(compress(self._masks, _unpack(zero, len(self._masks))))
+
+    def end_splits(self) -> None:
+        """Drop what only ``split`` reads, the membership ints above all,
+        so that a rebuild after the last split peaks without them; no split
+        may follow."""
+        self._member = self._offsets = self._to_top = None
+
+    def agrees_with(self, table: OddSetTable) -> bool:
+        """Whether every candidate's tracked slack equals its slack in
+        ``table``, a table over the same universe (such as one rebuilt
+        after the splits)."""
+        return self._lanes == self._slack_lanes(table)
 
 
 def e_plus(g: Multigraph, vertex_set: Iterable[int]) -> int:

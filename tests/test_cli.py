@@ -141,14 +141,14 @@ def test_binary_graph_file_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bound", str(path))
     assert code == 2
     assert out == ""
-    assert json.loads(err.splitlines()[-1])["error"] == "UnicodeDecodeError"
+    assert json.loads(err)["payload"]["error"] == "UnicodeDecodeError"
 
 
 def test_directory_as_graph_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bound", str(tmp_path))
     assert code == 2
     assert out == ""
-    assert json.loads(err.splitlines()[-1])["error"] == "IsADirectoryError"
+    assert json.loads(err)["payload"]["error"] == "IsADirectoryError"
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, k4_path):
@@ -159,7 +159,8 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, k4_path)
     code, out, err = run_cli(capsys, "bound", k4_path)
     assert code == 5
     assert out == ""
-    report, error = (json.loads(line) for line in err.splitlines())
+    report = json.loads(err)
+    error = report["payload"]
     assert report["outcome"] == "internal-error"
     assert error["error"] == "RuntimeError" and error["message"] == "boom"
     assert "RuntimeError: boom" in error["traceback"]
@@ -246,7 +247,8 @@ def test_fuzz_rejects_bad_counts_and_seeds(capsys, monkeypatch, argv, env_seed):
     code, out, err = run_cli(capsys, "fuzz", "--n", "4", *argv)
     assert code == 2
     assert out == ""
-    report, error = (json.loads(line) for line in err.splitlines())
+    report = json.loads(err)
+    error = report["payload"]
     assert report["outcome"] == "error"
     assert error["error"] == "usage" and "traceback" not in error
 
@@ -271,7 +273,8 @@ def test_out_of_range_numbers_are_usage_errors(capsys, k4_path, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    report, error = (json.loads(line) for line in err.splitlines())
+    report = json.loads(err)
+    error = report["payload"]
     assert report["outcome"] == "error"
     assert error["error"] == "usage" and "traceback" not in error
     assert error["message"].startswith(f"argument {option}:")

@@ -217,3 +217,51 @@ def test_chains_partition_two_color_subgraph(seed):
     for ch in listed:
         for v in ch.vertices:
             assert chain(coloring, g, v, a, b) == ch
+
+
+def list_and_set_is_proper(g, coloring):
+    """is_proper as it was written before its one-pass form: a range check
+    over the edges, then a list and a set of the colors at each vertex."""
+    for e in g.edges:
+        c = coloring.assignment.get(e.id)
+        if c is None or not (1 <= c <= coloring.palette):
+            return False
+    for v in g.vertices():
+        seen = [coloring.assignment[e.id] for e in g.incident(v)]
+        if len(seen) != len(set(seen)):
+            return False
+    return True
+
+
+def test_is_proper_matches_the_list_and_set_check():
+    rng = random.Random(31)
+    verdicts = {True: 0, False: 0}
+    faults = {"missing": 0, "out of range": 0, "repeated": 0}
+    for seed in range(600):
+        g = random_multigraph(
+            FuzzConfig(n=rng.randint(1, 8), max_multiplicity=rng.randint(1, 3), seed=seed)
+        )
+        # A greedy proper coloring, then at most one fault of each kind.
+        assignment = {}
+        for e in g.edges:
+            near = {assignment.get(f.id) for w in (e.u, e.v) for f in g.incident(w)}
+            assignment[e.id] = min(c for c in range(1, len(near) + 2) if c not in near)
+        palette = max(assignment.values(), default=1) + rng.choice((0, 0, 1))
+        if len(g.edges) >= 2 and rng.random() < 0.3:
+            e = rng.choice(g.edges)
+            neighbors = [f for w in (e.u, e.v) for f in g.incident(w) if f.id != e.id]
+            if neighbors:
+                assignment[e.id] = assignment[rng.choice(neighbors).id]
+                faults["repeated"] += 1
+        if g.edges and rng.random() < 0.2:
+            del assignment[rng.choice(g.edges).id]
+            faults["missing"] += 1
+        if g.edges and rng.random() < 0.2:
+            assignment[rng.choice(g.edges).id] = rng.choice((0, -1, palette + 1, palette + 7))
+            faults["out of range"] += 1
+        coloring = EdgeColoring(palette, assignment)
+        verdict = is_proper(g, coloring)
+        assert verdict == list_and_set_is_proper(g, coloring)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 100
+    assert min(faults.values()) >= 50
