@@ -171,12 +171,6 @@ class _Run:
         return {key: thunk() for key, thunk in self.dump.items()}
 
 
-def _below_bound(table: OddSetTable, k: int) -> bool:
-    """Whether some odd set has negative slack (a full scan)."""
-    slack = table.min_slack(k)
-    return slack is not None and slack < 0
-
-
 def regularize(
     g: Multigraph,
     k: int,
@@ -197,11 +191,11 @@ def regularize(
     of that over U, the dense sets, can reach slack 0 or drop below it
     (see ``SplitCandidates``).  Each split is checked over the candidates
     it changes, and the tight list only grows; a k above the bound fails
-    at the first split.  Afterwards a table rebuilt from the final graph
-    must have no odd set below the bound, which also clears every graph in
-    between because no slack ever rises, and must agree with every tracked
-    candidate slack; ``table`` then takes over its counts and scan.  With
-    no split, ``table`` must equal the rebuild."""
+    at the first split.  Afterwards ``table`` is counted again from the
+    final graph (see ``OddSetTable.recount``); it must have no odd set
+    below the bound, which also clears every graph in between because no
+    slack ever rises, and must agree with every tracked candidate slack.
+    With no split, ``table`` must equal a rebuild."""
     n = g.vertex_count
     original = range(n)
     incidence: dict[int, dict[int, int]] = {v: {} for v in original}
@@ -247,7 +241,7 @@ def regularize(
             records.append(SplitRecord(new_vertex, x, eid, next_id))
             next_id += 1
             dropped, became_tight = candidates.split(x, y)
-            if dropped or (len(records) == 1 and _below_bound(table, k)):
+            if dropped or (len(records) == 1 and table.below(k)):
                 h = Multigraph(n + len(records), tuple(edges.values()))
                 value, witness = codensity(h, restrict_to=original, cap=cap)
                 raise CodensityDropped(
@@ -259,22 +253,20 @@ def regularize(
     for v in original:
         if h.degree(v) != k + 1:
             raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {h.degree(v)}")
-    if candidates is not None:
-        candidates.end_splits()
-    rebuilt = OddSetTable(h, original, cap=cap)
     if candidates is None:
-        if table.e_plus != rebuilt.e_plus:
+        if table.e_plus != OddSetTable(h, original, cap=cap).e_plus:
             raise StageAssertionFailed("regularize", "odd-set table differs from a rebuild")
         return h, SplitTrace()
-    if _below_bound(rebuilt, k):
+    candidates.end_splits()
+    table.recount(h, cap=cap)
+    if table.below(k):
         raise StageAssertionFailed(
             "regularize", f"an odd set fell below the bound {k} unnoticed by the split checks"
         )
-    if not candidates.agrees_with(rebuilt):
+    if not candidates.agrees_with(table):
         raise StageAssertionFailed(
             "regularize", "candidate slacks tracked across the splits differ from a rebuild"
         )
-    table.adopt(rebuilt)
     return h, SplitTrace(tuple(records))
 
 
@@ -424,22 +416,27 @@ def map_back(
 def _extend_to_pendants(
     h1: Multigraph, core: EdgeColoring, palette: int
 ) -> EdgeColoring:
+    """Color every edge of h1 that core leaves uncolored, in edge-id order,
+    with the lowest color free at both ends."""
     colors = dict(core.assignment)
+    # Bit c of used[v] is set when an edge at v has color c.
+    used = [0] * h1.vertex_count
+    for e in h1.edges:
+        if e.id in colors:
+            bit = 1 << colors[e.id]
+            used[e.u] |= bit
+            used[e.v] |= bit
+    palette_bits = (1 << (palette + 1)) - 2
     for e in sorted(h1.edges, key=lambda e: e.id):
         if e.id in colors:
             continue
-        used = {
-            colors[f.id]
-            for w in (e.u, e.v)
-            for f in h1.incident(w)
-            if f.id in colors
-        }
-        for c in range(1, palette + 1):
-            if c not in used:
-                colors[e.id] = c
-                break
-        else:
+        free = palette_bits & ~(used[e.u] | used[e.v])
+        if not free:
             raise StageAssertionFailed("chi-prime", f"no free color for pendant edge {e.id}")
+        bit = free & -free
+        colors[e.id] = bit.bit_length() - 1
+        used[e.u] |= bit
+        used[e.v] |= bit
     return EdgeColoring(palette, colors)
 
 

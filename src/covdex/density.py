@@ -22,12 +22,16 @@ cap of 24 vertices; while it is built, the packed int and its temporaries
 take about three times that.  The cap guards runtime and memory, not
 correctness, and is checked before anything is allocated.
 
-One scan over the table finds the minimum e+ of each odd size and the
-masks that reach it, and the table keeps that answer.  ``codensity`` and
-``min_slack`` read the minima, the witness is the first minimizer, and
-the tight sets for a k are the minimizers of the sizes whose minimum has
-slack 0, as long as no odd set has negative slack (otherwise
-``tight_sets`` scans every mask).
+The table's questions are answered by passes over packed lanes, 2^14
+masks (a chunk) at a time: the chunk's counts go one per lane, and the
+repunit, the widths |U|+1 and the flags of the odd sets of size >= 3 are
+constant lanes, cached per number of high bits.  ``codensity`` flags the
+odd sets whose ratio is at most the least ratio a/b met so far (at first
+the best 3-set's or largest odd set's), reads only those, and lowers a/b
+as it goes; a/b never drops below the co-density, so every minimizer is
+flagged, and the table keeps them.  For k up to the co-density nothing is
+below the bound and the tight sets are the minimizers at k equal to it;
+any other k takes one fused pass, kept per k, that finds both.
 
 For a given k, a set's integer slack is 2e+(U) - k(|U|+1): an odd set is
 optimal exactly when its slack is 0, and k <= co-density exactly when no
@@ -44,8 +48,8 @@ every vertex is split down to degree k+1 the candidates are exactly the
 dense sets, with at least (k+2)(|U|-1)/2 + 1 internal edges.
 ``decompose`` builds one table, reads the bound from it, lets
 ``regularize`` check its splits over the candidates, and reads the
-optimal sets for the puncture from the table that ``regularize`` rebuilt
-from the final graph.
+optimal sets for the puncture from the same table, which ``regularize``
+counts again from the final graph.
 
 Witnesses follow the enumeration order of odd subsets by increasing size,
 then lexicographic in universe order.
@@ -57,8 +61,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from typing import Iterable, Sequence
+from functools import lru_cache
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadSet, DisjointnessViolation, TooLarge
 from .multigraph import Multigraph
@@ -71,7 +76,7 @@ _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 _ODD_SET = bytes(size % 2 == 1 and size >= 3 for size in range(256))
 # Bits per lane of a packed int, the width of an array('i') item.
 _LANE = 8 * array("i").itemsize
-# Above every e+ value an array('i') can hold.
+# The top bit of a lane, above every e+ value an array('i') can hold.
 _NO_SET = 1 << (_LANE - 1)
 # Added to every lane of the split candidates, so that the bit it sets is
 # clear exactly when the lane's value without it is negative.
@@ -103,6 +108,45 @@ def _byte_lanes(data: bytes) -> int:
     lanes = bytearray(_LANE // 8 * len(data))
     lanes[:: _LANE // 8] = data
     return int.from_bytes(lanes, "little")
+
+
+def _flagged(items: Sequence[int], flags: int, bit: int = 0) -> list[int]:
+    """The items whose lane in flags has the given bit set; every other bit
+    of the flags must be clear.  The cost grows with the number found."""
+    if not flags:
+        return []
+    step = _LANE // 8
+    lanes = flags.to_bytes(step * len(items), "little")[bit // 8::step]
+    flag = bytes([1 << bit % 8])
+    found = []
+    at = lanes.find(flag)
+    while at >= 0:
+        found.append(items[at])
+        at = lanes.find(flag, at + 1)
+    return found
+
+
+@lru_cache(maxsize=None)
+def _start_sets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks of the 3-sets of n >= 3 bits, and of the largest odd sets."""
+    full = (1 << n) - 1
+    largest = (full,) if n % 2 else tuple(full ^ (1 << i) for i in range(n))
+    return tuple(1 << i | 1 << j | 1 << l for i, j, l in combinations(range(n), 3)), largest
+
+
+@lru_cache(maxsize=None)
+def _chunk_lanes(low: int, high: int) -> tuple[int, int, int]:
+    """The constant lanes of a chunk of 2^low masks whose high part has
+    ``high`` bits: the repunit, |U|+1 for each mask's set U, and bit
+    _LANE-2 (the flag bit) set in the lanes of the odd sets of size >= 3."""
+    sizes = bytearray([high])
+    for _ in range(low):
+        sizes += sizes.translate(_PLUS_ONE)
+    return (
+        _byte_lanes(b"\1" * len(sizes)),
+        _byte_lanes(sizes.translate(_PLUS_ONE)),
+        _byte_lanes(sizes.translate(_ODD_SET)) << (_LANE - 2),
+    )
 
 
 @dataclass(frozen=True)
@@ -182,7 +226,8 @@ class OddSetTable:
             sizes += sizes.translate(_PLUS_ONE)
         self.e_plus = _unpack(packed, 1 << n)
         self.sizes = sizes
-        self._minima: tuple[list[int], list[list[int]]] | None = None
+        self._codensity: tuple[Fraction | None, OddSetCertificate | None, list[int]] | None = None
+        self._bounds: dict[int, tuple[bool, list[int]]] = {}
 
     def _positions(self, mask: int) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.universe)) if mask >> i & 1)
@@ -191,81 +236,128 @@ class OddSetTable:
         count = self.e_plus[mask]
         return OddSetCertificate(vertices, count, Fraction(2 * count, len(vertices) + 1))
 
-    def _size_minima(self) -> tuple[list[int], list[list[int]]]:
-        """The minimum e+ per odd size s >= 3 and the masks, in increasing
-        order, that reach it, from one scan cached on the table.  The
-        other sizes read -1 with no masks."""
-        if self._minima is None:
-            n = len(self.universe)
-            # -1 is below every count, so the scan skips those sizes.
-            lowest = [-1] * (n + 1)
-            for s in range(3, n + 1, 2):
-                lowest[s] = _NO_SET
-            reach: list[list[int]] = [[] for _ in range(n + 1)]
-            for mask, count, size in zip(range(len(self.e_plus)), self.e_plus, self.sizes):
-                if count <= lowest[size]:
-                    if count < lowest[size]:
-                        lowest[size] = count
-                        reach[size] = [mask]
-                    else:
-                        reach[size].append(mask)
-            self._minima = lowest, reach
-        return self._minima
+    def _chunks(self) -> Iterator[tuple[range, int, int, int, int]]:
+        """Per chunk of 2^_CHUNK_BITS masks, in increasing order: its masks,
+        their counts packed one per lane, and the chunk's repunit, widths
+        |U|+1 and odd-set flags (see ``_chunk_lanes``)."""
+        n = len(self.universe)
+        low = min(n, _CHUNK_BITS)
+        size = 1 << low
+        for start in range(0, 1 << n, size):
+            yield (
+                range(start, start + size),
+                _pack(self.e_plus[start:start + size]),
+                *_chunk_lanes(low, (start >> low).bit_count()),
+            )
 
-    def min_slack(self, k: int) -> int | None:
-        """Minimum of 2e+(U) - k(|U|+1) over odd U of size >= 3, or None
-        when the universe has no such set."""
-        lowest, _ = self._size_minima()
-        return min(
-            (2 * lowest[s] - k * (s + 1) for s in range(3, len(self.universe) + 1, 2)),
-            default=None,
-        )
+    def _ratio_pass(self) -> tuple[Fraction | None, OddSetCertificate | None, list[int]]:
+        """The co-density, its witness and every minimizer, in increasing
+        order, from one pass that flags the odd sets at or below the least
+        ratio a/b met so far."""
+        n = len(self.universe)
+        if n < 3:
+            return None, None, []
+        e_plus, sizes = self.e_plus, self.sizes
+        # Any odd set's ratio is at least the co-density; the best 3-set or
+        # largest odd set starts the threshold close to it.
+        a = b = 0
+        for masks in _start_sets(n):
+            twice, width = 2 * min(map(e_plus.__getitem__, masks)), sizes[masks[0]] + 1
+            if not b or twice * b < a * width:
+                a, b = twice, width
+        # A lane below is 2^(_LANE-2) plus a(|U|+1), less 2b e+(U): a is the
+        # start's or at most 2e+(V) and b at most n+1, so neither term
+        # reaches 2^(_LANE-2).
+        if (n + 1) * (a + 2 * e_plus[-1]) >= _OFFSET:
+            raise TooLarge(
+                f"ratios of the odd sets over {n} vertices do not fit {_LANE}-bit lanes"
+            )
+        kept: list[int] = []
+        for masks, counts, ones, widths, odd in self._chunks():
+            # The flag bit of a lane is set exactly when 2e+(U)/(|U|+1) <= a/b.
+            flags = _OFFSET * ones + a * widths - 2 * b * counts & odd
+            for mask in _flagged(masks, flags, _LANE - 2):
+                twice, width = 2 * e_plus[mask], sizes[mask] + 1
+                if twice * b < a * width:
+                    a, b, kept = twice, width, [mask]
+                elif twice * b == a * width:
+                    kept.append(mask)
+        least = min(map(sizes.__getitem__, kept))
+        mask = min((m for m in kept if sizes[m] == least), key=self._positions)
+        witness = self._certificate(mask, tuple(self.universe[i] for i in self._positions(mask)))
+        return witness.ratio, witness, kept
 
     def codensity(self) -> tuple[Fraction | None, OddSetCertificate | None]:
         """Minimum of e+(U) / ((|U|+1)/2) over odd U of size >= 3, with the
         first minimizer in (size, lexicographic) order as witness."""
-        lowest, reach = self._size_minima()
-        best: int | None = None
-        for s in range(3, len(self.universe) + 1, 2):
-            # e(s)/(s+1) < e(best)/(best+1), cross-multiplied.
-            if best is None or lowest[s] * (best + 1) < lowest[best] * (s + 1):
-                best = s
-        if best is None:
-            return None, None
-        mask = min(reach[best], key=self._positions)
-        witness = self._certificate(
-            mask, tuple(self.universe[i] for i in self._positions(mask))
-        )
-        return witness.ratio, witness
+        if self._codensity is None:
+            self._codensity = self._ratio_pass()
+        value, witness, _ = self._codensity
+        return value, witness
 
-    def _need(self, k: int) -> list[int]:
-        """e+ at slack 0 per set size: k(s+1)/2 for the odd sizes s >= 3,
-        and for the sizes that are never odd sets -2^(_LANE-1), which is
-        below every count."""
-        need = [-_NO_SET] * (len(self.universe) + 1)
-        for s in range(3, len(self.universe) + 1, 2):
-            need[s] = k * (s + 1) // 2
-        return need
+    def _bound_pass(self, k: int) -> tuple[bool, list[int]]:
+        """Whether some odd set of size >= 3 has negative slack, and the
+        masks of those at slack 0, in increasing order, from one pass."""
+        n = len(self.universe)
+        # Every lane below is 2^(_LANE-2) plus 2e+(U) <= 2e+(V), less
+        # k(|U|+1) <= k(n+1).
+        if k * (n + 1) + 2 * self.e_plus[-1] >= _OFFSET:
+            raise TooLarge(
+                f"slacks of the odd sets over {n} vertices at k = {k} do not fit "
+                f"{_LANE}-bit lanes"
+            )
+        below, tight = False, []
+        for masks, counts, ones, widths, odd in self._chunks():
+            # 2^(_LANE-2) plus the slack: the flag bit is set exactly when
+            # the slack is not negative.
+            lanes = (counts << 1) + _OFFSET * ones - k * widths
+            above = lanes & odd
+            below = below or above != odd
+            # The guard keeps every lane above 0, so subtracting 1 borrows
+            # across no lane and clears the flag bit of exactly the lanes
+            # at slack 0 among those.
+            tight += _flagged(masks, above ^ (lanes - ones) & above, _LANE - 2)
+        return below, tight
+
+    def _at(self, k: int) -> tuple[bool, list[int]]:
+        """``_bound_pass(k)``, read off the cached co-density for k at most
+        the co-density (nothing is below it, and only at the co-density
+        itself are its minimizers tight), and otherwise cached per k."""
+        if self._codensity is not None:
+            value, _, minimizers = self._codensity
+            if value is None or k <= value:
+                return False, minimizers if k == value else []
+        if k not in self._bounds:
+            self._bounds[k] = self._bound_pass(k)
+        return self._bounds[k]
+
+    def below(self, k: int) -> bool:
+        """Whether some odd set of size >= 3 has slack below 0, that is,
+        whether k is above the co-density."""
+        return self._at(k)[0]
 
     def tight_sets(self, k: int) -> list[int]:
         """Masks of the odd sets of size >= 3 with slack 0 (the optimal
         sets), in increasing order."""
-        need = self._need(k)
-        lowest, reach = self._size_minima()
-        if all(low >= want for low, want in zip(lowest, need)):
-            # No odd set is below the bound, so the tight sets of a size
-            # are its minimizers when the minimum is exactly tight.
-            return sorted(
-                mask
-                for low, want, masks in zip(lowest, need, reach)
-                if low == want
-                for mask in masks
+        return list(self._at(k)[1])
+
+    def _ordered(self, masks: Iterable[int]) -> list[int]:
+        """The masks by set size, then lexicographic in universe order."""
+        return sorted(masks, key=lambda m: (self.sizes[m], self._positions(m)))
+
+    def _least(self, x: int, ordered: Iterable[int]) -> OddSetCertificate | None:
+        """The first of x's sets in (size, lexicographic) order, or None; a
+        second one of the same size raises DisjointnessViolation."""
+        found = list(islice(ordered, 2))
+        if not found:
+            return None
+        vertices = [tuple(sorted(self.universe[i] for i in self._positions(m))) for m in found]
+        if len(found) > 1 and self.sizes[found[0]] == self.sizes[found[1]]:
+            raise DisjointnessViolation(
+                f"two minimum optimal sets of size {self.sizes[found[0]]} contain vertex {x}: "
+                f"{vertices[0]} and {vertices[1]}"
             )
-        return [
-            mask
-            for mask, (count, size) in enumerate(zip(self.e_plus, self.sizes))
-            if count == need[size]
-        ]
+        return self._certificate(found[0], vertices[0])
 
     def min_containing(self, x: int, tight: list[int]) -> OddSetCertificate | None:
         """The unique minimum-size set among the tight masks that contains
@@ -274,31 +366,19 @@ class OddSetTable:
             return None
         bit = 1 << self._position[x]
         mine = [mask for mask in tight if mask & bit]
-        if not mine:
-            return None
-        size = min(self.sizes[mask] for mask in mine)
-        found = sorted((m for m in mine if self.sizes[m] == size), key=self._positions)
-        vertices = [
-            tuple(sorted(self.universe[i] for i in self._positions(m))) for m in found[:2]
-        ]
-        if len(found) > 1:
-            raise DisjointnessViolation(
-                f"two minimum optimal sets of size {size} contain vertex {x}: "
-                f"{vertices[0]} and {vertices[1]}"
-            )
-        return self._certificate(found[0], vertices[0])
+        return self._least(x, self._ordered(mine)) if mine else None
 
     def slack(self, mask: int, k: int) -> int:
         """2e+(U) - k(|U|+1) for the set U of the mask."""
         return 2 * self.e_plus[mask] - k * (self.sizes[mask] + 1)
 
-    def adopt(self, other: OddSetTable) -> None:
-        """Take over the counts and the cached scan of a table over the
-        same universe, such as one rebuilt after the graph changed."""
-        if other.universe != self.universe:
-            raise ValueError("tables over different universes")
-        self.e_plus = other.e_plus
-        self._minima = other._minima
+    def recount(self, g: Multigraph, *, cap: int = SUBSET_CAP_DEFAULT) -> None:
+        """Count the table again from g, such as the graph after splits.
+        The stale counts go first, so that the build does not peak with
+        them alive, and the cached answers go with them."""
+        del self.e_plus
+        self.e_plus = OddSetTable(g, self.universe, cap=cap).e_plus
+        self._codensity, self._bounds = None, {}
 
 
 class SplitCandidates:
@@ -338,7 +418,6 @@ class SplitCandidates:
                 f"{_LANE}-bit lanes"
             )
         low = min(n, _CHUNK_BITS)
-        size = 1 << low
         # Lane l: 2^(_LANE-2) + k + the weights of l's vertices, for the
         # low masks l of a chunk; chunk_ones is the repunit over its lanes.
         bound, chunk_ones = _OFFSET + k, 1
@@ -351,15 +430,11 @@ class SplitCandidates:
         for weight in weights[low:]:
             high += [extra + weight for extra in high]
         masks = array("i")
-        for h, extra in enumerate(high):
-            start = h << low
+        for chunk, counts, ones, _, odd in table._chunks():
             # Bit _LANE-2 of a lane is set exactly when 2e+(U) is at most
             # k(|U|+1) + 2D(U); only the odd sets of size >= 3 are kept.
-            over = bound + extra * chunk_ones - (_pack(table.e_plus[start:start + size]) << 1)
-            odd = _byte_lanes(table.sizes[start:start + size].translate(_ODD_SET))
-            flags = over >> (_LANE - 2) & odd
-            if flags:
-                masks.extend(compress(range(start, start + size), _unpack(flags, size)))
+            over = bound + high[chunk.start >> low] * ones - (counts << 1)
+            masks.extend(_flagged(chunk, over & odd, _LANE - 2))
         self._masks = masks
         self._position = table._position
         ones = _byte_lanes(b"\1" * len(masks))
@@ -399,9 +474,7 @@ class SplitCandidates:
         # XOR leaves 0 in the lanes at slack 0, and the addition then sets
         # the top bit of every other lane.
         zero = touched & ~(((lanes ^ self._offsets) + self._to_top) >> (_LANE - 1))
-        if not zero:
-            return dropped, []
-        return dropped, list(compress(self._masks, _unpack(zero, len(self._masks))))
+        return dropped, _flagged(self._masks, zero)
 
     def end_splits(self) -> None:
         """Drop what only ``split`` reads, the membership ints above all,
@@ -507,11 +580,12 @@ def all_min_optimal_sets(
     universe = tuple(sorted(set(restrict_to)))
     if table is None:
         table = OddSetTable(g, universe, cap=cap)
-    tight = table.tight_sets(k)
+    tight = table._ordered(table.tight_sets(k))
     collected: list[OddSetCertificate] = []
     seen: set[frozenset[int]] = set()
     for x in universe:
-        cert = table.min_containing(x, tight)
+        bit = 1 << table._position[x]
+        cert = table._least(x, (mask for mask in tight if mask & bit))
         if cert is None or cert.as_set() in seen:
             continue
         seen.add(cert.as_set())

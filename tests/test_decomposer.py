@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import c5, digon, doubled_triangle, k4, k5, nested_optimal, petersen
@@ -19,11 +21,13 @@ from covdex.coloring import EdgeColoring
 from covdex.decomposer import (
     DecomposeOptions,
     Puncture,
+    _extend_to_pendants,
     contract_blocks,
     orient_and_augment,
     puncture,
 )
-from covdex.multigraph import SplitRecord, SplitTrace
+from covdex.density import OddSetTable, SplitCandidates
+from covdex.multigraph import Edge, Multigraph, SplitRecord, SplitTrace
 from covdex.oracle import FuzzConfig, random_multigraph
 
 
@@ -56,6 +60,33 @@ def test_regularize_brings_degrees_down_to_k_plus_one():
     for record in trace.records:
         assert h.degree(record.new_vertex) == 1
     assert sum(h.degrees()) == 2 * len(h.edges)
+
+
+def test_regularize_rebuild_catches_what_the_split_checks_miss(monkeypatch):
+    # Six parallel edges per pair: degree 12 and co-density 9.  At k = 10
+    # the triangle starts below the bound; with the first-split check and
+    # the candidates' answers blinded, only the recounted table is left.
+    g = build(3, [(0, 1), (1, 2), (0, 2)] * 6)
+    below = OddSetTable.below
+    asked = []
+
+    def blind_first(self, k):
+        asked.append(k)
+        return len(asked) > 1 and below(self, k)
+
+    monkeypatch.setattr(OddSetTable, "below", blind_first)
+    monkeypatch.setattr(SplitCandidates, "split", lambda self, x, y: (False, []))
+    with pytest.raises(StageAssertionFailed, match="fell below the bound 10 unnoticed"):
+        regularize(g, 10)
+    assert asked == [10, 10]
+
+
+def test_regularize_recount_catches_slacks_the_candidates_missed(monkeypatch):
+    # Candidates that never see their splits keep their starting slacks.
+    g = random_multigraph(FuzzConfig(n=8, max_multiplicity=2, edge_probability=0.7, seed=0))
+    monkeypatch.setattr(SplitCandidates, "split", lambda self, x, y: (False, []))
+    with pytest.raises(StageAssertionFailed, match="tracked across the splits differ"):
+        regularize(g, gupta_bound(g).k)
 
 
 def test_regularize_rejects_low_degree():
@@ -299,3 +330,51 @@ def test_orient_emits_paths_before_cycles():
     pairs = [(0, 1), (0, 1), (2, 3), (3, 4), (2, 5)]
     _, orientation = oriented(pairs, [2, 3, 2, 3, 1])
     assert orientation.arcs == ((2, 3, 2), (3, 4, 3), (0, 1, 0), (1, 0, 1))
+
+
+def listed_extend_to_pendants(h1, core, palette):
+    """The pendant extension as it was: per uncolored edge, in edge-id
+    order, the set of colors on the colored edges at both of its ends."""
+    colors = dict(core.assignment)
+    for e in sorted(h1.edges, key=lambda e: e.id):
+        if e.id in colors:
+            continue
+        used = {colors[f.id] for w in (e.u, e.v) for f in h1.incident(w) if f.id in colors}
+        for c in range(1, palette + 1):
+            if c not in used:
+                colors[e.id] = c
+                break
+        else:
+            raise StageAssertionFailed("chi-prime", f"no free color for pendant edge {e.id}")
+    return EdgeColoring(palette, colors)
+
+
+def test_extend_to_pendants_matches_the_per_edge_color_sets():
+    rng = random.Random(3)
+    extended = failed = 0
+    for seed in range(300):
+        g = random_multigraph(
+            FuzzConfig(
+                n=4 + seed % 9, max_multiplicity=1 + seed % 3, edge_probability=0.6, seed=seed
+            )
+        )
+        # Edge ids out of order, as splits append them, and a core of
+        # colored edges (not always properly) with the rest left open.
+        ids = rng.sample(range(3 * len(g.edges) + 1), len(g.edges))
+        h1 = Multigraph(g.vertex_count, tuple(Edge(i, e.u, e.v) for i, e in zip(ids, g.edges)))
+        palette = rng.randrange(1, 9)
+        core = EdgeColoring(
+            palette,
+            {e.id: rng.randrange(1, palette + 1) for e in h1.edges if rng.random() < 0.6},
+        )
+        try:
+            expected = listed_extend_to_pendants(h1, core, palette)
+        except StageAssertionFailed as exc:
+            with pytest.raises(StageAssertionFailed) as info:
+                _extend_to_pendants(h1, core, palette)
+            assert str(info.value) == str(exc)
+            failed += 1
+        else:
+            assert _extend_to_pendants(h1, core, palette) == expected
+            extended += 1
+    assert extended >= 50 and failed >= 50

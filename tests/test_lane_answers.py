@@ -1,0 +1,228 @@
+"""The odd-set table's lane answers against a scan of every mask.
+
+``codensity``, ``below`` and ``tight_sets`` answer from passes over packed
+lanes, 2^_CHUNK_BITS masks per chunk, and ``below``/``tight_sets`` read
+the cached co-density when k is at most its value.  The references below
+read ``e_plus`` and ``sizes`` one mask at a time.  The chunks are also
+narrowed to 2 and 3 bits, so that the chunks' high parts have 0, 1, 2 and
+3 or more bits.  ``all_min_optimal_sets`` is compared with the per-vertex
+loop it replaced, and each pass's lane guard is checked at its limit.
+"""
+
+import random
+from array import array
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from covdex import DisjointnessViolation, TooLarge, build
+from covdex import density
+from covdex.density import OddSetTable, all_min_optimal_sets
+from covdex.oracle import FuzzConfig, random_multigraph
+
+
+def positions(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def odd_masks(table):
+    return [mask for mask, size in enumerate(table.sizes) if size >= 3 and size % 2]
+
+
+def scan_codensity(table):
+    """The least ratio 2e+(U)/(|U|+1) and the first mask reaching it in
+    (size, lexicographic) order, or (None, None)."""
+    best = witness = None
+    for mask in sorted(odd_masks(table), key=lambda m: (table.sizes[m], positions(m))):
+        ratio = Fraction(2 * table.e_plus[mask], table.sizes[mask] + 1)
+        if best is None or ratio < best:
+            best, witness = ratio, mask
+    return best, witness
+
+
+def scan_slacks(table, k):
+    """Each odd set's mask with its slack 2e+(U) - k(|U|+1), in mask order."""
+    return [(mask, table.slack(mask, k)) for mask in odd_masks(table)]
+
+
+def scan_tight(table, k):
+    return [mask for mask, slack in scan_slacks(table, k) if slack == 0]
+
+
+@lru_cache(maxsize=None)
+def seeded_cases():
+    """Graphs with a universe each, and the scanned co-density, its
+    witness's mask, and (below, tight sets) for each k from 0 to 2 above
+    the co-density."""
+    rng = random.Random(31)
+    cases = []
+    for seed in range(36):
+        n = 3 + seed % 12
+        g = random_multigraph(
+            FuzzConfig(
+                n=n,
+                max_multiplicity=1 + seed % 4,
+                edge_probability=rng.choice((0.3, 0.5, 0.8)),
+                seed=seed,
+            )
+        )
+        universe = rng.sample(range(n), n) if seed % 3 else range(n)
+        table = OddSetTable(g, universe)
+        value, witness_mask = scan_codensity(table)
+        answers = []
+        for k in range(3 if value is None else int(value) + 3):
+            slacks = scan_slacks(table, k)
+            answers.append(
+                (any(slack < 0 for _, slack in slacks), [m for m, slack in slacks if slack == 0])
+            )
+        cases.append((g, universe, value, witness_mask, answers))
+    return cases
+
+
+@pytest.mark.parametrize("chunk_bits", [14, 2, 3])
+def test_lane_answers_match_a_scan_of_every_mask(monkeypatch, chunk_bits):
+    monkeypatch.setattr(density, "_CHUNK_BITS", chunk_bits)
+    high_bits = set()
+    below = tight = 0
+    for g, universe, value, witness_mask, answers in seeded_cases():
+        # Without a cached co-density every k runs the fused pass; after
+        # codensity() the k up to the co-density read its minimizers.
+        fresh = OddSetTable(g, universe)
+        for k, answer in enumerate(answers):
+            assert (fresh.below(k), fresh.tight_sets(k)) == answer
+        table = OddSetTable(g, universe)
+        got, witness = table.codensity()
+        assert got == value
+        if value is None:
+            assert witness is None
+        else:
+            assert witness.vertices == tuple(table.universe[i] for i in positions(witness_mask))
+            assert witness.e_plus == table.e_plus[witness_mask]
+            assert witness.ratio == value
+            high_bits.add(min((witness_mask >> chunk_bits).bit_count(), 3))
+        for k, (dropped, expected) in enumerate(answers):
+            assert table.below(k) == dropped
+            assert table.tight_sets(k) == expected
+            # The answer is a copy: a caller may extend it.
+            table.tight_sets(k).append(-1)
+            assert table.tight_sets(k) == expected
+            below += dropped
+            tight += bool(expected)
+            high_bits |= {min((mask >> chunk_bits).bit_count(), 3) for mask in expected}
+    # Both answers were reached, and with narrow chunks the sets came from
+    # high parts of 1, 2 and 3 or more bits, and with 3-bit chunks 0 bits;
+    # the first 2-bit chunk holds no odd set of size >= 3.
+    assert below >= 40 and tight >= 30
+    if chunk_bits < 14:
+        assert {1, 2, 3} <= high_bits
+    if chunk_bits == 3:
+        assert 0 in high_bits
+
+
+def per_vertex_min_optimal_sets(table, k):
+    """``all_min_optimal_sets`` as it was: per vertex, the minimum-size
+    tight sets that contain it (a tie raises), then the inclusion-minimal
+    ones, checked pairwise for overlap."""
+    tight = scan_tight(table, k)
+    collected = []
+    for x in sorted(table.universe):
+        bit = 1 << table.universe.index(x)
+        mine = [mask for mask in tight if mask & bit]
+        if not mine:
+            continue
+        size = min(table.sizes[mask] for mask in mine)
+        found = sorted((m for m in mine if table.sizes[m] == size), key=positions)
+        vertices = [tuple(sorted(table.universe[i] for i in positions(m))) for m in found[:2]]
+        if len(found) > 1:
+            raise DisjointnessViolation(
+                f"two minimum optimal sets of size {size} contain vertex {x}: "
+                f"{vertices[0]} and {vertices[1]}"
+            )
+        if vertices[0] not in collected:
+            collected.append(vertices[0])
+    certs = [a for a in collected if not any(set(b) < set(a) for b in collected)]
+    for i, a in enumerate(certs):
+        for b in certs[i + 1:]:
+            overlap = set(a) & set(b)
+            if overlap:
+                raise DisjointnessViolation(
+                    f"optimal sets {a} and {b} share {sorted(overlap)}"
+                )
+    return sorted(certs, key=lambda c: (len(c), c))
+
+
+def test_all_min_optimal_sets_matches_the_per_vertex_loop():
+    rng = random.Random(41)
+    found = ties = overlaps = 0
+    for seed in range(150):
+        n = 3 + seed % 9
+        g = random_multigraph(
+            FuzzConfig(
+                n=n,
+                max_multiplicity=1 + seed % 4,
+                edge_probability=rng.choice((0.3, 0.5, 0.8)),
+                seed=seed,
+            )
+        )
+        universe = sorted(rng.sample(range(n), max(n - seed % 3, 1)))
+        table = OddSetTable(g, universe)
+        value, _ = table.codensity()
+        for k in range(0 if value is None else int(value) + 3):
+            try:
+                expected = per_vertex_min_optimal_sets(table, k)
+            except DisjointnessViolation as exc:
+                with pytest.raises(DisjointnessViolation) as info:
+                    all_min_optimal_sets(g, k, universe, table=table)
+                assert str(info.value) == str(exc)
+                ties += "two minimum" in str(exc)
+                overlaps += "share" in str(exc)
+                continue
+            certs = all_min_optimal_sets(g, k, universe, table=table)
+            assert [c.vertices for c in certs] == expected
+            assert all(2 * c.e_plus == k * (c.size + 1) for c in certs)
+            masks = [sum(1 << universe.index(v) for v in c.vertices) for c in certs]
+            assert [c.e_plus for c in certs] == [table.e_plus[mask] for mask in masks]
+            found += len(certs)
+    assert found >= 50 and ties >= 100 and overlaps >= 2
+
+
+def test_all_min_optimal_sets_reports_a_tie_and_an_overlap():
+    # A k above the co-density, so that tight sets cross.
+    g = build(
+        7,
+        [(0, 1)] * 2 + [(0, 2)] * 3 + [(0, 3)] * 2 + [(0, 5)] * 2 + [(0, 6), (1, 2), (1, 2)]
+        + [(1, 3), (1, 4), (1, 5), (1, 6), (1, 6), (2, 3), (2, 5), (2, 6), (3, 4), (3, 5)]
+        + [(3, 6), (4, 5)] + [(4, 6)] * 3,
+    )
+    with pytest.raises(DisjointnessViolation) as info:
+        all_min_optimal_sets(g, 9, range(7))
+    assert str(info.value) == (
+        "two minimum optimal sets of size 3 contain vertex 0: (0, 2, 5) and (0, 3, 5)"
+    )
+    with pytest.raises(DisjointnessViolation) as info:
+        all_min_optimal_sets(g, 9, [0, 1, 2, 3, 4, 6])
+    assert str(info.value) == "optimal sets (0, 1, 2, 3, 4) and (2, 4, 6) share [2, 4]"
+
+
+def test_codensity_pass_refuses_ratios_beyond_a_lane():
+    triangle = OddSetTable(build(3, [(0, 1), (1, 2), (0, 2)]), range(3))
+    # The guard: (n+1)(a + 2e+(V)) < 2^30, where a/b = 2e+/4 of the best
+    # 3-set starts the pass; on a triangle that is 16 e+(V) < 2^30.
+    triangle.e_plus = array("i", [0] * 7 + [1 << 26])
+    with pytest.raises(TooLarge, match="do not fit"):
+        triangle.codensity()
+    # One below the limit fits, and the ratio reads exactly.
+    triangle.e_plus = array("i", [0] * 7 + [(1 << 26) - 1])
+    assert triangle.codensity()[0] == Fraction((1 << 26) - 1, 2)
+
+
+def test_fused_pass_refuses_slacks_beyond_a_lane():
+    g = build(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
+    # The guard: k(n+1) + 2e+(V) < 2^30, here 4k + 8 < 2^30.
+    with pytest.raises(TooLarge, match="do not fit"):
+        OddSetTable(g, range(3)).below((1 << 28) - 2)
+    # One below the limit fits: the triangle's slack is 8 - 4k < 0.
+    table = OddSetTable(g, range(3))
+    assert table.below((1 << 28) - 3)
+    assert table.tight_sets((1 << 28) - 3) == []

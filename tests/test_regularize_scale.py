@@ -2,9 +2,10 @@
 
 The comparison uses ``reference_regularize`` from the equivalence tests,
 which rebuilds a table and scans every odd set after each split.  The
-counting test pins the number of 2^n passes one ``decompose`` makes.
+counting tests pin the number of 2^n passes one ``decompose`` makes.
 """
 
+from conftest import doubled_triangle
 from test_regularize_equivalence import graph_key, reference_regularize
 
 from covdex import CoverDecomposition, decompose, gupta_bound, regularize
@@ -30,34 +31,53 @@ def test_regularize_matches_the_reference_at_fifty_splits_and_more():
         assert puncture(h, k, n, table=table) == puncture(h, k, n)
 
 
+def count_passes(monkeypatch):
+    """Lists that collect the table builds, the co-density passes, the
+    fused bound passes, the candidate passes, and every pass over a
+    table's chunks, of the calls made after this."""
+    counts = {"built": [], "ratio": [], "bound": [], "candidates": [], "chunks": []}
+
+    def counting(cls, name, key):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[key].append(args)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(OddSetTable, "__init__", "built")
+    counting(OddSetTable, "_ratio_pass", "ratio")
+    counting(OddSetTable, "_bound_pass", "bound")
+    counting(OddSetTable, "_chunks", "chunks")
+    counting(SplitCandidates, "__init__", "candidates")
+    return counts
+
+
 def test_decompose_makes_two_tables_two_scans_and_one_candidate_pass(monkeypatch):
-    built, scans, passes = [], [], []
-    init = OddSetTable.__init__
-    minima = OddSetTable._size_minima
-    collect = SplitCandidates.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    def counting_minima(self):
-        if self._minima is None:
-            scans.append(self)
-        return minima(self)
-
-    def counting_collect(self, *args, **kwargs):
-        passes.append(args)
-        collect(self, *args, **kwargs)
-
-    monkeypatch.setattr(OddSetTable, "__init__", counting_init)
-    monkeypatch.setattr(OddSetTable, "_size_minima", counting_minima)
-    monkeypatch.setattr(SplitCandidates, "__init__", counting_collect)
+    counts = count_passes(monkeypatch)
     g = random_multigraph(FuzzConfig(n=16, max_multiplicity=2, edge_probability=0.5, seed=0))
     result = decompose(g)
     assert isinstance(result, CoverDecomposition) and result.stages["splits"] >= 50
-    # The shared table and the rebuild after regularize, one scan of each,
-    # and one collection of split candidates: no pass over all 2^16 sets
-    # per split.
-    assert len(built) == 2
-    assert len(scans) <= 2
-    assert len(passes) == 1
+    # The shared table and its recount after the splits; one co-density
+    # pass for the bound, one collection of split candidates, and one
+    # fused pass over the recount, whose tight sets the puncture reads: no
+    # pass over all 2^16 sets per split.
+    assert len(counts["built"]) == 2
+    assert len(counts["ratio"]) == 1
+    assert len(counts["candidates"]) == 1
+    assert len(counts["bound"]) == 1
+    assert len(counts["chunks"]) == 3
+
+
+def test_decompose_without_splits_makes_no_fused_pass(monkeypatch):
+    counts = count_passes(monkeypatch)
+    # A triangle with every edge doubled is 4-regular with k = 3: no split,
+    # and one tight block, read off the bound's co-density pass.
+    result = decompose(doubled_triangle())
+    assert result.stages["splits"] == 0 and result.stages["blocks"] == 1
+    assert len(counts["built"]) == 2
+    assert len(counts["ratio"]) == 1
+    assert len(counts["candidates"]) == 0
+    assert len(counts["bound"]) == 0
+    assert len(counts["chunks"]) == 1

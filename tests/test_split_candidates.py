@@ -24,7 +24,12 @@ class DictCandidates:
         planned = array("i", [0])
         for made in splits:
             planned += array("i", map(made.__add__, planned)) if made else planned
-        need = table._need(k)
+        # e+ at slack 0 per set size, and for the sizes that are never odd
+        # sets of size >= 3 a value below every count less its splits.
+        need = [
+            k * (size + 1) // 2 if size >= 3 and size % 2 else -(1 << 31)
+            for size in range(len(table.universe) + 1)
+        ]
         self.slacks = {
             mask: 2 * count - k * (size + 1)
             for mask, count, size, spent in zip(
