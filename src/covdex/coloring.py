@@ -101,9 +101,6 @@ class EdgeColoring:
     def color_class(self, color: int) -> frozenset[int]:
         return frozenset(e for e, c in self.assignment.items() if c == color)
 
-    def classes(self) -> dict[int, frozenset[int]]:
-        return {c: self.color_class(c) for c in range(1, self.palette + 1)}
-
 
 @dataclass(frozen=True)
 class Chain:

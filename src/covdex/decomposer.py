@@ -171,41 +171,39 @@ class _Run:
         return {key: thunk() for key, thunk in self.dump.items()}
 
 
-def regularize(
-    g: Multigraph,
-    k: int,
-    *,
-    cap: int = SUBSET_CAP_DEFAULT,
-    table: OddSetTable | None = None,
-) -> tuple[Multigraph, SplitTrace]:
-    """Split edges off high-degree vertices until every original vertex has
-    degree exactly k+1, re-verifying the odd-set bound after each split.
+def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
+    """Split edges off high-degree vertices of ``table.graph``, a table
+    over its vertices 0..n-1, until every original vertex has degree
+    exactly k+1, re-verifying the odd-set bound after each split.
 
     The splits are those of chained ``split_off`` calls (the moved edge
     leaves the edge order, its replacement is appended with the next id),
     kept in an edge dict and per-vertex incidence; the graph and its trace
-    are built once at the end.  ``table`` (or one built here) is g's table
-    over its vertices 0..n-1.  At the first split it gives the tight sets
-    and the split candidates: deg(x) - (k+1) splits are made at each
-    vertex x, so only the odd sets U whose slack is at most twice the sum
-    of that over U, the dense sets, can reach slack 0 or drop below it
+    are built once at the end.  At the first split the table gives the
+    tight sets and the split candidates: deg(x) - (k+1) splits are made at
+    each vertex x, so only the odd sets U whose slack is at most twice the
+    sum of that over U, the dense sets, can reach slack 0 or drop below it
     (see ``SplitCandidates``).  Each split is checked over the candidates
     it changes, and the tight list only grows; a k above the bound fails
-    at the first split.  Afterwards ``table`` is counted again from the
-    final graph (see ``OddSetTable.recount``); it must have no odd set
-    below the bound, which also clears every graph in between because no
-    slack ever rises, and must agree with every tracked candidate slack.
-    With no split, ``table`` must equal a rebuild."""
+    at the first split.  With no split the table already counts the
+    returned graph.  Otherwise it is counted again from the final graph
+    (see ``OddSetTable.recount``); it must have no odd set below the bound,
+    which also clears every graph in between because no slack ever rises,
+    and must agree with every tracked candidate slack."""
+    g = table.graph
     n = g.vertex_count
     original = range(n)
+    if table.universe != tuple(original):
+        raise StageAssertionFailed(
+            "regularize",
+            f"odd-set table over {list(table.universe)}, not the graph's vertices 0..{n - 1}",
+        )
     incidence: dict[int, dict[int, int]] = {v: {} for v in original}
     for e in g.edges:
         incidence[e.u][e.id] = e.v
         incidence[e.v][e.id] = e.u
     if min(map(len, incidence.values()), default=0) < k + 1:
         raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
-    if table is None:
-        table = OddSetTable(g, original, cap=cap)
     edges = {e.id: e for e in g.edges}
     next_id = g.next_edge_id()
     records: list[SplitRecord] = []
@@ -243,7 +241,7 @@ def regularize(
             dropped, became_tight = candidates.split(x, y)
             if dropped or (len(records) == 1 and table.below(k)):
                 h = Multigraph(n + len(records), tuple(edges.values()))
-                value, witness = codensity(h, restrict_to=original, cap=cap)
+                value, witness = codensity(h, restrict_to=original, cap=table.cap)
                 raise CodensityDropped(
                     f"splitting edge {eid} off {x} dropped the odd-set bound: "
                     f"{value} < {k} at {witness.vertices if witness else ()}"
@@ -254,11 +252,9 @@ def regularize(
         if h.degree(v) != k + 1:
             raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {h.degree(v)}")
     if candidates is None:
-        if table.e_plus != OddSetTable(h, original, cap=cap).e_plus:
-            raise StageAssertionFailed("regularize", "odd-set table differs from a rebuild")
         return h, SplitTrace()
     candidates.end_splits()
-    table.recount(h, cap=cap)
+    table.recount(h)
     if table.below(k):
         raise StageAssertionFailed(
             "regularize", f"an odd set fell below the bound {k} unnoticed by the split checks"
@@ -270,19 +266,12 @@ def regularize(
     return h, SplitTrace(tuple(records))
 
 
-def puncture(
-    h: Multigraph,
-    k: int,
-    n_original: int,
-    *,
-    cap: int = SUBSET_CAP_DEFAULT,
-    table: OddSetTable | None = None,
-) -> tuple[Multigraph, tuple[Puncture, ...]]:
+def puncture(table: OddSetTable, k: int) -> tuple[Multigraph, tuple[Puncture, ...]]:
     """Remove the smallest-id internal edge of every inclusion-minimal
-    optimal set, and re-verify the resulting internal edge counts.
-    ``table``, when given, is h's table over its first n_original vertices."""
-    certs = all_min_optimal_sets(h, k, range(n_original), cap=cap, table=table)
-    h1 = h
+    optimal set of ``table.graph`` over the table's universe (sorted), and
+    re-verify the resulting internal edge counts."""
+    h1 = table.graph
+    certs = all_min_optimal_sets(h1, k, table.universe, table=table)
     punctures = []
     for cert in certs:
         members = cert.as_set()
@@ -477,7 +466,7 @@ def decompose(
         run.dump.update(original=lambda: _graph_obj(g), k=lambda: k)
 
         run.enter("regularize")
-        h, trace = regularize(g, k, cap=opts.subset_cap, table=table)
+        h, trace = regularize(table, k)
         stages["splits"] = len(trace.records)
         run.dump["regularized"] = lambda: _graph_obj(h)
         run.dump["splits"] = lambda: [
@@ -486,7 +475,7 @@ def decompose(
         ]
 
         run.enter("puncture")
-        h1, punctures = puncture(h, k, g.vertex_count, cap=opts.subset_cap, table=table)
+        h1, punctures = puncture(table, k)
         stages["blocks"] = len(punctures)
         stages["block_sizes"] = sorted(len(p.block) for p in punctures)
         if punctures:

@@ -29,9 +29,7 @@ constant lanes, cached per number of high bits.  ``codensity`` flags the
 odd sets whose ratio is at most the least ratio a/b met so far (at first
 the best 3-set's or largest odd set's), reads only those, and lowers a/b
 as it goes; a/b never drops below the co-density, so every minimizer is
-flagged, and the table keeps them.  For k up to the co-density nothing is
-below the bound and the tight sets are the minimizers at k equal to it;
-any other k takes one fused pass, kept per k, that finds both.
+flagged, and the table keeps them.
 
 For a given k, a set's integer slack is 2e+(U) - k(|U|+1): an odd set is
 optimal exactly when its slack is 0, and k <= co-density exactly when no
@@ -40,16 +38,15 @@ on exactly the sets that contain x and miss y, so it lowers their slack,
 which is always even, by 2, and leaves every other slack alone.  A set U
 therefore loses at most 2D(U), where D(U) counts the splits made at U's
 own vertices, and only a set whose slack starts at most 2D(U) can reach 0
-or drop below it.  ``SplitCandidates`` selects those sets and keeps their
-slacks split by split, both on packed lanes like the table's build: the
-selection tests 2^14 masks with one lane-wise subtraction, and each split
-is a few operations on one int that holds a lane per candidate.  When
-every vertex is split down to degree k+1 the candidates are exactly the
-dense sets, with at least (k+2)(|U|-1)/2 + 1 internal edges.
-``decompose`` builds one table, reads the bound from it, lets
-``regularize`` check its splits over the candidates, and reads the
-optimal sets for the puncture from the same table, which ``regularize``
-counts again from the final graph.
+or drop below it.  ``OddSetTable.select`` picks those sets with one
+lane-wise subtraction per chunk, and ``SplitCandidates`` keeps their
+slacks split by split.  With no split planned the selection is the sets
+at slack 0 or below, which answers the bound and the tight sets at any k
+that the cached co-density does not settle.
+
+The table carries the graph it counts.  ``decompose`` builds it once and
+hands it to ``regularize``, which counts it again only after splits, and
+then to ``puncture``.
 
 Witnesses follow the enumeration order of odd subsets by increasing size,
 then lexicographic in universe order.
@@ -78,10 +75,10 @@ _ODD_SET = bytes(size % 2 == 1 and size >= 3 for size in range(256))
 _LANE = 8 * array("i").itemsize
 # The top bit of a lane, above every e+ value an array('i') can hold.
 _NO_SET = 1 << (_LANE - 1)
-# Added to every lane of the split candidates, so that the bit it sets is
-# clear exactly when the lane's value without it is negative.
+# Added to every lane of a slack, so that the bit it sets is clear exactly
+# when the lane's value without it is negative.
 _OFFSET = 1 << (_LANE - 2)
-# The split candidates are selected 2^_CHUNK_BITS masks at a time.
+# The table's passes walk it 2^_CHUNK_BITS masks at a time.
 _CHUNK_BITS = 14
 
 
@@ -181,7 +178,8 @@ def _check_cap(size: int, cap: int) -> None:
 
 
 class OddSetTable:
-    """e+(U) for every subset U of a fixed universe, kept by bitmask."""
+    """e+(U) for every subset U of a fixed universe, kept by bitmask, with
+    the graph it counts (``graph``) and the cap it was built under."""
 
     def __init__(
         self, g: Multigraph, universe: Sequence[int], *, cap: int = SUBSET_CAP_DEFAULT
@@ -191,7 +189,7 @@ class OddSetTable:
             raise TooLarge(
                 f"{len(g.edges)} edges do not fit the {_LANE}-bit counts of the odd-set table"
             )
-        self.universe = tuple(universe)
+        self.graph, self.universe, self.cap = g, tuple(universe), cap
         n = len(self.universe)
         self._position = {v: i for i, v in enumerate(self.universe)}
         degree = [0] * n
@@ -295,40 +293,54 @@ class OddSetTable:
         value, witness, _ = self._codensity
         return value, witness
 
-    def _bound_pass(self, k: int) -> tuple[bool, list[int]]:
-        """Whether some odd set of size >= 3 has negative slack, and the
-        masks of those at slack 0, in increasing order, from one pass."""
+    def select(self, k: int, splits: Sequence[int]) -> array:
+        """Masks of the odd sets of size >= 3 with 2e+(U) <= k(|U|+1) + 2D(U),
+        in increasing order, where D(U) sums ``splits[i]`` over the bits i
+        of U; with no splits, the sets at slack 0 or below.  The right side
+        is k plus a weight k + 2 splits[i] per vertex of U, doubled over a
+        chunk's low bits like the table's build, and the chunk's high bits
+        add a constant: one lane-wise subtraction per chunk tests it."""
         n = len(self.universe)
-        # Every lane below is 2^(_LANE-2) plus 2e+(U) <= 2e+(V), less
-        # k(|U|+1) <= k(n+1).
-        if k * (n + 1) + 2 * self.e_plus[-1] >= _OFFSET:
+        weights = [k + 2 * made for made in splits]
+        # Every lane below is 2^(_LANE-2) plus at most k + sum(weights),
+        # less at most twice the largest count.
+        if k + sum(weights) + 2 * self.e_plus[-1] >= _OFFSET:
             raise TooLarge(
                 f"slacks of the odd sets over {n} vertices at k = {k} do not fit "
                 f"{_LANE}-bit lanes"
             )
-        below, tight = False, []
-        for masks, counts, ones, widths, odd in self._chunks():
-            # 2^(_LANE-2) plus the slack: the flag bit is set exactly when
-            # the slack is not negative.
-            lanes = (counts << 1) + _OFFSET * ones - k * widths
-            above = lanes & odd
-            below = below or above != odd
-            # The guard keeps every lane above 0, so subtracting 1 borrows
-            # across no lane and clears the flag bit of exactly the lanes
-            # at slack 0 among those.
-            tight += _flagged(masks, above ^ (lanes - ones) & above, _LANE - 2)
-        return below, tight
+        low = min(n, _CHUNK_BITS)
+        # Lane l: 2^(_LANE-2) + k + the weights of l's vertices, for the
+        # low masks l of a chunk; chunk_ones is the repunit over its lanes.
+        bound, chunk_ones = _OFFSET + k, 1
+        for i, weight in enumerate(weights[:low]):
+            shift = _LANE << i
+            bound |= (bound + weight * chunk_ones) << shift
+            chunk_ones |= chunk_ones << shift
+        # The weights of each chunk's high bits, doubled the same way.
+        high = [0]
+        for weight in weights[low:]:
+            high += [extra + weight for extra in high]
+        masks = array("i")
+        for chunk, counts, ones, _, odd in self._chunks():
+            # Bit _LANE-2 of a lane is set exactly when the test holds;
+            # only the odd sets of size >= 3 are kept.
+            over = bound + high[chunk.start >> low] * ones - (counts << 1)
+            masks.extend(_flagged(chunk, over & odd, _LANE - 2))
+        return masks
 
     def _at(self, k: int) -> tuple[bool, list[int]]:
-        """``_bound_pass(k)``, read off the cached co-density for k at most
-        the co-density (nothing is below it, and only at the co-density
-        itself are its minimizers tight), and otherwise cached per k."""
+        """Whether some odd set has negative slack, and the masks of those
+        at slack 0, in increasing order: read off the cached co-density
+        for a k up to it, else selected with no splits and cached per k."""
         if self._codensity is not None:
             value, _, minimizers = self._codensity
             if value is None or k <= value:
                 return False, minimizers if k == value else []
         if k not in self._bounds:
-            self._bounds[k] = self._bound_pass(k)
+            at_most = self.select(k, [0] * len(self.universe))
+            tight = [mask for mask in at_most if self.slack(mask, k) == 0]
+            self._bounds[k] = len(tight) < len(at_most), tight
         return self._bounds[k]
 
     def below(self, k: int) -> bool:
@@ -372,12 +384,13 @@ class OddSetTable:
         """2e+(U) - k(|U|+1) for the set U of the mask."""
         return 2 * self.e_plus[mask] - k * (self.sizes[mask] + 1)
 
-    def recount(self, g: Multigraph, *, cap: int = SUBSET_CAP_DEFAULT) -> None:
-        """Count the table again from g, such as the graph after splits.
-        The stale counts go first, so that the build does not peak with
-        them alive, and the cached answers go with them."""
+    def recount(self, g: Multigraph) -> None:
+        """Count the table again from g, such as the graph after splits,
+        and make g its graph.  The stale counts go first, so that the build
+        does not peak with them alive, and the cached answers go with them."""
         del self.e_plus
-        self.e_plus = OddSetTable(g, self.universe, cap=cap).e_plus
+        self.e_plus = OddSetTable(g, self.universe, cap=self.cap).e_plus
+        self.graph = g
         self._codensity, self._bounds = None, {}
 
 
@@ -386,60 +399,27 @@ class SplitCandidates:
     below, with their slacks kept split by split.
 
     ``splits[i]`` is the number of splits planned at the universe's i-th
-    vertex, and D(U) their sum over U.  Splitting edge (x, y) off x lowers
-    the slack of exactly the sets that contain x and miss y, by 2, so a
-    set loses at most 2D(U) over the whole run.  The candidates are the odd
-    sets of size >= 3 whose slack in ``table`` is at most 2D(U): no other
-    odd set reaches slack 0 at any point of the run.  When the plan takes
-    every vertex down to degree k+1 (D(U) = sum of deg - (k+1)), the test
-    reads 2e_in(U) >= (k+2)|U| - k, and the candidates are the dense sets.
+    vertex, and D(U) their sum over U.  A split lowers a slack by 0 or 2,
+    so the candidates are the odd sets that ``OddSetTable.select`` picks,
+    at most 2D(U) above slack 0: no other odd set reaches 0 during the run.
+    When the plan takes every vertex down to degree k+1 (D(U) = sum of
+    deg - (k+1)), the test reads 2e_in(U) >= (k+2)|U| - k, and the
+    candidates are the dense sets.
 
-    Both the selection and the tracking run on packed lanes.  The test
-    2e+(U) <= k(|U|+1) + 2D(U) is one lane-wise subtraction per chunk of
-    2^_CHUNK_BITS masks: the right side is k plus a weight k + 2D({i}) per
-    vertex of U, doubled over the chunk's low bits like the table's build,
-    and the chunk's high bits add a constant.  The candidates' slacks, each
-    plus 2^(_LANE-2), are lanes of one int in increasing mask order, and
-    every vertex of the universe has a membership int with a 1 in the lanes
-    of the candidates that contain it.  A split subtracts 2 from the lanes
-    of x's membership that are not in y's.  Every lane stays in
-    [0, 2^(_LANE-1)), which is checked before anything is packed.
+    The candidates' slacks, each plus 2^(_LANE-2), are lanes of one int in
+    increasing mask order, and every vertex of the universe has a
+    membership int with a 1 in the lanes of the candidates that contain
+    it.  A split subtracts 2 from the lanes of x's membership that are not
+    in y's.  Every lane stays in [0, 2^(_LANE-1)), which the selection
+    checks before anything is packed.
     """
 
     def __init__(self, table: OddSetTable, k: int, splits: Sequence[int]):
-        n = len(table.universe)
-        # k(|U|+1) + 2D(U) is k plus the weights of U's vertices.
-        weights = [k + 2 * made for made in splits]
-        # Every lane below is 2^(_LANE-2) plus at most k + sum(weights),
-        # less at most twice the largest count.
-        if k + sum(weights) + 2 * table.e_plus[-1] >= _OFFSET:
-            raise TooLarge(
-                f"slacks of the split candidates over {n} vertices do not fit "
-                f"{_LANE}-bit lanes"
-            )
-        low = min(n, _CHUNK_BITS)
-        # Lane l: 2^(_LANE-2) + k + the weights of l's vertices, for the
-        # low masks l of a chunk; chunk_ones is the repunit over its lanes.
-        bound, chunk_ones = _OFFSET + k, 1
-        for i, weight in enumerate(weights[:low]):
-            shift = _LANE << i
-            bound |= (bound + weight * chunk_ones) << shift
-            chunk_ones |= chunk_ones << shift
-        # The weights of each chunk's high bits, doubled the same way.
-        high = [0]
-        for weight in weights[low:]:
-            high += [extra + weight for extra in high]
-        masks = array("i")
-        for chunk, counts, ones, _, odd in table._chunks():
-            # Bit _LANE-2 of a lane is set exactly when 2e+(U) is at most
-            # k(|U|+1) + 2D(U); only the odd sets of size >= 3 are kept.
-            over = bound + high[chunk.start >> low] * ones - (counts << 1)
-            masks.extend(_flagged(chunk, over & odd, _LANE - 2))
-        self._masks = masks
+        self._masks = masks = table.select(k, splits)
         self._position = table._position
         ones = _byte_lanes(b"\1" * len(masks))
         packed = _pack(masks)
-        self._member = [packed >> i & ones for i in range(n)]
+        self._member = [packed >> i & ones for i in range(len(table.universe))]
         del packed
         # 2^(_LANE-2) - k(|U|+1) per candidate; a lane is this plus 2e+(U).
         self._base = (_OFFSET - k) * ones - k * sum(self._member)

@@ -199,6 +199,11 @@ def split_off(g: Multigraph, x: int, edge_id: int) -> tuple[Multigraph, SplitRec
     The edge (x, y) is deleted and replaced by (y, x') where x' is a new
     vertex; the replacement carries a fresh id that traces back to the
     original via the returned record.
+
+    ``decompose`` does not call it: ``regularize`` makes the same splits on
+    its own edge dict.  It stays public as the one-split reference that
+    the tests check ``regularize`` against, and the benchmark's tracer
+    lists it among its layers.
     """
     e = g.edge(edge_id)
     if not e.touches(x):

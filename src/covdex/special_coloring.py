@@ -41,9 +41,6 @@ class Potentials:
     exposed: int
     bridges: int
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.exposed, self.bridges)
-
 
 # Stage named by the invariant failures raised here (decompose's name for it).
 _STAGE = "special-coloring"

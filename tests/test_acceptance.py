@@ -13,6 +13,7 @@ from fractions import Fraction
 from conftest import c5, k3, k4, k5, petersen
 from covdex import (
     CoverDecomposition,
+    Potentials,
     brute_codensity,
     brute_cover_index,
     build,
@@ -171,7 +172,7 @@ def test_criterion_6_special_coloring_suite():
         initial = EdgeColoring(k + 2, {e: pmap[c] for e, c in base.assignment.items()})
         start = potentials(g, initial, k, S)
         out, events = special_coloring(g, k, S, initial=initial)
-        assert potentials(g, out, k, S).as_tuple() == (0, 0)
+        assert potentials(g, out, k, S) == Potentials(0, 0)
         assert is_proper(g, out)
         prev = (start.exposed, start.bridges, INF)
         for e in events:

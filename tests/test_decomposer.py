@@ -40,7 +40,7 @@ def decomposed_ok(g):
 
 
 def test_regularize_no_splits_when_already_regular(k4):
-    h, trace = regularize(k4, 2)
+    h, trace = regularize(OddSetTable(k4, range(4)), 2)
     assert h is k4 or h.edges == k4.edges
     assert trace.records == ()
 
@@ -53,7 +53,7 @@ def test_regularize_brings_degrees_down_to_k_plus_one():
     b = gupta_bound(g)
     assert b.k == 3
     assert g.degree(0) == b.k + 3
-    h, trace = regularize(g, b.k)
+    h, trace = regularize(OddSetTable(g, range(5)), b.k)
     assert len(trace.records) == sum(max(0, d - (b.k + 1)) for d in g.degrees())
     for v in range(5):
         assert h.degree(v) == b.k + 1
@@ -77,7 +77,7 @@ def test_regularize_rebuild_catches_what_the_split_checks_miss(monkeypatch):
     monkeypatch.setattr(OddSetTable, "below", blind_first)
     monkeypatch.setattr(SplitCandidates, "split", lambda self, x, y: (False, []))
     with pytest.raises(StageAssertionFailed, match="fell below the bound 10 unnoticed"):
-        regularize(g, 10)
+        regularize(OddSetTable(g, range(3)), 10)
     assert asked == [10, 10]
 
 
@@ -86,23 +86,31 @@ def test_regularize_recount_catches_slacks_the_candidates_missed(monkeypatch):
     g = random_multigraph(FuzzConfig(n=8, max_multiplicity=2, edge_probability=0.7, seed=0))
     monkeypatch.setattr(SplitCandidates, "split", lambda self, x, y: (False, []))
     with pytest.raises(StageAssertionFailed, match="tracked across the splits differ"):
-        regularize(g, gupta_bound(g).k)
+        regularize(OddSetTable(g, range(8)), gupta_bound(g).k)
 
 
 def test_regularize_rejects_low_degree():
     with pytest.raises(StageAssertionFailed):
-        regularize(c5(), 2)
+        regularize(OddSetTable(c5(), range(5)), 2)
+
+
+def test_regularize_rejects_a_table_over_other_vertices():
+    g = doubled_triangle()
+    for universe in ((0, 1), (2, 1, 0), (0, 1, 2, 3)):
+        with pytest.raises(StageAssertionFailed, match="not the graph's vertices 0..2"):
+            regularize(OddSetTable(g, universe), 3)
+    assert regularize(OddSetTable(g, range(3)), 3)[0] is g
 
 
 def test_puncture_nothing_without_optimal_sets(k4):
-    h1, punctures = puncture(k4, 2, 4)
+    h1, punctures = puncture(OddSetTable(k4, range(4)), 2)
     assert punctures == ()
     assert h1.edges == k4.edges
 
 
 def test_puncture_removes_one_internal_edge_per_block():
     g = doubled_triangle()
-    h1, punctures = puncture(g, 3, 3)
+    h1, punctures = puncture(OddSetTable(g, range(3)), 3)
     assert len(punctures) == 1
     p = punctures[0]
     assert p.block == frozenset({0, 1, 2})
@@ -114,7 +122,7 @@ def test_puncture_removes_one_internal_edge_per_block():
 
 def test_contract_blocks_merges_and_checks_degree():
     g = doubled_triangle()
-    h1, punctures = puncture(g, 3, 3)
+    h1, punctures = puncture(OddSetTable(g, range(3)), 3)
     h2, vmap, merged, degree_ok = contract_blocks(h1, punctures, 3, True)
     assert h2.vertex_count == 1
     assert h2.edges == ()

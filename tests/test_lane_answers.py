@@ -86,8 +86,9 @@ def test_lane_answers_match_a_scan_of_every_mask(monkeypatch, chunk_bits):
     high_bits = set()
     below = tight = 0
     for g, universe, value, witness_mask, answers in seeded_cases():
-        # Without a cached co-density every k runs the fused pass; after
-        # codensity() the k up to the co-density read its minimizers.
+        # Without a cached co-density every k runs the selection with no
+        # splits; after codensity() the k up to the co-density read its
+        # minimizers.
         fresh = OddSetTable(g, universe)
         for k, answer in enumerate(answers):
             assert (fresh.below(k), fresh.tight_sets(k)) == answer
@@ -217,12 +218,19 @@ def test_codensity_pass_refuses_ratios_beyond_a_lane():
     assert triangle.codensity()[0] == Fraction((1 << 26) - 1, 2)
 
 
-def test_fused_pass_refuses_slacks_beyond_a_lane():
+def test_zero_split_selection_refuses_slacks_beyond_a_lane():
     g = build(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
-    # The guard: k(n+1) + 2e+(V) < 2^30, here 4k + 8 < 2^30.
-    with pytest.raises(TooLarge, match="do not fit"):
-        OddSetTable(g, range(3)).below((1 << 28) - 2)
+    # The selection's guard k + sum(weights) + 2e+(V) < 2^30 with no splits
+    # planned: k(n+1) + 2e+(V) < 2^30, here 4k + 8 < 2^30.
+    for ask in (
+        lambda table, k: table.select(k, [0, 0, 0]),
+        OddSetTable.below,
+        OddSetTable.tight_sets,
+    ):
+        with pytest.raises(TooLarge, match="do not fit"):
+            ask(OddSetTable(g, range(3)), (1 << 28) - 2)
     # One below the limit fits: the triangle's slack is 8 - 4k < 0.
     table = OddSetTable(g, range(3))
+    assert list(table.select((1 << 28) - 3, [0, 0, 0])) == [0b111]
     assert table.below((1 << 28) - 3)
     assert table.tight_sets((1 << 28) - 3) == []

@@ -21,21 +21,22 @@ def test_regularize_matches_the_reference_at_fifty_splits_and_more():
         )
         k = gupta_bound(g).k
         table = OddSetTable(g, range(n))
-        h, trace = regularize(g, k, table=table)
+        h, trace = regularize(table, k)
         ref_h, ref_trace = reference_regularize(g, k)
         assert len(trace.records) >= 50
         assert graph_key(h) == graph_key(ref_h)
         assert trace.records == ref_trace.records
-        # The table passed in now describes the regularized graph.
+        # The table passed in now counts the regularized graph.
+        assert table.graph is h
         assert table.e_plus == OddSetTable(h, range(n)).e_plus
-        assert puncture(h, k, n, table=table) == puncture(h, k, n)
+        assert puncture(table, k) == puncture(OddSetTable(h, range(n)), k)
 
 
 def count_passes(monkeypatch):
     """Lists that collect the table builds, the co-density passes, the
-    fused bound passes, the candidate passes, and every pass over a
-    table's chunks, of the calls made after this."""
-    counts = {"built": [], "ratio": [], "bound": [], "candidates": [], "chunks": []}
+    selections (with or without planned splits), the candidate passes, and
+    every pass over a table's chunks, of the calls made after this."""
+    counts = {"built": [], "ratio": [], "select": [], "candidates": [], "chunks": []}
 
     def counting(cls, name, key):
         method = getattr(cls, name)
@@ -48,7 +49,7 @@ def count_passes(monkeypatch):
 
     counting(OddSetTable, "__init__", "built")
     counting(OddSetTable, "_ratio_pass", "ratio")
-    counting(OddSetTable, "_bound_pass", "bound")
+    counting(OddSetTable, "select", "select")
     counting(OddSetTable, "_chunks", "chunks")
     counting(SplitCandidates, "__init__", "candidates")
     return counts
@@ -60,24 +61,26 @@ def test_decompose_makes_two_tables_two_scans_and_one_candidate_pass(monkeypatch
     result = decompose(g)
     assert isinstance(result, CoverDecomposition) and result.stages["splits"] >= 50
     # The shared table and its recount after the splits; one co-density
-    # pass for the bound, one collection of split candidates, and one
-    # fused pass over the recount, whose tight sets the puncture reads: no
-    # pass over all 2^16 sets per split.
+    # pass for the bound, one selection of split candidates, and one
+    # selection with no splits over the recount, whose tight sets the
+    # puncture reads: no pass over all 2^16 sets per split.
     assert len(counts["built"]) == 2
     assert len(counts["ratio"]) == 1
     assert len(counts["candidates"]) == 1
-    assert len(counts["bound"]) == 1
+    assert [k for k, splits in counts["select"] if not any(splits)] == [result.k]
+    assert len(counts["select"]) == 2
     assert len(counts["chunks"]) == 3
 
 
 def test_decompose_without_splits_makes_no_fused_pass(monkeypatch):
     counts = count_passes(monkeypatch)
     # A triangle with every edge doubled is 4-regular with k = 3: no split,
-    # and one tight block, read off the bound's co-density pass.
+    # and one tight block, read off the bound's co-density pass.  No
+    # selection at all: neither candidates nor a check after a recount.
     result = decompose(doubled_triangle())
     assert result.stages["splits"] == 0 and result.stages["blocks"] == 1
-    assert len(counts["built"]) == 2
+    assert len(counts["built"]) == 1
     assert len(counts["ratio"]) == 1
     assert len(counts["candidates"]) == 0
-    assert len(counts["bound"]) == 0
+    assert len(counts["select"]) == 0
     assert len(counts["chunks"]) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import c5, doubled_triangle, k3
 from covdex import (
+    Potentials,
     PreconditionViolated,
     build,
     find_coloring,
@@ -44,7 +45,7 @@ def test_potentials_zero_exposed_when_top_color_unused():
 def test_potentials_empty_protected_set():
     g = c5()
     c = find_coloring(g, 3)
-    assert potentials(g, c, 1, []).as_tuple() == (0, 0)
+    assert potentials(g, c, 1, []) == Potentials(0, 0)
 
 
 def test_potentials_counts_bridge_between_protected_endpoints():
@@ -53,16 +54,16 @@ def test_potentials_counts_bridge_between_protected_endpoints():
     k = 2
     c = EdgeColoring(4, {0: 3, 1: 4})
     pot = potentials(g, c, k, [0, 2])
-    assert pot.as_tuple() == (1, 1)  # vertex 2 presents the top color too
+    assert pot == Potentials(1, 1)  # vertex 2 presents the top color too
     pot2 = potentials(g, EdgeColoring(4, {0: 3, 1: 1}), k, [0, 2])
-    assert pot2.as_tuple() == (0, 0)
+    assert pot2 == Potentials(0, 0)
 
 
 def test_trivial_when_protected_set_empty():
     g = c5()
     out, _ = special_coloring(g, 1, [], initial=find_coloring(g, 3))
     assert is_proper(g, out)
-    assert potentials(g, out, 1, []).as_tuple() == (0, 0)
+    assert potentials(g, out, 1, []) == Potentials(0, 0)
 
 
 def test_unchanged_when_already_clean():
@@ -82,7 +83,7 @@ def test_star_reachable_from_every_proper_coloring():
         initial = EdgeColoring(6, dict(zip(range(3), combo)))
         assert is_proper(g, initial)
         out, events = special_coloring(g, k, leaves, initial=initial)
-        assert potentials(g, out, k, leaves).as_tuple() == (0, 0)
+        assert potentials(g, out, k, leaves) == Potentials(0, 0)
         assert is_proper(g, out)
         start = potentials(g, initial, k, leaves)
         assert_lexicographic_descent(g, k, leaves, start, events)
@@ -121,7 +122,7 @@ def test_frozen_instances_exercise_every_branch(seed, n, mm, prob, k, perm, expe
     start_coloring = scrambled(base, perm)
     start = potentials(g, start_coloring, k, S)
     out, events = special_coloring(g, k, S, initial=start_coloring)
-    assert potentials(g, out, k, S).as_tuple() == (0, 0)
+    assert potentials(g, out, k, S) == Potentials(0, 0)
     assert is_proper(g, out)
     assert {e["move"] for e in events} == expected_moves
     assert_lexicographic_descent(g, k, S, start, events)
@@ -151,7 +152,7 @@ def test_randomized_instances_converge_with_descending_potential():
         initial = scrambled(base, perm)
         start = potentials(g, initial, k, S)
         out, events = special_coloring(g, k, S, initial=initial)
-        assert potentials(g, out, k, S).as_tuple() == (0, 0)
+        assert potentials(g, out, k, S) == Potentials(0, 0)
         assert is_proper(g, out)
         assert_lexicographic_descent(g, k, S, start, events)
         done += 1
