@@ -232,7 +232,13 @@ def _cmd_verify(args, report: dict) -> tuple[dict, int]:
     g = read_graph(args.graph)
     with open(args.covers, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    covers = data.get("covers", [])
+    covers = data.get("covers") if isinstance(data, dict) else None
+    if not isinstance(covers, list) or not all(
+        isinstance(cover, list) and all(type(eid) is int for eid in cover) for cover in covers
+    ):
+        raise _UsageError(
+            f"{args.covers}: expected an object whose \"covers\" is a list of lists of edge ids"
+        )
     verdict = verify_decomposition(g, covers)
     payload = {"ok": verdict.ok, "problems": list(verdict.problems)}
     return payload, EXIT_OK if verdict.ok else EXIT_VERIFY

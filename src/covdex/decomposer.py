@@ -445,7 +445,7 @@ def decompose(
     try:
         # One table for the bound, every split and the puncture.
         table = OddSetTable(g, g.vertices(), cap=opts.subset_cap)
-        bound = gupta_bound(g, cap=opts.subset_cap, table=table)
+        bound = gupta_bound(g, table=table)
         k = bound.k
         mu = g.max_multiplicity()
         hypotheses_held = mu <= 2 or k <= 6

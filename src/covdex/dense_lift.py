@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .coloring import EdgeColoring, chain, is_proper, missing
+from .coloring import EdgeColoring, chain, is_proper, is_s_dense, missing
 from .errors import (
     DensityMismatch,
     LiftInvariantViolated,
@@ -58,7 +58,7 @@ def color_dense_block(block: Multigraph, s: int, *, initial: EdgeColoring) -> Ed
     vertex is missed by exactly s - d(v) classes.
     """
     n = block.vertex_count
-    if n < 3 or n % 2 == 0 or 2 * len(block.edges) != s * (n - 1):
+    if is_s_dense(block) != s:
         raise DensityMismatch(
             f"block has {len(block.edges)} edges on {n} vertices; expected {s}*({n}-1)/2"
         )

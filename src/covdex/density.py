@@ -17,19 +17,10 @@ subset, as wide as an ``array('i')`` item: a step is a few shifts, adds
 and ORs of whole ints instead of a Python loop over its 2^i values, and
 no lane borrows or carries, because every value stays in [0, 2^(w-1)) for
 w-bit lanes.  The int is then unpacked into the ``array('i')``.  The table
-keeps 5 * 2^n bytes (4 for e+, 1 for the set size), 80 MB at the default
-cap of 24 vertices; while it is built, the packed int and its temporaries
-take about three times that.  The cap guards runtime and memory, not
-correctness, and is checked before anything is allocated.
-
-The table's questions are answered by passes over packed lanes, 2^14
-masks (a chunk) at a time: the chunk's counts go one per lane, and the
-repunit, the widths |U|+1 and the flags of the odd sets of size >= 3 are
-constant lanes, cached per number of high bits.  ``codensity`` flags the
-odd sets whose ratio is at most the least ratio a/b met so far (at first
-the best 3-set's or largest odd set's), reads only those, and lowers a/b
-as it goes; a/b never drops below the co-density, so every minimizer is
-flagged, and the table keeps them.
+keeps 4 * 2^n bytes, 64 MiB at the default cap of 24 vertices; while it is
+built, the packed int and its temporaries take about three times that.
+The cap guards runtime and memory, not correctness, and is checked before
+anything is allocated.
 
 For a given k, a set's integer slack is 2e+(U) - k(|U|+1): an odd set is
 optimal exactly when its slack is 0, and k <= co-density exactly when no
@@ -38,11 +29,19 @@ on exactly the sets that contain x and miss y, so it lowers their slack,
 which is always even, by 2, and leaves every other slack alone.  A set U
 therefore loses at most 2D(U), where D(U) counts the splits made at U's
 own vertices, and only a set whose slack starts at most 2D(U) can reach 0
-or drop below it.  ``OddSetTable.select`` picks those sets with one
-lane-wise subtraction per chunk, and ``SplitCandidates`` keeps their
-slacks split by split.  With no split planned the selection is the sets
-at slack 0 or below, which answers the bound and the tight sets at any k
-that the cached co-density does not settle.
+or drop below it.
+
+``OddSetTable.select`` picks those sets, and it is the table's one pass
+over packed lanes: 2^14 masks (a chunk) at a time, the chunk's counts one
+per lane, and the repunit, the widths |U|+1 and the flags of the odd sets
+of size >= 3 constant lanes, cached per number of high bits; one lane-wise
+subtraction per chunk tests every mask.  ``SplitCandidates`` keeps the
+slacks of the sets it picks split by split.  With no split planned the
+selection is the sets at slack 0 or below, which answers the bound and
+the tight sets at any k that the cached co-density does not settle, and
+the co-density itself: every set at the best 3-set's or largest odd set's
+ratio a/b or below is selected at k = ceil(a/b), so the least ratio among
+the selected sets is the co-density, and the table keeps every set at it.
 
 The table carries the graph it counts.  ``decompose`` builds it once and
 hands it to ``regularize``, which counts it again only after splits, and
@@ -105,6 +104,18 @@ def _byte_lanes(data: bytes) -> int:
     lanes = bytearray(_LANE // 8 * len(data))
     lanes[:: _LANE // 8] = data
     return int.from_bytes(lanes, "little")
+
+
+def _doubled(base: int, weights: Sequence[int]) -> int:
+    """Lanes over the subsets S of range(len(weights)), lane S holding base
+    plus the weights in S: each weight doubles the lanes, adding itself to
+    the new upper half.  Every lane must stay in [0, 2^(_LANE-1))."""
+    packed, ones = base, 1
+    for j, weight in enumerate(weights):
+        shift = _LANE << j
+        packed |= (packed + weight * ones if weight else packed) << shift
+        ones |= ones << shift
+    return packed
 
 
 def _flagged(items: Sequence[int], flags: int, bit: int = 0) -> list[int]:
@@ -172,11 +183,6 @@ class GuptaBound:
     k: int
 
 
-def _check_cap(size: int, cap: int) -> None:
-    if size > cap:
-        raise TooLarge(f"odd-subset enumeration over {size} vertices exceeds cap {cap}")
-
-
 class OddSetTable:
     """e+(U) for every subset U of a fixed universe, kept by bitmask, with
     the graph it counts (``graph``) and the cap it was built under."""
@@ -184,7 +190,10 @@ class OddSetTable:
     def __init__(
         self, g: Multigraph, universe: Sequence[int], *, cap: int = SUBSET_CAP_DEFAULT
     ):
-        _check_cap(len(universe), cap)
+        if len(universe) > cap:
+            raise TooLarge(
+                f"odd-subset enumeration over {len(universe)} vertices exceeds cap {cap}"
+            )
         if len(g.edges) >= 1 << (_LANE - 2):
             raise TooLarge(
                 f"{len(g.edges)} edges do not fit the {_LANE}-bit counts of the odd-set table"
@@ -208,22 +217,13 @@ class OddSetTable:
         # Every lane stays in [0, 2^(_LANE-1)), so no operation below
         # borrows or carries between lanes.
         packed = 0
-        sizes = bytearray(1)
         for i in range(n):
-            # row holds deg(i) - mult(i, S) in lane S, over the subsets S
-            # of the bits below i; ones is the repunit over row's lanes.
-            row, ones = degree[i], 1
-            for j, m in enumerate(mult[i][:i]):
-                shift = _LANE << j
-                row |= (row - m * ones if m else row) << shift
-                ones |= ones << shift
-            del ones
-            row += packed
+            # deg(i) - mult(i, S) in lane S, over the subsets S of the bits
+            # below i.
+            row = _doubled(degree[i], [-m for m in mult[i][:i]]) + packed
             packed |= row << (_LANE << i)
             del row
-            sizes += sizes.translate(_PLUS_ONE)
         self.e_plus = _unpack(packed, 1 << n)
-        self.sizes = sizes
         self._codensity: tuple[Fraction | None, OddSetCertificate | None, list[int]] | None = None
         self._bounds: dict[int, tuple[bool, list[int]]] = {}
 
@@ -250,38 +250,28 @@ class OddSetTable:
 
     def _ratio_pass(self) -> tuple[Fraction | None, OddSetCertificate | None, list[int]]:
         """The co-density, its witness and every minimizer, in increasing
-        order, from one pass that flags the odd sets at or below the least
-        ratio a/b met so far."""
+        order.  The best 3-set's or largest odd set's ratio a/b is at least
+        the co-density, and every set at ratio a/b or below has slack 0 or
+        below at k = ceil(a/b): the least ratio among the sets selected
+        there, with no splits, is the co-density."""
         n = len(self.universe)
         if n < 3:
             return None, None, []
-        e_plus, sizes = self.e_plus, self.sizes
-        # Any odd set's ratio is at least the co-density; the best 3-set or
-        # largest odd set starts the threshold close to it.
+        e_plus = self.e_plus
         a = b = 0
         for masks in _start_sets(n):
-            twice, width = 2 * min(map(e_plus.__getitem__, masks)), sizes[masks[0]] + 1
+            twice, width = 2 * min(map(e_plus.__getitem__, masks)), masks[0].bit_count() + 1
             if not b or twice * b < a * width:
                 a, b = twice, width
-        # A lane below is 2^(_LANE-2) plus a(|U|+1), less 2b e+(U): a is the
-        # start's or at most 2e+(V) and b at most n+1, so neither term
-        # reaches 2^(_LANE-2).
-        if (n + 1) * (a + 2 * e_plus[-1]) >= _OFFSET:
-            raise TooLarge(
-                f"ratios of the odd sets over {n} vertices do not fit {_LANE}-bit lanes"
-            )
         kept: list[int] = []
-        for masks, counts, ones, widths, odd in self._chunks():
-            # The flag bit of a lane is set exactly when 2e+(U)/(|U|+1) <= a/b.
-            flags = _OFFSET * ones + a * widths - 2 * b * counts & odd
-            for mask in _flagged(masks, flags, _LANE - 2):
-                twice, width = 2 * e_plus[mask], sizes[mask] + 1
-                if twice * b < a * width:
-                    a, b, kept = twice, width, [mask]
-                elif twice * b == a * width:
-                    kept.append(mask)
-        least = min(map(sizes.__getitem__, kept))
-        mask = min((m for m in kept if sizes[m] == least), key=self._positions)
+        for mask in self.select(-(-a // b), [0] * n):
+            twice, width = 2 * e_plus[mask], mask.bit_count() + 1
+            if twice * b < a * width:
+                a, b, kept = twice, width, [mask]
+            elif twice * b == a * width:
+                kept.append(mask)
+        least = min(mask.bit_count() for mask in kept)
+        mask = min((m for m in kept if m.bit_count() == least), key=self._positions)
         witness = self._certificate(mask, tuple(self.universe[i] for i in self._positions(mask)))
         return witness.ratio, witness, kept
 
@@ -296,36 +286,28 @@ class OddSetTable:
     def select(self, k: int, splits: Sequence[int]) -> array:
         """Masks of the odd sets of size >= 3 with 2e+(U) <= k(|U|+1) + 2D(U),
         in increasing order, where D(U) sums ``splits[i]`` over the bits i
-        of U; with no splits, the sets at slack 0 or below.  The right side
-        is k plus a weight k + 2 splits[i] per vertex of U, doubled over a
-        chunk's low bits like the table's build, and the chunk's high bits
-        add a constant: one lane-wise subtraction per chunk tests it."""
+        of U; with no splits, the sets at slack 0 or below.  A chunk's lanes
+        hold k(|U|+1) from its widths, 2D of each mask's low part doubled
+        like the table's build, and 2D of the chunk's high part, less 2e+(U):
+        one lane-wise subtraction per chunk tests every mask."""
         n = len(self.universe)
-        weights = [k + 2 * made for made in splits]
-        # Every lane below is 2^(_LANE-2) plus at most k + sum(weights),
+        # Every lane below is 2^(_LANE-2) plus at most k(n+1) + 2D(V),
         # less at most twice the largest count.
-        if k + sum(weights) + 2 * self.e_plus[-1] >= _OFFSET:
+        if k * (n + 1) + 2 * sum(splits) + 2 * self.e_plus[-1] >= _OFFSET:
             raise TooLarge(
                 f"slacks of the odd sets over {n} vertices at k = {k} do not fit "
                 f"{_LANE}-bit lanes"
             )
         low = min(n, _CHUNK_BITS)
-        # Lane l: 2^(_LANE-2) + k + the weights of l's vertices, for the
-        # low masks l of a chunk; chunk_ones is the repunit over its lanes.
-        bound, chunk_ones = _OFFSET + k, 1
-        for i, weight in enumerate(weights[:low]):
-            shift = _LANE << i
-            bound |= (bound + weight * chunk_ones) << shift
-            chunk_ones |= chunk_ones << shift
-        # The weights of each chunk's high bits, doubled the same way.
-        high = [0]
-        for weight in weights[low:]:
-            high += [extra + weight for extra in high]
+        drops = [2 * made for made in splits]
+        planned = _doubled(0, drops[:low]) if any(drops) else 0
         masks = array("i")
-        for chunk, counts, ones, _, odd in self._chunks():
+        for chunk, counts, ones, widths, odd in self._chunks():
+            high = chunk.start >> low
+            spent = sum(drop for i, drop in enumerate(drops[low:]) if high >> i & 1)
             # Bit _LANE-2 of a lane is set exactly when the test holds;
             # only the odd sets of size >= 3 are kept.
-            over = bound + high[chunk.start >> low] * ones - (counts << 1)
+            over = (_OFFSET + spent) * ones + k * widths + planned - (counts << 1)
             masks.extend(_flagged(chunk, over & odd, _LANE - 2))
         return masks
 
@@ -355,7 +337,7 @@ class OddSetTable:
 
     def _ordered(self, masks: Iterable[int]) -> list[int]:
         """The masks by set size, then lexicographic in universe order."""
-        return sorted(masks, key=lambda m: (self.sizes[m], self._positions(m)))
+        return sorted(masks, key=lambda m: (m.bit_count(), self._positions(m)))
 
     def _least(self, x: int, ordered: Iterable[int]) -> OddSetCertificate | None:
         """The first of x's sets in (size, lexicographic) order, or None; a
@@ -364,9 +346,10 @@ class OddSetTable:
         if not found:
             return None
         vertices = [tuple(sorted(self.universe[i] for i in self._positions(m))) for m in found]
-        if len(found) > 1 and self.sizes[found[0]] == self.sizes[found[1]]:
+        size = found[0].bit_count()
+        if len(found) > 1 and found[1].bit_count() == size:
             raise DisjointnessViolation(
-                f"two minimum optimal sets of size {self.sizes[found[0]]} contain vertex {x}: "
+                f"two minimum optimal sets of size {size} contain vertex {x}: "
                 f"{vertices[0]} and {vertices[1]}"
             )
         return self._certificate(found[0], vertices[0])
@@ -382,7 +365,7 @@ class OddSetTable:
 
     def slack(self, mask: int, k: int) -> int:
         """2e+(U) - k(|U|+1) for the set U of the mask."""
-        return 2 * self.e_plus[mask] - k * (self.sizes[mask] + 1)
+        return 2 * self.e_plus[mask] - k * (mask.bit_count() + 1)
 
     def recount(self, g: Multigraph) -> None:
         """Count the table again from g, such as the graph after splits,
@@ -499,12 +482,11 @@ def gupta_bound(
     """delta, co-density, and k = min(delta - 1, floor(co-density)), k >= 0.
 
     ``table``, when given, is g's table over all of its vertices and is
-    read instead of building one."""
-    _check_cap(g.vertex_count, cap)
-    delta = g.min_degree()
+    read instead of building one under ``cap``."""
     if table is None:
         table = OddSetTable(g, g.vertices(), cap=cap)
     value, _ = table.codensity()
+    delta = g.min_degree()
     if value is None:
         k = delta - 1
     else:

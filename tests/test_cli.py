@@ -109,6 +109,25 @@ def test_verify_rejects_bad_covers(capsys, tmp_path, k4_path):
     assert payload["problems"]
 
 
+@pytest.mark.parametrize("data", [[1, 2], {"covers": [1, 2]}, {}, {"covers": [["0"]]}])
+def test_verify_rejects_a_malformed_covers_file(capsys, tmp_path, k4_path, data):
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", k4_path, str(path))
+    assert code == 2
+    assert out == ""
+    assert "list of lists" in json.loads(err)["payload"]["message"]
+
+
+def test_verify_accepts_no_covers(capsys, tmp_path, k4_path):
+    # The payload of a k = 0 decomposition.
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps({"k": 0, "covers": []}))
+    code, out, _ = run_cli(capsys, "verify", k4_path, str(path))
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "problems": []}
+
+
 def test_xi_payload(capsys, k4_path):
     code, out, _ = run_cli(capsys, "xi", k4_path)
     assert code == 0

@@ -1,18 +1,20 @@
 """The odd-set table's lane answers against a scan of every mask.
 
-``codensity``, ``below`` and ``tight_sets`` answer from passes over packed
-lanes, 2^_CHUNK_BITS masks per chunk, and ``below``/``tight_sets`` read
-the cached co-density when k is at most its value.  The references below
-read ``e_plus`` and ``sizes`` one mask at a time.  The chunks are also
-narrowed to 2 and 3 bits, so that the chunks' high parts have 0, 1, 2 and
-3 or more bits.  ``all_min_optimal_sets`` is compared with the per-vertex
-loop it replaced, and each pass's lane guard is checked at its limit.
+``select`` tests 2e+(U) <= k(|U|+1) + 2D(U) on packed lanes, 2^_CHUNK_BITS
+masks per chunk, and ``codensity``, ``below`` and ``tight_sets`` answer
+from its selection with no splits; ``below``/``tight_sets`` read the
+cached co-density when k is at most its value.  The references below read
+``e_plus`` one mask at a time.  The chunks are also narrowed to 2 and 3
+bits, so that the chunks' high parts have 0, 1, 2 and 3 or more bits.
+``all_min_optimal_sets`` is compared with the per-vertex loop it
+replaced, and the selection's lane guard is checked at its limit.
 """
 
 import random
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -27,15 +29,19 @@ def positions(mask):
 
 
 def odd_masks(table):
-    return [mask for mask, size in enumerate(table.sizes) if size >= 3 and size % 2]
+    return [
+        mask
+        for mask in range(len(table.e_plus))
+        if mask.bit_count() >= 3 and mask.bit_count() % 2
+    ]
 
 
 def scan_codensity(table):
     """The least ratio 2e+(U)/(|U|+1) and the first mask reaching it in
     (size, lexicographic) order, or (None, None)."""
     best = witness = None
-    for mask in sorted(odd_masks(table), key=lambda m: (table.sizes[m], positions(m))):
-        ratio = Fraction(2 * table.e_plus[mask], table.sizes[mask] + 1)
+    for mask in sorted(odd_masks(table), key=lambda m: (m.bit_count(), positions(m))):
+        ratio = Fraction(2 * table.e_plus[mask], mask.bit_count() + 1)
         if best is None or ratio < best:
             best, witness = ratio, mask
     return best, witness
@@ -56,7 +62,7 @@ def seeded_cases():
     witness's mask, and (below, tight sets) for each k from 0 to 2 above
     the co-density."""
     rng = random.Random(31)
-    cases = []
+    graphs = []
     for seed in range(36):
         n = 3 + seed % 12
         g = random_multigraph(
@@ -67,7 +73,13 @@ def seeded_cases():
                 seed=seed,
             )
         )
-        universe = rng.sample(range(n), n) if seed % 3 else range(n)
+        graphs.append((g, rng.sample(range(n), n) if seed % 3 else range(n)))
+    # A 5-clique with one edge to a heavy pair: the clique's ratio 11/3 is
+    # below every 3-set's (at least 9/2) and the whole graph's (21/4), so
+    # the co-density pass lowers its start ratio.
+    graphs.append((build(7, [*combinations(range(5), 2), (4, 5), *[(5, 6)] * 10]), range(7)))
+    cases = []
+    for g, universe in graphs:
         table = OddSetTable(g, universe)
         value, witness_mask = scan_codensity(table)
         answers = []
@@ -84,7 +96,7 @@ def seeded_cases():
 def test_lane_answers_match_a_scan_of_every_mask(monkeypatch, chunk_bits):
     monkeypatch.setattr(density, "_CHUNK_BITS", chunk_bits)
     high_bits = set()
-    below = tight = 0
+    below = tight = lowered = 0
     for g, universe, value, witness_mask, answers in seeded_cases():
         # Without a cached co-density every k runs the selection with no
         # splits; after codensity() the k up to the co-density read its
@@ -101,6 +113,7 @@ def test_lane_answers_match_a_scan_of_every_mask(monkeypatch, chunk_bits):
             assert witness.vertices == tuple(table.universe[i] for i in positions(witness_mask))
             assert witness.e_plus == table.e_plus[witness_mask]
             assert witness.ratio == value
+            lowered += 3 < witness.size < len(universe) - 1 + len(universe) % 2
             high_bits.add(min((witness_mask >> chunk_bits).bit_count(), 3))
         for k, (dropped, expected) in enumerate(answers):
             assert table.below(k) == dropped
@@ -111,12 +124,56 @@ def test_lane_answers_match_a_scan_of_every_mask(monkeypatch, chunk_bits):
             below += dropped
             tight += bool(expected)
             high_bits |= {min((mask >> chunk_bits).bit_count(), 3) for mask in expected}
-    # Both answers were reached, and with narrow chunks the sets came from
-    # high parts of 1, 2 and 3 or more bits, and with 3-bit chunks 0 bits;
-    # the first 2-bit chunk holds no odd set of size >= 3.
-    assert below >= 40 and tight >= 30
+    # Both answers were reached, some witness is neither a 3-set nor a
+    # largest odd set, and with narrow chunks the sets came from high parts
+    # of 1, 2 and 3 or more bits, and with 3-bit chunks 0 bits; the first
+    # 2-bit chunk holds no odd set of size >= 3.
+    assert below >= 40 and tight >= 30 and lowered >= 1
     if chunk_bits < 14:
         assert {1, 2, 3} <= high_bits
+    if chunk_bits == 3:
+        assert 0 in high_bits
+
+
+def scan_selection(table, k, splits):
+    """The odd sets with 2e+(U) <= k(|U|+1) + 2D(U), where D(U) sums
+    splits[i] over the bits i of U, read off every mask."""
+    spent = array("i", [0])
+    for made in splits:
+        spent += array("i", map(made.__add__, spent))
+    return [
+        mask
+        for mask in odd_masks(table)
+        if 2 * table.e_plus[mask] <= k * (mask.bit_count() + 1) + 2 * spent[mask]
+    ]
+
+
+@pytest.mark.parametrize("chunk_bits", [14, 2, 3])
+def test_selection_matches_a_scan_of_every_mask(monkeypatch, chunk_bits):
+    monkeypatch.setattr(density, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(61 + chunk_bits)
+    high_bits = set()
+    plain = low_planned = high_planned = 0
+    for g, universe, _, _, answers in seeded_cases():
+        table = OddSetTable(g, universe)
+        n = len(table.universe)
+        for k in range(len(answers)):
+            # About a third of the plans are all zero.
+            splits = [rng.choice((0, 0, 1, 3)) if rng.random() < 0.7 else 0 for _ in range(n)]
+            if rng.random() < 0.3:
+                splits = [0] * n
+            selected = list(table.select(k, splits))
+            assert selected == scan_selection(table, k, splits)
+            plain += not any(splits)
+            low_planned += any(splits[:chunk_bits])
+            high_planned += any(splits[chunk_bits:])
+            high_bits |= {min((mask >> chunk_bits).bit_count(), 3) for mask in selected}
+    # Both the selection with no splits and the doubled one ran, with
+    # splits in the chunks' high parts too when the chunks are narrow, and
+    # the sets came from high parts of 0 to 3 or more bits.
+    assert plain >= 30 and low_planned >= 100
+    if chunk_bits < 14:
+        assert high_planned >= 100 and {1, 2, 3} <= high_bits
     if chunk_bits == 3:
         assert 0 in high_bits
 
@@ -132,8 +189,8 @@ def per_vertex_min_optimal_sets(table, k):
         mine = [mask for mask in tight if mask & bit]
         if not mine:
             continue
-        size = min(table.sizes[mask] for mask in mine)
-        found = sorted((m for m in mine if table.sizes[m] == size), key=positions)
+        size = min(mask.bit_count() for mask in mine)
+        found = sorted((m for m in mine if m.bit_count() == size), key=positions)
         vertices = [tuple(sorted(table.universe[i] for i in positions(m))) for m in found[:2]]
         if len(found) > 1:
             raise DisjointnessViolation(
@@ -208,14 +265,15 @@ def test_all_min_optimal_sets_reports_a_tie_and_an_overlap():
 
 def test_codensity_pass_refuses_ratios_beyond_a_lane():
     triangle = OddSetTable(build(3, [(0, 1), (1, 2), (0, 2)]), range(3))
-    # The guard: (n+1)(a + 2e+(V)) < 2^30, where a/b = 2e+/4 of the best
-    # 3-set starts the pass; on a triangle that is 16 e+(V) < 2^30.
-    triangle.e_plus = array("i", [0] * 7 + [1 << 26])
+    # The pass selects with no splits at k = ceil(a/b), where a/b = 2e+/4
+    # of the best 3-set; the selection's guard k(n+1) + 2e+(V) < 2^30 is
+    # then 4 ceil(e+(V)/2) + 2e+(V) < 2^30.
+    triangle.e_plus = array("i", [0] * 7 + [1 << 28])
     with pytest.raises(TooLarge, match="do not fit"):
         triangle.codensity()
-    # One below the limit fits, and the ratio reads exactly.
-    triangle.e_plus = array("i", [0] * 7 + [(1 << 26) - 1])
-    assert triangle.codensity()[0] == Fraction((1 << 26) - 1, 2)
+    # Below the limit it fits, and the ratio reads exactly.
+    triangle.e_plus = array("i", [0] * 7 + [(1 << 28) - 2])
+    assert triangle.codensity()[0] == (1 << 27) - 1
 
 
 def test_zero_split_selection_refuses_slacks_beyond_a_lane():

@@ -115,8 +115,9 @@ def full_scan_tight(table, k):
     """Masks of the odd sets of size >= 3 at slack 0, read off every mask."""
     return [
         mask
-        for mask, (count, size) in enumerate(zip(table.e_plus, table.sizes))
-        if size >= 3 and size % 2 and 2 * count == k * (size + 1)
+        for mask, count in enumerate(table.e_plus)
+        if mask.bit_count() >= 3 and mask.bit_count() % 2
+        and 2 * count == k * (mask.bit_count() + 1)
     ]
 
 
@@ -125,9 +126,9 @@ def full_scan_min_slack(table, k):
     off every mask, or None when the universe has no such set."""
     return min(
         (
-            2 * count - k * (size + 1)
-            for count, size in zip(table.e_plus, table.sizes)
-            if size >= 3 and size % 2
+            2 * count - k * (mask.bit_count() + 1)
+            for mask, count in enumerate(table.e_plus)
+            if mask.bit_count() >= 3 and mask.bit_count() % 2
         ),
         default=None,
     )
@@ -275,7 +276,6 @@ def test_packed_build_matches_the_array_recurrence():
             universe = tuple(g.vertices()) if restrict is None else tuple(restrict)
             table = OddSetTable(g, universe)
             assert table.e_plus == array_recurrence(g, universe)
-            assert list(table.sizes) == [mask.bit_count() for mask in range(1 << len(universe))]
             checked += 1
     # Counts above 255 use more than a lane's lowest byte.
     triangle = build(3, [(0, 1), (1, 2), (0, 2)] * 40)
@@ -323,7 +323,6 @@ def test_table_values_are_incident_edge_counts():
     g = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
     table = OddSetTable(g, (2, 0, 3))  # bit 0 is vertex 2, bit 1 vertex 0
     assert list(table.e_plus) == [0, 2, 3, 5, 2, 3, 4, 5]
-    assert list(table.sizes) == [0, 1, 1, 2, 1, 2, 2, 3]
 
 
 def test_table_checks_the_cap_before_building():

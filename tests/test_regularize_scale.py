@@ -61,26 +61,30 @@ def test_decompose_makes_two_tables_two_scans_and_one_candidate_pass(monkeypatch
     result = decompose(g)
     assert isinstance(result, CoverDecomposition) and result.stages["splits"] >= 50
     # The shared table and its recount after the splits; one co-density
-    # pass for the bound, one selection of split candidates, and one
-    # selection with no splits over the recount, whose tight sets the
-    # puncture reads: no pass over all 2^16 sets per split.
+    # pass for the bound, a selection with no splits, one selection of
+    # split candidates, and one selection with no splits over the recount,
+    # whose tight sets the puncture reads: no pass over all 2^16 sets per
+    # split.
     assert len(counts["built"]) == 2
     assert len(counts["ratio"]) == 1
     assert len(counts["candidates"]) == 1
-    assert [k for k, splits in counts["select"] if not any(splits)] == [result.k]
-    assert len(counts["select"]) == 2
+    assert len(counts["select"]) == 3
+    ratio, candidates, recounted = counts["select"]
+    assert not any(ratio[1]) and any(candidates[1])
+    assert recounted == (result.k, [0] * 16)
     assert len(counts["chunks"]) == 3
 
 
 def test_decompose_without_splits_makes_no_fused_pass(monkeypatch):
     counts = count_passes(monkeypatch)
     # A triangle with every edge doubled is 4-regular with k = 3: no split,
-    # and one tight block, read off the bound's co-density pass.  No
-    # selection at all: neither candidates nor a check after a recount.
+    # and one tight block, read off the bound's co-density pass.  Its
+    # selection with no splits is the only one: neither candidates nor a
+    # check after a recount.
     result = decompose(doubled_triangle())
     assert result.stages["splits"] == 0 and result.stages["blocks"] == 1
     assert len(counts["built"]) == 1
     assert len(counts["ratio"]) == 1
     assert len(counts["candidates"]) == 0
-    assert len(counts["select"]) == 0
+    assert counts["select"] == [(3, [0, 0, 0])]
     assert len(counts["chunks"]) == 1

@@ -31,11 +31,9 @@ class DictCandidates:
             for size in range(len(table.universe) + 1)
         ]
         self.slacks = {
-            mask: 2 * count - k * (size + 1)
-            for mask, count, size, spent in zip(
-                range(len(table.e_plus)), table.e_plus, table.sizes, planned
-            )
-            if count - spent <= need[size]
+            mask: 2 * count - k * (mask.bit_count() + 1)
+            for mask, count, spent in zip(range(len(table.e_plus)), table.e_plus, planned)
+            if count - spent <= need[mask.bit_count()]
         }
         self._position = table._position
         self._containing = [
