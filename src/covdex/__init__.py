@@ -7,6 +7,7 @@ from .coloring import (
     chain,
     chains,
     chromatic_index,
+    color_masks,
     find_coloring,
     is_proper,
     is_s_dense,

@@ -1,6 +1,12 @@
 """Proper edge colorings: missing sets, two-color chains, Kempe swaps,
 and an exact fixed-palette coloring solver.
 
+``color_masks`` gives, for every vertex, the colors on its edges as a
+bitmask (bit c for color c), from the one pass over the edges that also
+decides properness (``is_proper`` is that pass).  The lift and augment
+checks read these masks instead of rebuilding a present or missing set,
+or scanning a color class, per question.
+
 The solver is a backtracking search with fail-first edge selection,
 per-vertex color bitmasks and color-symmetry breaking.  It runs as a loop
 over flat per-edge lists with an explicit stack of frames, so it has no
@@ -138,21 +144,38 @@ class Chain:
         raise ValueError(f"vertex {v} is not an endpoint of this chain")
 
 
-def is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
-    """True when every edge has a color in range and no vertex repeats one."""
+def color_masks(g: Multigraph, coloring: EdgeColoring) -> list[int] | None:
+    """Per vertex, the colors on its edges as a bitmask (bit c for color c),
+    from one pass over the edges; None when the coloring is not proper: an
+    edge is uncolored or colored outside [1, palette], or a vertex repeats
+    a color.  Its missing colors are ``palette_mask(palette) & ~mask``."""
     assignment, palette = coloring.assignment, coloring.palette
-    # Per vertex, bit c is set once an edge of color c has been met there.
     used = [0] * g.vertex_count
     for e in g.edges:
         c = assignment.get(e.id)
         if c is None or not (1 <= c <= palette):
-            return False
+            return None
         bit = 1 << c
         if (used[e.u] | used[e.v]) & bit:
-            return False
+            return None
         used[e.u] |= bit
         used[e.v] |= bit
-    return True
+    return used
+
+
+def is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
+    """True when every edge has a color in range and no vertex repeats one."""
+    return color_masks(g, coloring) is not None
+
+
+def palette_mask(palette: int) -> int:
+    """The colors 1..palette as a color mask."""
+    return (1 << (palette + 1)) - 2
+
+
+def mask_colors(mask: int) -> list[int]:
+    """The colors of a color mask, in increasing order."""
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
 def present(coloring: EdgeColoring, g: Multigraph, v: int) -> frozenset[int]:

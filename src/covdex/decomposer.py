@@ -33,9 +33,11 @@ from .coloring import (
     COLOR_BUDGET_DEFAULT,
     EdgeColoring,
     chains,
+    color_masks,
     find_coloring,
     is_proper,
-    present,
+    mask_colors,
+    palette_mask,
 )
 from .density import (
     SUBSET_CAP_DEFAULT,
@@ -343,9 +345,13 @@ def orient_and_augment(
     vertex), except that a path whose smaller endpoint is designated is
     reversed, so no designated vertex starts a path."""
     top = k + 2
+    masks = color_masks(h1, psi)
+    if masks is None:
+        raise AugmentationFailed("lifted coloring is not proper")
+    reserve = 1 << (k + 1) | 1 << top
     x_set = {p.x for p in punctures}
     for x in sorted(x_set):
-        if {k + 1, top} <= present(psi, h1, x):
+        if masks[x] & reserve == reserve:
             raise AugmentationFailed(f"designated vertex {x} has reserve degree 2")
 
     arcs: list[tuple[int, int, int]] = []
@@ -369,10 +375,10 @@ def orient_and_augment(
         if c in classes:
             classes[c].add(eid)
     y_of = {p.y: p for p in punctures}
-    low = frozenset(range(1, k + 1))
+    low = palette_mask(k)
 
     for v in range(n_original):
-        gaps = sorted(low - present(psi, h1, v))
+        gaps = mask_colors(low & ~masks[v])
         if v in y_of:
             p = y_of[v]
             if len(gaps) > 2:
@@ -415,7 +421,7 @@ def _extend_to_pendants(
             bit = 1 << colors[e.id]
             used[e.u] |= bit
             used[e.v] |= bit
-    palette_bits = (1 << (palette + 1)) - 2
+    palette_bits = palette_mask(palette)
     for e in sorted(h1.edges, key=lambda e: e.id):
         if e.id in colors:
             continue
@@ -427,6 +433,29 @@ def _extend_to_pendants(
         used[e.u] |= bit
         used[e.v] |= bit
     return EdgeColoring(palette, colors)
+
+
+def _block_edges(
+    h1: Multigraph, punctures: Sequence[Puncture]
+) -> tuple[list[list[Edge]], list[list[Edge]]]:
+    """Per puncture, in edge order, the edges of h1 inside its block and the
+    edges on its boundary, from one pass over the edges.  The blocks are
+    disjoint (``all_min_optimal_sets`` checks it), so each vertex has at
+    most one block."""
+    owner = {v: i for i, p in enumerate(punctures) for v in p.block}
+    inside: list[list[Edge]] = [[] for _ in punctures]
+    boundary: list[list[Edge]] = [[] for _ in punctures]
+    for e in h1.edges:
+        a, b = owner.get(e.u), owner.get(e.v)
+        if a == b:
+            if a is not None:
+                inside[a].append(e)
+            continue
+        if a is not None:
+            boundary[a].append(e)
+        if b is not None:
+            boundary[b].append(e)
+    return inside, boundary
 
 
 def decompose(
@@ -498,17 +527,17 @@ def decompose(
         if not is_proper(h1, full):
             raise StageAssertionFailed("chi-prime", "extended coloring is improper")
         run.dump["core_coloring"] = lambda: _coloring_obj(full)
-        for p in punctures:
+        block_inside, block_boundary = _block_edges(h1, punctures)
+        for p, boundary in zip(punctures, block_boundary):
             seen: set[int] = set()
-            for e in h1.edges:
-                if (e.u in p.block) != (e.v in p.block):
-                    c = full.color_of(e.id)
-                    if c in seen:
-                        raise StageAssertionFailed(
-                            "chi-prime",
-                            f"boundary color {c} repeats at block {sorted(p.block)}",
-                        )
-                    seen.add(c)
+            for e in boundary:
+                c = full.color_of(e.id)
+                if c in seen:
+                    raise StageAssertionFailed(
+                        "chi-prime",
+                        f"boundary color {c} repeats at block {sorted(p.block)}",
+                    )
+                seen.add(c)
 
         run.enter("contract")
         h2, vmap, merged, degree_ok = contract_blocks(h1, punctures, k, hypotheses_held)
@@ -531,23 +560,12 @@ def decompose(
 
         run.enter("lift")
         blocks = []
-        for p in punctures:
-            block_start = EdgeColoring(
-                k + 2,
-                {
-                    e.id: full.color_of(e.id)
-                    for e in h1.edges
-                    if e.u in p.block and e.v in p.block
-                },
-            )
+        for p, inside, boundary in zip(punctures, block_inside, block_boundary):
+            block_start = EdgeColoring(k + 2, {e.id: full.color_of(e.id) for e in inside})
             bc = dense_lift.make_block(
                 h1, sorted(p.block), p.x, p.y, k + 2, initial=block_start
             )
-            requirements = {
-                e.id: phi2.color_of(e.id)
-                for e in h1.edges
-                if (e.u in p.block) != (e.v in p.block)
-            }
+            requirements = {e.id: phi2.color_of(e.id) for e in boundary}
             blocks.append(dense_lift.permute_block_palette(bc, requirements, h1, k))
         psi = dense_lift.assemble_lift(h1, phi2, blocks, k)
         run.dump["lifted_coloring"] = lambda: _coloring_obj(psi)

@@ -8,14 +8,27 @@ colors its boundary edges received outside, and the class colored k+2 is
 steered to miss the block's designated vertex.  The bijection is found by
 bipartite matching between constrained global colors and local classes;
 infeasibility is dumped, never patched.
+
+The block and lift checks read missing sets, and whether a vertex
+presents a color, from per-vertex color masks that ``coloring.color_masks``
+builds in the one pass over the edges that also decides properness; class
+sizes come from one count over the assignment.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .coloring import EdgeColoring, chain, is_proper, is_s_dense, missing
+from .coloring import (
+    EdgeColoring,
+    chain,
+    color_masks,
+    is_s_dense,
+    mask_colors,
+    palette_mask,
+)
 from .errors import (
     DensityMismatch,
     LiftInvariantViolated,
@@ -62,16 +75,21 @@ def color_dense_block(block: Multigraph, s: int, *, initial: EdgeColoring) -> Ed
         raise DensityMismatch(
             f"block has {len(block.edges)} edges on {n} vertices; expected {s}*({n}-1)/2"
         )
-    if initial.palette != s or not is_proper(block, initial):
+    masks = color_masks(block, initial) if initial.palette == s else None
+    if masks is None:
         raise PreconditionViolated("supplied block coloring is not a proper s-coloring")
     half = (n - 1) // 2
+    # Class sizes count every id of the assignment, as the classes do.
+    sizes = Counter(initial.assignment.values())
     for c in range(1, s + 1):
-        if len(initial.color_class(c)) != half:
+        if sizes[c] != half:
             raise LiftInvariantViolated(0, f"class {c} is not a near-perfect matching")
-    miss = {v: missing(initial, block, v) for v in block.vertices()}
+    colors = palette_mask(s)
+    miss = [colors & ~mask for mask in masks]
     for v in block.vertices():
-        if len(miss[v]) != s - block.degree(v):
-            raise LiftInvariantViolated(0, f"vertex {v} missed by {len(miss[v])} classes")
+        count = miss[v].bit_count()
+        if count != s - block.degree(v):
+            raise LiftInvariantViolated(0, f"vertex {v} missed by {count} classes")
         for w in range(v + 1, n):
             if miss[v] & miss[w]:
                 raise LiftInvariantViolated(0, f"vertices {v},{w} share a missing class")
@@ -91,13 +109,13 @@ def make_block(
     return BlockColoring(vertices=verts, graph=graph, coloring=coloring, x=x, y=y)
 
 
-def _max_bipartite_matching(wants: dict[int, frozenset[int]]) -> dict[int, int]:
-    """Augmenting-path matching: each key gets one of its allowed targets,
-    or {} when no complete matching exists."""
+def _max_bipartite_matching(wants: dict[int, int]) -> dict[int, int]:
+    """Augmenting-path matching: each key gets one of its allowed targets
+    (the set bits of its mask), or {} when no complete matching exists."""
     matched_to: dict[int, int] = {}  # target -> key
 
     def try_assign(key: int, banned: set[int]) -> bool:
-        for t in sorted(wants[key]):
+        for t in mask_colors(wants[key]):
             if t in banned:
                 continue
             banned.add(t)
@@ -130,11 +148,13 @@ def permute_block_palette(
     if len(required) != len(set(required)):
         raise PreconditionViolated("boundary colors at one block must be distinct")
 
-    local_missing = {
-        v: missing(bc.coloring, bc.graph, v) for v in bc.graph.vertices()
-    }
+    masks = color_masks(bc.graph, bc.coloring)
+    if masks is None:
+        raise PreconditionViolated("block coloring is not proper")
+    colors = palette_mask(bc.coloring.palette)
+    local_missing = [colors & ~mask for mask in masks]
     inside = bc.host_set()
-    wants: dict[int, frozenset[int]] = {}
+    wants: dict[int, int] = {}
     for eid, color in sorted(boundary_requirements.items()):
         edge = host.edge(eid)
         w_host = edge.u if edge.u in inside else edge.v
@@ -145,7 +165,7 @@ def permute_block_palette(
 
     matching = _max_bipartite_matching(wants)
     if not matching:
-        detail = {c: sorted(a) for c, a in wants.items()}
+        detail = {c: mask_colors(a) for c, a in wants.items()}
         raise NoFeasiblePermutation(f"no palette bijection satisfies {detail}")
 
     taken = set(matching.values())
@@ -169,8 +189,8 @@ def assemble_lift(
     """Merge the outer coloring with the permuted block colorings.
 
     Every edge inside a block takes its block color; every other edge keeps
-    the outer color (ids are shared with the contracted graph).  The three
-    lift properties are then re-verified globally.
+    the outer color (ids are shared with the contracted graph).  Properness
+    and the three lift properties are then re-verified globally.
     """
     s = k + 2
     combined: dict[int, int] = {}
@@ -183,8 +203,6 @@ def assemble_lift(
         if e.id not in internal:
             combined[e.id] = outer.color_of(e.id)
     psi = EdgeColoring(s, combined)
-    if not is_proper(h1, psi):
-        raise LiftInvariantViolated(0, "assembled coloring is not proper")
     check_lift_properties(h1, psi, blocks, k)
     return psi
 
@@ -195,7 +213,8 @@ def check_lift_properties(
     blocks: Sequence[BlockColoring],
     k: int,
 ) -> None:
-    """Verify the three properties the downstream orientation relies on.
+    """Verify that psi is a proper coloring of h1 (property 0) and the
+    three properties the downstream orientation relies on.
 
     1. No block boundary edge carries the top color k+2.
     2. A (k+1, k+2)-chain through a boundary edge is a path reaching a
@@ -204,6 +223,9 @@ def check_lift_properties(
     3. The top color class misses each block's designated vertex x.
     """
     s = k + 2
+    masks = color_masks(h1, psi)
+    if masks is None:
+        raise LiftInvariantViolated(0, "assembled coloring is not proper")
     all_block_vertices: set[int] = set()
     for bc in blocks:
         all_block_vertices |= bc.host_set()
@@ -234,12 +256,9 @@ def check_lift_properties(
                     f"not outside the blocks",
                 )
             for w in inside:
-                if (k + 1) not in {psi.color_of(f.id) for f in h1.incident(w)}:
+                if not masks[w] >> (k + 1) & 1:
                     raise LiftInvariantViolated(
                         2, f"block vertex {w} does not present color {k + 1}"
                     )
-        top_class = psi.color_class(s)
-        for eid in top_class:
-            edge = h1.edge(eid)
-            if edge.touches(bc.x):
-                raise LiftInvariantViolated(3, f"top class touches designated vertex {bc.x}")
+        if masks[bc.x] >> s & 1:
+            raise LiftInvariantViolated(3, f"top class touches designated vertex {bc.x}")

@@ -339,20 +339,23 @@ class OddSetTable:
         """The masks by set size, then lexicographic in universe order."""
         return sorted(masks, key=lambda m: (m.bit_count(), self._positions(m)))
 
-    def _least(self, x: int, ordered: Iterable[int]) -> OddSetCertificate | None:
-        """The first of x's sets in (size, lexicographic) order, or None; a
+    def _sorted_vertices(self, mask: int) -> tuple[int, ...]:
+        return tuple(sorted(self.universe[i] for i in self._positions(mask)))
+
+    def _least(self, x: int, ordered: Iterable[int]) -> int | None:
+        """The first of x's masks in (size, lexicographic) order, or None; a
         second one of the same size raises DisjointnessViolation."""
         found = list(islice(ordered, 2))
         if not found:
             return None
-        vertices = [tuple(sorted(self.universe[i] for i in self._positions(m))) for m in found]
         size = found[0].bit_count()
         if len(found) > 1 and found[1].bit_count() == size:
+            first, second = map(self._sorted_vertices, found)
             raise DisjointnessViolation(
                 f"two minimum optimal sets of size {size} contain vertex {x}: "
-                f"{vertices[0]} and {vertices[1]}"
+                f"{first} and {second}"
             )
-        return self._certificate(found[0], vertices[0])
+        return found[0]
 
     def min_containing(self, x: int, tight: list[int]) -> OddSetCertificate | None:
         """The unique minimum-size set among the tight masks that contains
@@ -360,8 +363,8 @@ class OddSetTable:
         if x not in self._position:
             return None
         bit = 1 << self._position[x]
-        mine = [mask for mask in tight if mask & bit]
-        return self._least(x, self._ordered(mine)) if mine else None
+        least = self._least(x, self._ordered(mask for mask in tight if mask & bit))
+        return None if least is None else self._certificate(least, self._sorted_vertices(least))
 
     def slack(self, mask: int, k: int) -> int:
         """2e+(U) - k(|U|+1) for the set U of the mask."""
@@ -543,15 +546,14 @@ def all_min_optimal_sets(
     if table is None:
         table = OddSetTable(g, universe, cap=cap)
     tight = table._ordered(table.tight_sets(k))
-    collected: list[OddSetCertificate] = []
-    seen: set[frozenset[int]] = set()
+    # Each vertex's least set is tie-checked; its certificate is built once.
+    least_masks: dict[int, None] = {}
     for x in universe:
         bit = 1 << table._position[x]
-        cert = table._least(x, (mask for mask in tight if mask & bit))
-        if cert is None or cert.as_set() in seen:
-            continue
-        seen.add(cert.as_set())
-        collected.append(cert)
+        least = table._least(x, (mask for mask in tight if mask & bit))
+        if least is not None:
+            least_masks[least] = None
+    collected = [table._certificate(mask, table._sorted_vertices(mask)) for mask in least_masks]
     certs = [
         a
         for a in collected

@@ -245,19 +245,23 @@ def induced_subgraph(g: Multigraph, vertex_set: Iterable[int]) -> Multigraph:
     """Subgraph on a vertex set, keeping edge ids.
 
     Vertices are renumbered in increasing order to 0..|S|-1, so inducing on
-    a prefix 0..s-1 leaves vertex names unchanged.
+    a prefix 0..s-1 leaves vertex names unchanged, and the subgraph keeps
+    the host's own ``Edge`` objects.
     """
     inside = sorted(set(vertex_set))
     for v in inside:
         if not (0 <= v < g.vertex_count):
             raise VertexOutOfRange(f"vertex {v} out of range")
+    size = len(inside)
+    if not inside or inside[-1] == size - 1:
+        return Multigraph(size, tuple(e for e in g.edges if e.u < size and e.v < size))
     remap = {v: i for i, v in enumerate(inside)}
     edges = tuple(
         Edge(e.id, remap[e.u], remap[e.v])
         for e in g.edges
         if e.u in remap and e.v in remap
     )
-    return Multigraph(len(inside), edges)
+    return Multigraph(size, edges)
 
 
 def is_connected(g: Multigraph) -> bool:

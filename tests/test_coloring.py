@@ -11,6 +11,7 @@ from covdex import (
     chain,
     chains,
     chromatic_index,
+    color_masks,
     find_coloring,
     is_proper,
     is_s_dense,
@@ -265,3 +266,63 @@ def test_is_proper_matches_the_list_and_set_check():
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 100
     assert min(faults.values()) >= 50
+
+
+@st.composite
+def colored_multigraphs(draw):
+    """A multigraph on 2..6 vertices with an arbitrary partial coloring:
+    ids may be uncolored, colors may fall outside the palette, and a
+    vertex may repeat a color."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+                lambda p: (p[0], (p[0] + p[1]) % n)
+            ),
+            max_size=12,
+        )
+    )
+    palette = draw(st.integers(min_value=1, max_value=6))
+    colors = draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(-1, palette + 2)),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    assignment = {i: c for i, c in enumerate(colors) if c is not None}
+    return build(n, pairs), EdgeColoring(palette, assignment)
+
+
+def greedy_coloring(g):
+    """A proper coloring: each edge in id order takes the least color free
+    at both ends; the palette is the largest color used."""
+    assignment = {}
+    for e in g.edges:
+        near = {assignment.get(f.id) for w in (e.u, e.v) for f in g.incident(w)}
+        assignment[e.id] = min(c for c in range(1, len(near) + 2) if c not in near)
+    return EdgeColoring(max(assignment.values(), default=1), assignment)
+
+
+def mask_of(colors):
+    return sum(1 << c for c in colors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_multigraphs())
+def test_color_masks_are_the_present_sets_of_a_proper_coloring(case):
+    g, _ = case
+    coloring = greedy_coloring(g)
+    masks = color_masks(g, coloring)
+    assert masks is not None
+    assert masks == [mask_of(present(coloring, g, v)) for v in g.vertices()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_multigraphs())
+def test_color_masks_verdict_is_is_proper_on_any_coloring(case):
+    g, coloring = case
+    masks = color_masks(g, coloring)
+    assert (masks is not None) == is_proper(g, coloring) == list_and_set_is_proper(g, coloring)
+    if masks is not None:
+        assert masks == [mask_of(present(coloring, g, v)) for v in g.vertices()]

@@ -333,6 +333,34 @@ def test_orient_rejects_a_designated_vertex_with_both_reserve_colors():
         oriented([(0, 1), (1, 2)], [2, 3], [designated(1)])
 
 
+def augment_failure(pairs, colors, k, punctures=()):
+    g = build(1 + max(max(p) for p in pairs), pairs)
+    psi = EdgeColoring(k + 2, dict(enumerate(colors)))
+    with pytest.raises(AugmentationFailed) as caught:
+        orient_and_augment(g, psi, list(punctures), k, g.vertex_count)
+    return str(caught.value)
+
+
+def test_augment_gap_checks():
+    # k = 2: vertex 0 sees only the reserve color 3, so both low classes miss it.
+    assert augment_failure([(0, 1)], [3], 2) == "vertex 0 missed by 2 classes"
+    # k = 1: the reserve path 0-1 runs from 0, so 0 has no in-arc to patch with.
+    assert augment_failure([(0, 1)], [2], 1) == "missed vertex 0 has no in-arc"
+    # k = 3: a punctured edge's end may be missed twice, not three times.
+    assert augment_failure([(0, 1)], [4], 3, [designated(1, 0)]) == (
+        "vertex 0 missed by 3 classes"
+    )
+    # k = 2: the punctured edge's end 0 is missed twice, and the reserve
+    # path 0-1 runs away from it.
+    assert augment_failure([(0, 1)], [3], 2, [designated(1, 0)]) == (
+        "doubly-missed vertex 0 has no in-arc"
+    )
+
+
+def test_augment_rejects_an_improper_coloring():
+    assert augment_failure([(0, 1), (1, 2)], [2, 2], 1) == "lifted coloring is not proper"
+
+
 def test_orient_emits_paths_before_cycles():
     # The reserve digon on 0 and 1 comes after the path 2-3-4.
     pairs = [(0, 1), (0, 1), (2, 3), (3, 4), (2, 5)]

@@ -6,6 +6,7 @@ import pytest
 from conftest import doubled_triangle, k3, k5
 from covdex import (
     DensityMismatch,
+    LiftInvariantViolated,
     NoFeasiblePermutation,
     assemble_lift,
     build,
@@ -18,8 +19,8 @@ from covdex import (
     permute_block_palette,
 )
 from covdex.coloring import EdgeColoring
-from covdex.dense_lift import BlockColoring
-from covdex.multigraph import induced_subgraph
+from covdex.dense_lift import BlockColoring, check_lift_properties
+from covdex.multigraph import Edge, Multigraph, induced_subgraph
 
 
 def matching_union(n, s, seed):
@@ -124,6 +125,14 @@ def test_permute_requires_distinct_boundary_colors():
         permute_block_palette(bc, {3: 1, 4: 1}, host, 1)
 
 
+def test_permute_rejects_an_improper_block_coloring():
+    from covdex import PreconditionViolated
+
+    bc = BlockColoring((0, 1, 2), k3(), EdgeColoring(3, {0: 1, 1: 1, 2: 3}), 1, 2)
+    with pytest.raises(PreconditionViolated, match="block coloring is not proper"):
+        permute_block_palette(bc, {}, k3(), 1)
+
+
 def test_permute_infeasible_when_one_vertex_needs_two_colors():
     # two boundary edges at vertex 0, but a degree-2 vertex of a 3-dense
     # block misses only one class: no bijection can serve both.
@@ -224,3 +233,119 @@ def test_assemble_lift_single_block_no_boundary():
     psi = assemble_lift(h1, outer, [fixed], 3)
     assert is_proper(h1, psi)
     assert all(not h1.edge(e).touches(0) for e in psi.color_class(5))
+
+
+# --- the lift checks ------------------------------------------------------
+#
+# Each crafted coloring below is proper, so the checks are reached in the
+# order the pipeline reaches them; each test pins the property number and
+# the message of the check that fires.
+
+
+def lift_violation(h1, psi, blocks, k):
+    with pytest.raises(LiftInvariantViolated) as caught:
+        check_lift_properties(h1, psi, blocks, k)
+    return caught.value.prop, str(caught.value)
+
+
+def host_block(vertices, x):
+    # check_lift_properties reads a block's host vertices and x alone.
+    return BlockColoring(vertices=vertices, graph=None, coloring=None, x=x, y=vertices[-1])
+
+
+def test_lift_property_1_boundary_edge_with_the_top_color():
+    # Triangle 0,1,2 with boundary edge 3 = (0,3) colored s = 3.
+    h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    psi = EdgeColoring(3, {0: 1, 1: 3, 2: 2, 3: 3})
+    assert lift_violation(h1, psi, [host_block((0, 1, 2), 1)], 1) == (
+        1,
+        "lift property 1: boundary edge 3 carries color 3",
+    )
+
+
+def test_lift_property_2_chain_through_a_boundary_edge_is_a_cycle():
+    # The (2,3)-chain 0 -2- 3 -3- 4 -2- 1 -3- 0 leaves block {0,1,2} by
+    # edge 2 and comes back by edge 4.
+    h1 = build(5, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 1)])
+    psi = EdgeColoring(3, {0: 3, 1: 1, 2: 2, 3: 3, 4: 2})
+    assert lift_violation(h1, psi, [host_block((0, 1, 2), 2)], 1) == (
+        2,
+        "lift property 2: chain through edge 2 is a cycle",
+    )
+
+
+def test_lift_property_2_chain_ending_inside_another_block():
+    # Edge 2 = (0,3) joins blocks {0,1,2} and {3,4,5}; neither end sees
+    # color 3, so its (2,3)-chain is that one edge, with no outside end.
+    h1 = build(6, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)])
+    psi = EdgeColoring(3, {0: 1, 1: 2, 2: 2, 3: 1, 4: 2})
+    blocks = [host_block((0, 1, 2), 2), host_block((3, 4, 5), 5)]
+    assert lift_violation(h1, psi, blocks, 1) == (
+        2,
+        "lift property 2: chain through edge 2 ends at (0, 3), "
+        "not outside the blocks",
+    )
+
+
+def test_lift_property_2_block_vertex_without_the_color_k_plus_1():
+    # k = 2: the (3,4)-chain 3 -3- 0 -4- 2 ends outside, but vertices 1
+    # and 2 of block {0,1,2} see no edge colored 3.
+    h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    psi = EdgeColoring(4, {0: 1, 1: 2, 2: 4, 3: 3})
+    assert lift_violation(h1, psi, [host_block((0, 1, 2), 1)], 2) == (
+        2,
+        "lift property 2: block vertex 1 does not present color 3",
+    )
+
+
+def test_lift_property_3_top_class_at_the_designated_vertex():
+    h1 = k3()
+    psi = EdgeColoring(3, {0: 1, 1: 2, 2: 3})  # edge 2 = (0,2) carries s = 3
+    assert lift_violation(h1, psi, [host_block((0, 1, 2), 0)], 1) == (
+        3,
+        "lift property 3: top class touches designated vertex 0",
+    )
+    check_lift_properties(h1, psi, [host_block((0, 1, 2), 1)], 1)  # x = 1 is missed
+
+
+class UncheckedGraph(Multigraph):
+    """A Multigraph built without validation.  On any valid s-dense block
+    a proper s-coloring already forces the right missing counts and
+    disjoint missing sets, so only a loop, which ``Multigraph`` rejects,
+    reaches those two checks."""
+
+    def __post_init__(self):
+        pass
+
+
+def block_violation(block, s, initial):
+    with pytest.raises(LiftInvariantViolated) as caught:
+        color_dense_block(block, s, initial=initial)
+    return caught.value.prop, str(caught.value)
+
+
+def test_color_dense_block_property_0_class_size():
+    # Edge id 9 is not in the block, but it still counts toward class 1.
+    initial = EdgeColoring(3, {0: 1, 1: 2, 2: 3, 9: 1})
+    assert block_violation(k3(), 3, initial) == (
+        0,
+        "lift property 0: class 1 is not a near-perfect matching",
+    )
+
+
+def test_color_dense_block_property_0_missing_count():
+    # The loop at vertex 0 counts twice in its degree but brings one color.
+    block = UncheckedGraph(3, (Edge(0, 0, 0), Edge(1, 1, 2)))
+    assert block_violation(block, 2, EdgeColoring(2, {0: 1, 1: 2})) == (
+        0,
+        "lift property 0: vertex 0 missed by 1 classes",
+    )
+
+
+def test_color_dense_block_property_0_shared_missing_class():
+    # Class 2 sits on the loop at vertex 2, so vertices 0 and 1 both miss it.
+    block = UncheckedGraph(3, (Edge(0, 0, 1), Edge(1, 2, 2)))
+    assert block_violation(block, 2, EdgeColoring(2, {0: 1, 1: 2})) == (
+        0,
+        "lift property 0: vertices 0,1 share a missing class",
+    )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import c5, digon, doubled_triangle, k3, k4, nested_optimal, petersen
 from covdex import (
     BadSet,
+    DisjointnessViolation,
     TooLarge,
     all_min_optimal_sets,
     boundary_counts,
@@ -142,6 +143,18 @@ def test_all_min_optimal_sets_keeps_inclusion_minimal_only():
 def test_all_min_optimal_sets_single_block():
     certs = all_min_optimal_sets(doubled_triangle(), 3, range(3))
     assert [c.vertices for c in certs] == [(0, 1, 2)]
+
+
+def test_all_min_optimal_sets_ties_at_a_vertex_whose_set_is_collected():
+    # At k = 3 the tight 3-sets are {0,1,2} and {1,3,4}.  Vertex 0 collects
+    # {0,1,2}; vertex 1's least set is that same set, and the tie with
+    # {1,3,4} must still be caught there.
+    g = build(5, [(0, 2)] * 3 + [(1, 3), (2, 3), (2, 4)] + [(3, 4)] * 3)
+    with pytest.raises(DisjointnessViolation) as caught:
+        all_min_optimal_sets(g, 3, range(5))
+    assert str(caught.value) == (
+        "two minimum optimal sets of size 3 contain vertex 1: (0, 1, 2) and (1, 3, 4)"
+    )
 
 
 def test_fuzzed_optimal_families_are_disjoint_and_exhaustively_confirmed():

@@ -161,6 +161,23 @@ def test_induced_subgraph_keeps_edge_ids():
     assert sorted(e.id for e in sub.edges) == [1, 2]
 
 
+def test_induced_subgraph_on_a_prefix_keeps_the_host_edges():
+    g = k4()
+    sub = induced_subgraph(g, [2, 0, 1])
+    assert sub.vertex_count == 3
+    assert [e.id for e in sub.edges] == [0, 1, 3]
+    host = {e.id: e for e in g.edges}
+    assert all(e is host[e.id] for e in sub.edges)
+
+
+def test_induced_subgraph_off_a_prefix_renumbers_the_edges():
+    g = k4()  # edges 0:(0,1) 1:(0,2) 2:(0,3) 3:(1,2) 4:(1,3) 5:(2,3)
+    sub = induced_subgraph(g, {1, 2, 3})
+    assert sub.edges == (Edge(3, 0, 1), Edge(4, 0, 2), Edge(5, 1, 2))
+    host = {e.id: e for e in g.edges}
+    assert all(e is not host[e.id] for e in sub.edges)
+
+
 def test_duplicate_edge_ids_rejected():
     with pytest.raises(ValueError):
         Multigraph(2, (Edge(0, 0, 1), Edge(0, 1, 0)))

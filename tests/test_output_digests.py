@@ -46,12 +46,37 @@ def outside_hypotheses():
     )
 
 
+def planted_two_triangles():
+    # planted-blocks seed 1, instance 0: 4-regular (k = 4) on 12 vertices
+    # with two planted 3-blocks.
+    return build(12, [
+        (0, 1), (0, 2), (0, 8), (1, 0), (1, 2), (1, 2), (2, 0), (2, 1), (3, 4), (3, 5),
+        (3, 5), (3, 8), (4, 3), (4, 5), (5, 4), (5, 4), (6, 8), (6, 9), (6, 9), (6, 10),
+        (6, 11), (7, 8), (7, 9), (7, 10), (7, 11), (7, 11), (8, 9), (9, 10), (10, 11),
+        (10, 11),
+    ])
+
+
+def planted_five_block():
+    # planted-blocks seed 1, instance 3: 6-regular (k = 6) on 10 vertices
+    # with one planted 5-block; the other five vertices are tight as well,
+    # so the block path runs on two 5-blocks.
+    return build(10, [
+        (0, 2), (0, 4), (0, 4), (1, 0), (1, 0), (1, 3), (2, 1), (2, 1), (2, 1), (2, 3),
+        (2, 3), (2, 7), (3, 0), (3, 4), (4, 0), (4, 1), (4, 3), (4, 3), (5, 6), (5, 6),
+        (5, 7), (5, 8), (5, 8), (5, 9), (5, 9), (6, 7), (6, 8), (6, 8), (6, 9), (6, 9),
+        (7, 8), (7, 8), (7, 9), (7, 9), (8, 9),
+    ])
+
+
 PINNED = [
     (two_doubled_triangles, "ea82a30947ebc681be7ab4ed85b1528ed198750d5a6f5cb9a1bd47fc43e7fb9b"),
     (nested_optimal, "87d91c253e628a7f5d6ec10cfb5efb1ef817e4608736e4e42d25077affd01684"),
     (lambda: fuzz_graph(155), "33906b723f2be885745b0f7598c0478932b356e5a58b96483cd4f4e04351d611"),
     (lambda: fuzz_graph(323), "a9b9c4bea2603c9acee57ff1d1a66db64d13a281265b23d2f0b0bb3f1d004855"),
     (outside_hypotheses, "d87ea4f678c6d52e3ce1dc9eb22311de128bb77f563e45f5bd44d1889c5b3448"),
+    (planted_two_triangles, "8b26bb3963675e7817ae55124ff48c5a030a508c6a802c39c1e394f1abcd4f51"),
+    (planted_five_block, "44891d7f1e3c019042248eca3c74e4d2b755d30fe656f8af688cbcecea51aca4"),
 ]
 
 DUMP_155 = "70f9526d5cfaa2cfa4f8d5218827fb587af68c6cc66d51185c16c0914bd02b45"

@@ -84,3 +84,19 @@ def test_block_path_never_solves_for_a_coloring():
         or (isinstance(node, ast.Attribute) and node.attr == "find_coloring")
     }
     assert users == {"coloring.py", "decomposer.py", "cli.py"}
+
+
+def test_block_path_answers_color_questions_from_masks():
+    # The lift and augment checks read per-vertex color masks built in one
+    # pass (coloring.color_masks); the per-query scans stay out of them.
+    scans = {"present", "missing", "color_class"}
+    found = []
+    for name in ("dense_lift.py", "decomposer.py"):
+        tree = ast.parse((ROOT / "src" / "covdex" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in scans:
+                    found.append(f"{name}:{node.lineno} {called}")
+    assert found == []
