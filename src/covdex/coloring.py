@@ -45,18 +45,23 @@ c was already odd on U and stays put where it was even.  Uncoloring is
 the mirror image, and recoloring is an uncoloring then a coloring.  Since
 cbd - popcount(X) >= 0, h(U) >= m(|U|-1) - (degree sum of U), so a set
 whose degree sum is at most m(|U|-1) never fires, and neither does a
-single vertex (h = 0).  ``OddSetLookahead`` tracks the odd sets with
-3 <= |U| <= 5 over the touched vertices whose degree sum exceeds
-m(|U|-1) (larger sets solved no more instances in trials), holding h/2
-bit-sliced: one int per bit plane with a bit per set, one parity int per
-color, one membership int per vertex.  An update is a borrow or carry
-chain over a few planes, and a borrow out of the top plane means some
-set went negative.
+single vertex (h = 0).  ``OddSetLookahead`` tracks every odd set with
+3 <= |U| <= 5 over the touched vertices (larger sets solved no more
+instances in trials); by that bound the sets that cannot fire change no
+cut, so none is filtered out.  It holds h/2 bit-sliced: one int per bit
+plane with a bit per set, one parity int per color, one membership int
+per vertex.  An update is a borrow or carry chain over a few planes, and
+a borrow out of the top plane means some set went negative.  The build
+is bit-sliced too: the planes start at m(|U|-1)/2 on the sets of each
+size, and every edge is one borrow chain over the sets that hold both
+its ends.
 
 The look-ahead is lazy.  The plain search runs until, at a dead end, it
-has visited ``LOOKAHEAD_NODES_PER_SET`` times as many nodes as there are
-odd sets of size 3 and 5 to enumerate, so building the table never costs
-much more than the search already spent; most calls end before that.
+has visited ``LOOKAHEAD_NODES_PER_SET`` (1/32) times as many nodes as
+there are odd sets of size 3 and 5, so building the table never costs
+much more than the search already spent (a build runs a few big-int
+operations per edge, over ints with a bit per set), and a call on many
+vertices, where the sets run into the millions, never builds.
 At switch-on the stack is replayed into the table, and the search jumps
 back to the shallowest prefix that already violates.  From then on a
 color that drives some h negative is treated as tried and failed, without
@@ -64,12 +69,15 @@ counting a node.  Every cut subtree holds no coloring, and the search
 order is unchanged, so the depth-first search visits a subsequence of the
 plain search's nodes: it returns the same first coloring, or the same
 None, within at most the plain search's node count, and the budget still
-counts nodes.  Nothing is kept between calls.
+counts nodes.  Only the layout of the sets over n vertices (the
+membership ints and a mask per size) is kept between calls, one per n;
+the planes and parities are built per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
@@ -79,8 +87,8 @@ from .multigraph import Edge, Multigraph
 
 COLOR_BUDGET_DEFAULT = 10_000_000
 # The look-ahead switches on at the first dead end after the plain search
-# has visited this many nodes per odd set of size 3 and 5 to enumerate.
-LOOKAHEAD_NODES_PER_SET = 2
+# has visited this many nodes per tracked odd set (of size 3 and 5).
+LOOKAHEAD_NODES_PER_SET = 1 / 32
 # Odd set sizes the look-ahead tracks.
 LOOKAHEAD_SIZES = (3, 5)
 
@@ -307,9 +315,48 @@ def linked(
     return u in chain(coloring, g, v, alpha, beta).vertices
 
 
+@lru_cache(maxsize=None)
+def _lookahead_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tracked odd sets over vertices 0..n-1: those of each size in
+    LOOKAHEAD_SIZES, in ``combinations`` order, set i as bit i.  Returns
+    per vertex the sets that hold it, and per size the bits of its sets."""
+    top = max(LOOKAHEAD_SIZES)
+    # rows[s][x]: the s-sets of the last k vertices, in combinations order,
+    # that hold the x-th of them.  The s-sets holding the first of the k
+    # come first, then the s-sets of the other k-1.
+    rows: list[list[int]] = [[] for _ in range(top + 1)]
+    for k in range(1, n + 1):
+        for s in range(top, 0, -1):
+            first = comb(k - 1, s - 1)
+            rows[s] = [(1 << first) - 1] + [a | b << first for a, b in zip(rows[s - 1], rows[s])]
+        rows[0] = [0] * k
+    member = [0] * n
+    masks = []
+    offset = 0
+    for size in LOOKAHEAD_SIZES:
+        for x, row in enumerate(rows[size]):
+            member[x] |= row << offset
+        count = comb(n, size)
+        masks.append(((1 << count) - 1) << offset)
+        offset += count
+    return tuple(member), tuple(masks)
+
+
+def _take(planes: list[int], borrow: int) -> bool:
+    """Subtract one from the bit-sliced value of every set in ``borrow``.
+    False when some set goes below zero (a borrow out of the top plane)."""
+    for j, plane in enumerate(planes):
+        if not borrow:
+            return True
+        planes[j] = plane ^ borrow
+        borrow &= ~plane
+    return not borrow
+
+
 class OddSetLookahead:
-    """h(U)/2 for every odd set U that can refute a partial m-coloring,
-    bit-sliced across the sets (see the module docstring).
+    """h(U)/2 for every odd set U of a size in LOOKAHEAD_SIZES, against a
+    partial m-coloring, bit-sliced across the sets (see the module
+    docstring).
 
     Vertices are 0..n-1 and ``pairs`` lists the edges' endpoints.  Set i is
     bit i of every int: ``planes[j]`` holds bit j of each h/2, ``member[v]``
@@ -318,41 +365,23 @@ class OddSetLookahead:
     """
 
     def __init__(self, n: int, pairs: Sequence[tuple[int, int]], m: int) -> None:
-        degree = [0] * n
-        mult = [[0] * n for _ in range(n)]
-        for u, v in pairs:
-            degree[u] += 1
-            degree[v] += 1
-            mult[u][v] += 1
-            mult[v][u] += 1
-        sets: list[tuple[int, ...]] = []
-        halves: list[int] = []
-        for size in LOOKAHEAD_SIZES:
-            limit = m * (size - 1)
-            for members in combinations(range(n), size):
-                if sum(degree[x] for x in members) > limit:
-                    inside = sum(mult[a][b] for a, b in combinations(members, 2))
-                    sets.append(members)
-                    halves.append(limit // 2 - inside)
-        self.sets = sets
-        # Some set is over the bound before any edge is colored: no m-coloring.
-        self.refuted = any(h < 0 for h in halves)
-        # Each int is written as a row of binary digits, set i at digit
-        # count - i; the leading "0" keeps a row parseable with no sets.
-        count = len(sets)
-        width = max(halves, default=0).bit_length() or 1
-        planes = [bytearray(b"0" * (count + 1)) for _ in range(width)]
-        member = [bytearray(b"0" * (count + 1)) for _ in range(n)]
-        one = ord("1")
-        for i, (members, h) in enumerate(zip(sets, halves)):
-            for j in range(width):
-                if h >> j & 1:
-                    planes[j][count - i] = one
-            for x in members:
-                member[x][count - i] = one
-        self.planes = [int(row, 2) for row in planes]
-        self.member = [int(row, 2) for row in member]
+        self.member, masks = _lookahead_layout(n)
+        # h/2 starts at m(|U|-1)/2, at most 2m, and loses each edge inside U.
+        starts = [m * (size - 1) // 2 for size in LOOKAHEAD_SIZES]
+        self.planes = [
+            sum(mask for mask, start in zip(masks, starts) if start >> j & 1)
+            for j in range(max(starts).bit_length())
+        ]
         self.parity: dict[int, int] = {}
+        # Some set is over the bound before any edge is colored: no m-coloring.
+        member = self.member
+        self.refuted = not all(_take(self.planes, member[u] & member[v]) for u, v in pairs)
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """The tracked sets, set i at bit i."""
+        n = len(self.member)
+        return tuple(u for size in LOOKAHEAD_SIZES for u in combinations(range(n), size))
 
     def color(self, u: int, v: int, bit: int) -> bool:
         """Color edge uv with the color ``bit``.  False when that drives some
@@ -360,14 +389,7 @@ class OddSetLookahead:
         moved = self.member[u] ^ self.member[v]
         parity = self.parity.get(bit, 0)
         self.parity[bit] = parity ^ moved
-        borrow = moved & parity
-        planes = self.planes
-        for j, plane in enumerate(planes):
-            if not borrow:
-                return True
-            planes[j] = plane ^ borrow
-            borrow &= ~plane
-        return not borrow
+        return _take(self.planes, moved & parity)
 
     def uncolor(self, u: int, v: int, bit: int) -> None:
         """Undo color(u, v, bit)."""
@@ -404,7 +426,8 @@ def find_coloring(
     Raises BudgetExhausted when the node budget runs out first.  With
     ``lookahead`` the odd-set look-ahead cuts subtrees that hold no coloring
     (see the module docstring); the result is the same.  ``counters``, when
-    given, gains the search's "nodes" and "prunes".
+    given, gains the search's "nodes" and "prunes", and "lookahead_builds"
+    (1 when the look-ahead was switched on, else 0).
     """
     if m < 0:
         raise ValueError("palette size must be non-negative")
@@ -514,6 +537,7 @@ def find_coloring(
         if counters is not None:
             counters["nodes"] = counters.get("nodes", 0) + nodes
             counters["prunes"] = counters.get("prunes", 0) + prunes
+            counters["lookahead_builds"] = counters.get("lookahead_builds", 0) + (look is not None)
 
 
 def chromatic_index(g: Multigraph, budget: int = COLOR_BUDGET_DEFAULT) -> int:

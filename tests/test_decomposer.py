@@ -280,6 +280,7 @@ def test_run_record_counts_moves_and_stays_out_of_the_payload():
     counters = first.run["counters"]
     assert counters["moves.recolor-first"] == 1
     assert counters["nodes"] > 0 and counters["prunes"] >= 0
+    assert counters["lookahead_builds"] == 1  # chi-prime reached a dead end
     second = decompose(g)
     assert first == second  # spans differ, but the run record is not compared
     assert "run" not in first.to_dict()

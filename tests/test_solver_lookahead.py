@@ -65,7 +65,7 @@ def test_switch_on_jumps_back_to_the_shallowest_violated_prefix(eager):
     assert reference_search(g, m, REFERENCE_BUDGET)[1] == 1416
     counters = {}
     assert find_coloring(g, m, lookahead=True, counters=counters) is not None
-    assert counters == {"nodes": 53, "prunes": 1}
+    assert counters == {"nodes": 53, "prunes": 1, "lookahead_builds": 1}
 
 
 def test_a_set_over_the_bound_from_the_start_refutes_at_once(eager):
@@ -130,15 +130,78 @@ def _half_h(members, pairs, colors, m):
     return twice // 2
 
 
+def combination_loop_build(n, pairs, m):
+    """The earlier set-by-set build, kept as the reference: the odd sets of
+    3 and 5 vertices whose degree sum exceeds m(|U|-1), and their h/2 at
+    the empty coloring, m(|U|-1)/2 - e_in(U)."""
+    degree = [0] * n
+    mult = [[0] * n for _ in range(n)]
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+        mult[u][v] += 1
+        mult[v][u] += 1
+    halves = {}
+    for size in LOOKAHEAD_SIZES:
+        limit = m * (size - 1)
+        for members in combinations(range(n), size):
+            if sum(degree[x] for x in members) > limit:
+                inside = sum(mult[a][b] for a, b in combinations(members, 2))
+                halves[members] = limit // 2 - inside
+    return halves
+
+
 def test_tracked_sets_are_the_small_odd_sets_that_can_fire():
+    # Every odd set of 3 and 5 vertices, in combinations order: a superset
+    # of those that can fire.
     g = random_multigraph(FuzzConfig(n=9, max_multiplicity=2, edge_probability=0.7, seed=5))
     pairs = _pairs(g)
     m = g.max_degree()
     look = OddSetLookahead(g.vertex_count, pairs, m)
-    expected = [u for u in _tracked(g.vertex_count, pairs, m) if len(u) in LOOKAHEAD_SIZES]
     assert LOOKAHEAD_SIZES == (3, 5)
-    assert look.sets == expected
-    assert any(len(u) == 5 for u in look.sets)
+    assert look.sets == tuple(
+        u for size in (3, 5) for u in combinations(range(g.vertex_count), size)
+    )
+    can_fire = [u for u in _tracked(g.vertex_count, pairs, m) if len(u) in LOOKAHEAD_SIZES]
+    assert any(len(u) == 5 for u in can_fire)
+    assert set(can_fire) <= set(look.sets)
+
+
+def test_bit_sliced_build_matches_the_combination_loop():
+    rng = random.Random(3)
+    checked = refuted = dropped = 0
+    for trial in range(60):
+        n = 3 + trial % 10
+        g = random_multigraph(
+            FuzzConfig(n=n, max_multiplicity=3, edge_probability=rng.choice((0.4, 0.7, 0.9)),
+                       seed=trial)
+        )
+        pairs = _pairs(g)
+        m = max(g.max_degree() + rng.choice((-1, 0, 0, 1, 3)), 1)
+        reference = combination_loop_build(n, pairs, m)
+        look = OddSetLookahead(n, pairs, m)
+        assert look.refuted == any(h < 0 for h in reference.values()), (trial, m)
+        truth = {u: _half_h(u, pairs, {}, m) for u in look.sets}
+        assert look.refuted == (min(truth.values(), default=0) < 0)
+        refuted += look.refuted
+        dropped += len(reference) < len(truth)
+        if not look.refuted:
+            assert look.halves() == list(truth.values())
+            assert all(truth[u] == h for u, h in reference.items())
+            checked += 1
+    assert checked >= 30 and refuted >= 5 and dropped >= 30
+
+
+def test_a_long_odd_cycle_never_builds_the_layout():
+    # 1001 vertices: about 8.3e12 odd sets of size 3 and 5, so the switch-on
+    # point is far past the 1001 nodes the plain search needs.
+    n = 1001
+    g = build(n, [(i, (i + 1) % n) for i in range(n)])
+    cached = coloring._lookahead_layout.cache_info().currsize
+    counters = {}
+    assert find_coloring(g, 2, lookahead=True, counters=counters) is None
+    assert counters["lookahead_builds"] == 0 and counters["nodes"] == 1001
+    assert coloring._lookahead_layout.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("seed", range(6))
