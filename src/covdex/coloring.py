@@ -45,23 +45,32 @@ c was already odd on U and stays put where it was even.  Uncoloring is
 the mirror image, and recoloring is an uncoloring then a coloring.  Since
 cbd - popcount(X) >= 0, h(U) >= m(|U|-1) - (degree sum of U), so a set
 whose degree sum is at most m(|U|-1) never fires, and neither does a
-single vertex (h = 0).  ``OddSetLookahead`` tracks every odd set with
+single vertex (h = 0).  ``OddSetLookahead`` tracks the odd sets with
 3 <= |U| <= 5 over the touched vertices (larger sets solved no more
-instances in trials); by that bound the sets that cannot fire change no
-cut, so none is filtered out.  It holds h/2 bit-sliced: one int per bit
-plane with a bit per set, one parity int per color, one membership int
-per vertex.  An update is a borrow or carry chain over a few planes, and
-a borrow out of the top plane means some set went negative.  The build
-is bit-sliced too: the planes start at m(|U|-1)/2 on the sets of each
-size, and every edge is one borrow chain over the sets that hold both
-its ends.
+instances in trials).  It holds h/2 bit-sliced: one int per bit plane
+with a bit per set, one parity int per color, one membership int per
+vertex.  An update is a borrow or carry chain over a few planes, and a
+borrow out of the top plane means some set went negative.  The build is
+bit-sliced too: the planes start at m(|U|-1)/2 on the sets of each size,
+and every edge is one borrow chain over the sets that hold both its ends.
 
-The look-ahead is lazy.  The plain search runs until, at a dead end, it
-has visited ``LOOKAHEAD_NODES_PER_SET`` (1/32) times as many nodes as
-there are odd sets of size 3 and 5, so building the table never costs
-much more than the search already spent (a build runs a few big-int
-operations per edge, over ints with a bit per set), and a call on many
-vertices, where the sets run into the millions, never builds.
+The look-ahead is lazy, and how soon it starts depends on the core's
+size, because an update costs time in proportion to the width of the
+ints.  On at most ``LOOKAHEAD_SMALL_CORE`` (16) touched vertices the
+table holds every odd set of size 3 and 5 (by the bound above, the sets
+that cannot fire change no cut), and the plain search runs until, at a
+dead end, it has visited ``LOOKAHEAD_NODES_PER_SET`` (1/32) times as many
+nodes as there are such sets; a build there runs a few big-int
+operations per edge, over ints of at most 4928 bits.  On more vertices
+it waits for ``LOOKAHEAD_LARGE_NODES_PER_SET`` (2) nodes per set, and the
+table then keeps only the sets whose degree sum exceeds m(|U|-1),
+squeezed out of the full ints once per build (a quarter to four fifths
+of the sets drop on the fuzz cores of 17 to 24 vertices measured).
+Timed on chi-prime cores of fuzz graphs, the early start paid on at most
+16 vertices where the table cuts (it costs time on long searches it
+seldom cuts), and lost past that, by up to tenfold at 24, where a node
+with the full table costs about 100 us against 2.5 us without it.  At
+40 vertices (667 888 sets) a search builds only past 1.3 million nodes.
 At switch-on the stack is replayed into the table, and the search jumps
 back to the shallowest prefix that already violates.  From then on a
 color that drives some h negative is treated as tried and failed, without
@@ -70,15 +79,15 @@ order is unchanged, so the depth-first search visits a subsequence of the
 plain search's nodes: it returns the same first coloring, or the same
 None, within at most the plain search's node count, and the budget still
 counts nodes.  Only the layout of the sets over n vertices (the
-membership ints and a mask per size) is kept between calls, one per n;
-the planes and parities are built per call.
+membership ints and a mask per size) is kept between calls, one per n up
+to 16; the planes and parities are built per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Mapping, Sequence
 
@@ -87,8 +96,11 @@ from .multigraph import Edge, Multigraph
 
 COLOR_BUDGET_DEFAULT = 10_000_000
 # The look-ahead switches on at the first dead end after the plain search
-# has visited this many nodes per tracked odd set (of size 3 and 5).
+# has visited this many nodes per odd set of size 3 and 5 ...
 LOOKAHEAD_NODES_PER_SET = 1 / 32
+# ... on at most this many touched vertices, and past that at this many.
+LOOKAHEAD_SMALL_CORE = 16
+LOOKAHEAD_LARGE_NODES_PER_SET = 2
 # Odd set sizes the look-ahead tracks.
 LOOKAHEAD_SIZES = (3, 5)
 
@@ -342,15 +354,24 @@ def _lookahead_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(member), tuple(masks)
 
 
-def _take(planes: list[int], borrow: int) -> bool:
+def _take(planes: list[int], borrow: int) -> int:
     """Subtract one from the bit-sliced value of every set in ``borrow``.
-    False when some set goes below zero (a borrow out of the top plane)."""
+    Returns the sets that went below zero (a borrow out of the top plane)."""
     for j, plane in enumerate(planes):
         if not borrow:
-            return True
+            return 0
         planes[j] = plane ^ borrow
         borrow &= ~plane
-    return not borrow
+    return borrow
+
+
+def _digits(x: int, width: int) -> bytes:
+    """Bits 0..width-1 of x as the digits b"0" and b"1", bit 0 first."""
+    return format(x, f"0{width}b")[::-1].encode()
+
+
+# Digits to selectors for ``compress``: b"0" to 0 and b"1" to 1.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 class OddSetLookahead:
@@ -365,7 +386,10 @@ class OddSetLookahead:
     """
 
     def __init__(self, n: int, pairs: Sequence[tuple[int, int]], m: int) -> None:
-        self.member, masks = _lookahead_layout(n)
+        # Only the layouts of small cores are kept; a larger one is cheap
+        # next to the search that ran before it was asked for.
+        layout = _lookahead_layout if n <= LOOKAHEAD_SMALL_CORE else _lookahead_layout.__wrapped__
+        self.member, masks = layout(n)
         # h/2 starts at m(|U|-1)/2, at most 2m, and loses each edge inside U.
         starts = [m * (size - 1) // 2 for size in LOOKAHEAD_SIZES]
         self.planes = [
@@ -375,13 +399,38 @@ class OddSetLookahead:
         self.parity: dict[int, int] = {}
         # Some set is over the bound before any edge is colored: no m-coloring.
         member = self.member
-        self.refuted = not all(_take(self.planes, member[u] & member[v]) for u, v in pairs)
+        self.refuted = any(_take(self.planes, member[u] & member[v]) for u, v in pairs)
+        # The layout's sets that the table tracks, as a mask (-1: all).
+        self.tracked = -1
+        if n > LOOKAHEAD_SMALL_CORE and not self.refuted:
+            # Keep only the sets that can fire, those whose degree sum
+            # exceeds m(|U|-1): h at the empty coloring, less one for every
+            # edge with one end in U, is m(|U|-1) minus the degree sum.
+            # An update costs time in proportion to the width of the ints,
+            # and past small cores that outweighs the squeeze, run once.
+            h = [0, *self.planes]
+            fire = 0
+            for u, v in pairs:
+                fire |= _take(h, member[u] ^ member[v])
+            width = masks[-1].bit_length()
+            keep = _digits(fire, width).translate(_SELECTORS)
+
+            def squeeze(x: int) -> int:
+                return int(b"0" + bytes(compress(_digits(x, width), keep))[::-1], 2)
+
+            self.member = [squeeze(x) for x in member]
+            self.planes = [squeeze(x) for x in self.planes]
+            self.tracked = fire
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """The tracked sets, set i at bit i."""
         n = len(self.member)
-        return tuple(u for size in LOOKAHEAD_SIZES for u in combinations(range(n), size))
+        every = [u for size in LOOKAHEAD_SIZES for u in combinations(range(n), size)]
+        if self.tracked == -1:
+            return tuple(every)
+        keep = _digits(self.tracked, len(every)).translate(_SELECTORS)
+        return tuple(compress(every, keep))
 
     def color(self, u: int, v: int, bit: int) -> bool:
         """Color edge uv with the color ``bit``.  False when that drives some
@@ -389,7 +438,7 @@ class OddSetLookahead:
         moved = self.member[u] ^ self.member[v]
         parity = self.parity.get(bit, 0)
         self.parity[bit] = parity ^ moved
-        return _take(self.planes, moved & parity)
+        return not _take(self.planes, moved & parity)
 
     def uncolor(self, u: int, v: int, bit: int) -> None:
         """Undo color(u, v, bit)."""
@@ -462,7 +511,10 @@ def find_coloring(
     look: OddSetLookahead | None = None
     switch_at = None
     if lookahead and len(slot) >= 3:
-        switch_at = LOOKAHEAD_NODES_PER_SET * sum(comb(len(slot), s) for s in LOOKAHEAD_SIZES)
+        rate = LOOKAHEAD_NODES_PER_SET
+        if len(slot) > LOOKAHEAD_SMALL_CORE:
+            rate = LOOKAHEAD_LARGE_NODES_PER_SET
+        switch_at = rate * sum(comb(len(slot), s) for s in LOOKAHEAD_SIZES)
     try:
         while pending:
             nodes += 1

@@ -3,17 +3,18 @@
 The look-ahead may only cut subtrees that hold no coloring, so on every
 case of the solver equivalence suite it must return the same assignment
 (or None) within the plain search's node count N.  The switch-on
-threshold is forced to 0 here, so the look-ahead starts at the first dead
+thresholds are forced to 0 here, so the look-ahead starts at the first dead
 end and every case that reaches one exercises it.
 """
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from conftest import petersen
-from covdex import BudgetExhausted, build, coloring, find_coloring
+from covdex import BudgetExhausted, build, coloring, decomposer, find_coloring
 from covdex.coloring import LOOKAHEAD_SIZES, OddSetLookahead
 from covdex.oracle import FuzzConfig, random_multigraph
 from test_solver_equivalence import (
@@ -27,6 +28,7 @@ from test_solver_equivalence import (
 @pytest.fixture
 def eager(monkeypatch):
     monkeypatch.setattr(coloring, "LOOKAHEAD_NODES_PER_SET", 0)
+    monkeypatch.setattr(coloring, "LOOKAHEAD_LARGE_NODES_PER_SET", 0)
 
 
 def test_same_assignment_within_the_plain_node_count(eager):
@@ -202,6 +204,124 @@ def test_a_long_odd_cycle_never_builds_the_layout():
     assert find_coloring(g, 2, lookahead=True, counters=counters) is None
     assert counters["lookahead_builds"] == 0 and counters["nodes"] == 1001
     assert coloring._lookahead_layout.cache_info().currsize == cached
+
+
+def test_a_hard_search_on_40_vertices_never_builds():
+    # 11 random perfect matchings on 40 vertices at 12 colors: the plain
+    # search needs 29 976 nodes, past 1/32 node per odd set of size 3 and 5
+    # but short of the 2 per set that cores past 16 vertices wait for.
+    rng = random.Random(0)
+    pairs = []
+    for _ in range(11):
+        order = list(range(40))
+        rng.shuffle(order)
+        pairs += [(order[i], order[i + 1]) for i in range(0, 40, 2)]
+    g = build(40, pairs)
+    sets = sum(comb(40, size) for size in LOOKAHEAD_SIZES)
+    cached = coloring._lookahead_layout.cache_info().currsize
+    counters = {}
+    assert find_coloring(g, 12, lookahead=True, counters=counters) is not None
+    assert counters == {"nodes": 29_976, "prunes": 0, "lookahead_builds": 0}
+    assert sets / 32 < counters["nodes"] < 2 * sets
+    assert coloring._lookahead_layout.cache_info().currsize == cached
+
+
+class _Core(Exception):
+    pass
+
+
+def _chi_prime_core(n, edge_probability, seed):
+    """The punctured core that decompose hands to chi-prime, and its palette."""
+
+    def stop(core, m, *args, **kwargs):
+        raise _Core(core, m)
+
+    g = random_multigraph(
+        FuzzConfig(n=n, max_multiplicity=2, edge_probability=edge_probability, seed=seed)
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposer, "find_coloring", stop)
+        with pytest.raises(_Core) as caught:
+            decomposer.decompose(g)
+    return caught.value.args
+
+
+# Cores of 17 to 20 touched vertices whose plain search meets dead ends.
+LARGE_CORES = [(17, 0.85, 127), (17, 0.85, 128), (18, 0.9, 122), (19, 0.85, 109), (20, 0.9, 104)]
+
+
+def test_large_cores_keep_the_plain_outcome_within_its_node_count(eager):
+    pruned = 0
+    for spec in LARGE_CORES:
+        g, m = _chi_prime_core(*spec)
+        expected, nodes = reference_search(g, m, REFERENCE_BUDGET)
+        counters = {}
+        got = find_coloring(g, m, budget=nodes, lookahead=True, counters=counters)
+        assert same_outcome(got, expected), spec
+        assert counters["nodes"] <= nodes and counters["lookahead_builds"] == 1
+        pruned += counters["prunes"] > 0
+    assert pruned == len(LARGE_CORES)
+
+
+def test_a_large_core_tracks_the_sets_the_combination_loop_kept():
+    # Past 16 vertices the table keeps only the sets whose degree sum
+    # exceeds m(|U|-1), in combinations order, and no layout is cached.
+    cached = coloring._lookahead_layout.cache_info().currsize
+    for spec in LARGE_CORES[:3]:
+        g, m = _chi_prime_core(*spec)
+        pairs = _pairs(g)
+        reference = combination_loop_build(g.vertex_count, pairs, m)
+        look = OddSetLookahead(g.vertex_count, pairs, m)
+        assert not look.refuted
+        assert look.sets == tuple(reference)
+        assert look.halves() == list(reference.values())
+        assert max(look.member).bit_length() <= len(reference)
+    assert coloring._lookahead_layout.cache_info().currsize == cached
+
+
+def test_a_large_core_answers_as_the_full_table_does(monkeypatch):
+    # Color greedily, denser endpoints first as the search does, then
+    # uncolor in random order: the squeezed table fires exactly when the
+    # full one does and holds the same h/2 on the sets it keeps.
+    g, m = _chi_prime_core(*LARGE_CORES[0])
+    pairs = _pairs(g)
+    n = g.vertex_count
+    look = OddSetLookahead(n, pairs, m)
+    monkeypatch.setattr(coloring, "LOOKAHEAD_SMALL_CORE", n)
+    full = OddSetLookahead(n, pairs, m)
+    assert len(look.sets) < len(full.sets)
+    position = {u: i for i, u in enumerate(full.sets)}
+    kept = [position[u] for u in look.sets]
+    degree = [0] * n
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+    order = sorted(pairs, key=lambda e: -(degree[e[0]] + degree[e[1]]))
+    used = [0] * n
+    colored = []
+    fired = 0
+    for step, (u, v) in enumerate(order):
+        free = ~(used[u] | used[v]) & ((1 << m) - 1)
+        if free:
+            bit = free & -free
+            used[u] |= bit
+            used[v] |= bit
+            colored.append((u, v, bit))
+            fine = look.color(u, v, bit)
+            assert fine == full.color(u, v, bit)
+            fired += not fine
+        if step % 40 == 0:
+            halves = full.halves()
+            assert look.halves() == [halves[i] for i in kept]
+    assert fired
+    random.Random(1).shuffle(colored)
+    for step, (u, v, bit) in enumerate(colored):
+        look.uncolor(u, v, bit)
+        full.uncolor(u, v, bit)
+        if step % 40 == 0:
+            halves = full.halves()
+            assert look.halves() == [halves[i] for i in kept]
+    assert look.halves() == list(combination_loop_build(n, pairs, m).values())
 
 
 @pytest.mark.parametrize("seed", range(6))
