@@ -3,9 +3,9 @@ and an exact fixed-palette coloring solver.
 
 ``color_masks`` gives, for every vertex, the colors on its edges as a
 bitmask (bit c for color c), from the one pass over the edges that also
-decides properness (``is_proper`` is that pass).  The lift and augment
-checks read these masks instead of rebuilding a present or missing set,
-or scanning a color class, per question.
+decides properness (``is_proper`` is that pass).  The block path builds
+them once per coloring and hands them on through recoloring, lift and
+augment, instead of rebuilding a present or missing set per question.
 
 The solver is a backtracking search with fail-first edge selection,
 per-vertex color bitmasks and color-symmetry breaking.  It runs as a loop
@@ -116,9 +116,6 @@ class EdgeColoring:
     palette: int
     assignment: Mapping[int, int]
 
-    def color_of(self, edge_id: int) -> int:
-        return self.assignment[edge_id]
-
     def with_colors(self, updates: Mapping[int, int]) -> "EdgeColoring":
         merged = dict(self.assignment)
         merged.update(updates)
@@ -208,9 +205,10 @@ def missing(coloring: EdgeColoring, g: Multigraph, v: int) -> frozenset[int]:
     return frozenset(range(1, coloring.palette + 1)) - present(coloring, g, v)
 
 
-def _two_color_incidence(
+def two_color_incidence(
     coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int
 ) -> dict[int, list[Edge]]:
+    """Per vertex, its edges colored alpha or beta, in edge order."""
     if alpha == beta:
         raise ValueError("chain colors must differ")
     for c in (alpha, beta):
@@ -224,20 +222,28 @@ def _two_color_incidence(
     return table
 
 
-def chain(coloring: EdgeColoring, g: Multigraph, v: int, alpha: int, beta: int) -> Chain:
+def chain(
+    coloring: EdgeColoring, g: Multigraph, v: int, alpha: int, beta: int,
+    *, incidence: dict[int, list[Edge]] | None = None,
+) -> Chain:
     """The two-color component containing v, canonically ordered.
 
     Paths run from their smaller endpoint; cycles start at their smallest
     vertex and head toward the smaller neighbor (smaller edge id on a tie,
-    which covers the two-vertex parallel-edge cycle).
+    which covers the two-vertex parallel-edge cycle).  A caller that walks
+    several chains of one coloring passes their ``incidence``, built once.
     """
-    return _component(_two_color_incidence(coloring, g, alpha, beta), v, alpha, beta)
+    table = two_color_incidence(coloring, g, alpha, beta) if incidence is None else incidence
+    return _component(table, v, alpha, beta)
 
 
-def chains(coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int) -> list[Chain]:
+def chains(
+    coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int,
+    *, incidence: dict[int, list[Edge]] | None = None,
+) -> list[Chain]:
     """Every nontrivial two-color component, each ordered as by chain():
     the paths, then the cycles, each by first vertex."""
-    table = _two_color_incidence(coloring, g, alpha, beta)
+    table = two_color_incidence(coloring, g, alpha, beta) if incidence is None else incidence
     found: list[Chain] = []
     seen: set[int] = set()
     for v in sorted(table):

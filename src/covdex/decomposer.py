@@ -62,8 +62,6 @@ from .multigraph import (
     Multigraph,
     SplitRecord,
     SplitTrace,
-    boundary_counts,
-    contract_set,
     induced_subgraph,
 )
 from .oracle import verify_decomposition
@@ -219,7 +217,7 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
                     table, k, [len(incidence[v]) - (k + 1) for v in table.universe]
                 )
                 tight = table.tight_sets(k)
-            cert = table.min_containing(x, tight)
+            cert = table.min_containing(x, tight) if tight else None
             if cert is None:
                 eid = min(mine)
             else:
@@ -271,17 +269,20 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
 def puncture(table: OddSetTable, k: int) -> tuple[Multigraph, tuple[Puncture, ...]]:
     """Remove the smallest-id internal edge of every inclusion-minimal
     optimal set of ``table.graph`` over the table's universe (sorted), and
-    re-verify the resulting internal edge counts."""
-    h1 = table.graph
-    certs = all_min_optimal_sets(h1, k, table.universe, table=table)
+    re-verify the resulting internal edge counts.  The sets are disjoint,
+    so one pass sorts the internal edges by set, and one graph drops every
+    victim, as chained ``without_edge`` calls would."""
+    g = table.graph
+    certs = all_min_optimal_sets(g, k, table.universe, table=table)
+    if not certs:
+        return g, ()
+    inside, _ = dense_lift.block_edges(g, [cert.vertices for cert in certs])
     punctures = []
-    for cert in certs:
+    for cert, internal in zip(certs, inside):
         members = cert.as_set()
-        internal = [e for e in h1.edges if e.u in members and e.v in members]
         if not internal:
             raise NoInternalEdge(f"optimal set {cert.vertices} has no internal edge")
-        size = len(members)
-        expected_before = (k + 2) * (size - 1) // 2 + 1
+        expected_before = (k + 2) * (len(members) - 1) // 2 + 1
         if len(internal) != expected_before:
             raise StageAssertionFailed(
                 "puncture",
@@ -290,8 +291,9 @@ def puncture(table: OddSetTable, k: int) -> tuple[Multigraph, tuple[Puncture, ..
             )
         victim = min(internal, key=lambda e: e.id)
         x, y = sorted((victim.u, victim.v))
-        h1 = h1.without_edge(victim.id)
         punctures.append(Puncture(members, x, y, victim.id))
+    victims = {p.edge for p in punctures}
+    h1 = Multigraph(g.vertex_count, tuple(e for e in g.edges if e.id not in victims))
     return h1, tuple(punctures)
 
 
@@ -303,31 +305,47 @@ def contract_blocks(
 ) -> tuple[Multigraph, dict[int, int], list[int], bool]:
     """Contract every punctured block; returns the graph, the composed
     vertex map, the merged vertex ids (aligned with punctures), and whether
-    every merged vertex met the k/2 degree bound."""
-    current = h1
-    total_map = {v: v for v in h1.vertices()}
-    merged: list[int] = []
-    for p in punctures:
-        image = {total_map[v] for v in p.block}
-        result = contract_set(current, image)
-        current = result.graph
-        total_map = {v: result.vertex_map[w] for v, w in total_map.items()}
-        merged = [result.vertex_map[u] for u in merged]
-        merged.append(result.merged_vertex)
+    every merged vertex met the k/2 degree bound.
+
+    One pass gives what chained ``contract_set`` calls give: the r vertices
+    outside every block keep their order, block i becomes vertex r+i, edges
+    inside a block drop out; each block's boundary and degree are counted."""
+    owner = {v: i for i, p in enumerate(punctures) for v in p.block}
+    r = h1.vertex_count - len(owner)
+    outside = iter(range(r))
+    vmap = {v: r + owner[v] if v in owner else next(outside) for v in h1.vertices()}
+    if not punctures:
+        return h1, vmap, [], True
+    merged = list(range(r, r + len(punctures)))
+    boundary = [0] * len(punctures)
+    degree = [0] * (r + len(punctures))
+    edges = []
+    for e in h1.edges:
+        a, b = owner.get(e.u), owner.get(e.v)
+        if a is not None and a == b:
+            continue
+        if a is not None:
+            boundary[a] += 1
+        if b is not None:
+            boundary[b] += 1
+        f = Edge(e.id, vmap[e.u], vmap[e.v])
+        degree[f.u] += 1
+        degree[f.v] += 1
+        edges.append(f)
+    h2 = Multigraph(r + len(punctures), tuple(edges))
     degree_ok = True
-    for p, u in zip(punctures, merged):
-        _, boundary, _ = boundary_counts(h1, p.block)
-        if current.degree(u) != boundary:
+    for p, u, count in zip(punctures, merged, boundary):
+        if degree[u] != count:
             raise StageAssertionFailed(
-                "contract", f"merged vertex {u} has degree {current.degree(u)} != {boundary}"
+                "contract", f"merged vertex {u} has degree {degree[u]} != {count}"
             )
-        if 2 * current.degree(u) > k:
+        if 2 * degree[u] > k:
             if hypotheses_held:
                 raise DegreeBoundFailed(
-                    f"block {sorted(p.block)} has boundary {boundary} > k/2 = {k}/2"
+                    f"block {sorted(p.block)} has boundary {count} > k/2 = {k}/2"
                 )
             degree_ok = False
-    return current, total_map, merged, degree_ok
+    return h2, vmap, merged, degree_ok
 
 
 def orient_and_augment(
@@ -336,6 +354,9 @@ def orient_and_augment(
     punctures: Sequence[Puncture],
     k: int,
     n_original: int,
+    *,
+    masks: Sequence[int] | None = None,
+    incidence: dict[int, list[Edge]] | None = None,
 ) -> tuple[list[frozenset[int]], Orientation]:
     """Orient the two reserve color classes and patch classes 1..k into
     sets that each saturate the original vertices.
@@ -343,9 +364,10 @@ def orient_and_augment(
     The reserve subgraph is the union of the (k+1, k+2)-chains.  Each is
     oriented as ``chains`` orders it (paths, then cycles, each by first
     vertex), except that a path whose smaller endpoint is designated is
-    reversed, so no designated vertex starts a path."""
+    reversed, so no designated vertex starts a path.  ``masks`` and
+    ``incidence``, when given, are psi's as ``assemble_lift`` returns them."""
     top = k + 2
-    masks = color_masks(h1, psi)
+    masks = color_masks(h1, psi) if masks is None else masks
     if masks is None:
         raise AugmentationFailed("lifted coloring is not proper")
     reserve = 1 << (k + 1) | 1 << top
@@ -355,7 +377,7 @@ def orient_and_augment(
             raise AugmentationFailed(f"designated vertex {x} has reserve degree 2")
 
     arcs: list[tuple[int, int, int]] = []
-    for ch in chains(psi, h1, k + 1, top):
+    for ch in chains(psi, h1, k + 1, top, incidence=incidence):
         verts, eids = ch.vertices, ch.edges
         if ch.kind == "path":
             tail, head = ch.endpoints
@@ -435,29 +457,6 @@ def _extend_to_pendants(
     return EdgeColoring(palette, colors)
 
 
-def _block_edges(
-    h1: Multigraph, punctures: Sequence[Puncture]
-) -> tuple[list[list[Edge]], list[list[Edge]]]:
-    """Per puncture, in edge order, the edges of h1 inside its block and the
-    edges on its boundary, from one pass over the edges.  The blocks are
-    disjoint (``all_min_optimal_sets`` checks it), so each vertex has at
-    most one block."""
-    owner = {v: i for i, p in enumerate(punctures) for v in p.block}
-    inside: list[list[Edge]] = [[] for _ in punctures]
-    boundary: list[list[Edge]] = [[] for _ in punctures]
-    for e in h1.edges:
-        a, b = owner.get(e.u), owner.get(e.v)
-        if a == b:
-            if a is not None:
-                inside[a].append(e)
-            continue
-        if a is not None:
-            boundary[a].append(e)
-        if b is not None:
-            boundary[b].append(e)
-    return inside, boundary
-
-
 def decompose(
     g: Multigraph, options: DecomposeOptions | None = None
 ) -> CoverDecomposition | FailureReport:
@@ -527,11 +526,12 @@ def decompose(
         if not is_proper(h1, full):
             raise StageAssertionFailed("chi-prime", "extended coloring is improper")
         run.dump["core_coloring"] = lambda: _coloring_obj(full)
-        block_inside, block_boundary = _block_edges(h1, punctures)
+        colors = full.assignment
+        block_inside, block_boundary = dense_lift.block_edges(h1, [p.block for p in punctures])
         for p, boundary in zip(punctures, block_boundary):
             seen: set[int] = set()
             for e in boundary:
-                c = full.color_of(e.id)
+                c = colors[e.id]
                 if c in seen:
                     raise StageAssertionFailed(
                         "chi-prime",
@@ -549,9 +549,7 @@ def decompose(
         # The proven H1 coloring restricts to a proper coloring of the
         # contracted graph (boundary colors at each block are distinct), so
         # the recoloring loop starts from it instead of solving again.
-        h2_start = EdgeColoring(
-            k + 2, {e.id: full.color_of(e.id) for e in h2.edges}
-        )
+        h2_start = EdgeColoring(k + 2, {e.id: colors[e.id] for e in h2.edges})
         phi2, moves = special_coloring(h2, k, merged, initial=h2_start)
         for move in moves:
             key = f"moves.{move['move']}"
@@ -561,18 +559,16 @@ def decompose(
         run.enter("lift")
         blocks = []
         for p, inside, boundary in zip(punctures, block_inside, block_boundary):
-            block_start = EdgeColoring(k + 2, {e.id: full.color_of(e.id) for e in inside})
-            bc = dense_lift.make_block(
-                h1, sorted(p.block), p.x, p.y, k + 2, initial=block_start
-            )
-            requirements = {e.id: phi2.color_of(e.id) for e in boundary}
+            block_start = EdgeColoring(k + 2, {e.id: colors[e.id] for e in inside})
+            bc = dense_lift.make_block(h1, sorted(p.block), p.x, p.y, k + 2, initial=block_start)
+            requirements = {e.id: phi2.assignment[e.id] for e in boundary}
             blocks.append(dense_lift.permute_block_palette(bc, requirements, h1, k))
-        psi = dense_lift.assemble_lift(h1, phi2, blocks, k)
+        psi, masks, reserve = dense_lift.assemble_lift(h1, phi2, blocks, k)
         run.dump["lifted_coloring"] = lambda: _coloring_obj(psi)
 
         run.enter("augment")
         covers_h1, orientation = orient_and_augment(
-            h1, psi, punctures, k, g.vertex_count
+            h1, psi, punctures, k, g.vertex_count, masks=masks, incidence=reserve
         )
         run.dump["arcs"] = lambda: [list(a) for a in orientation.arcs]
         run.dump["covers_before_mapping"] = lambda: [sorted(c) for c in covers_h1]

@@ -12,14 +12,17 @@ infeasibility is dumped, never patched.
 The block and lift checks read missing sets, and whether a vertex
 presents a color, from per-vertex color masks that ``coloring.color_masks``
 builds in the one pass over the edges that also decides properness; class
-sizes come from one count over the assignment.
+sizes come from one count over the assignment.  Each coloring's masks are
+built once: ``make_block`` keeps a block's for the palette matching, and
+the lift check hands the lifted coloring's masks and its (k+1, k+2)
+incidence, which all its chain walks share, on to the orientation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Collection, Mapping, Sequence
 
 from .coloring import (
     EdgeColoring,
@@ -28,6 +31,7 @@ from .coloring import (
     is_s_dense,
     mask_colors,
     palette_mask,
+    two_color_incidence,
 )
 from .errors import (
     DensityMismatch,
@@ -35,7 +39,7 @@ from .errors import (
     NoFeasiblePermutation,
     PreconditionViolated,
 )
-from .multigraph import Multigraph, induced_subgraph
+from .multigraph import Edge, Multigraph, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,8 @@ class BlockColoring:
     ``vertices`` lists the block's host vertex ids in increasing order;
     position in the list is the local vertex id in ``graph``.  The coloring
     is keyed by host edge ids (induced subgraphs keep them).  ``x`` and
-    ``y`` are the endpoints of the punctured edge, as host ids.
+    ``y`` are the endpoints of the punctured edge, as host ids.  ``masks``,
+    when set, are the coloring's per-vertex color masks on ``graph``.
     """
 
     vertices: tuple[int, ...]
@@ -53,6 +58,7 @@ class BlockColoring:
     coloring: EdgeColoring
     x: int
     y: int
+    masks: list[int] | None = field(default=None, compare=False)
 
     def local_vertex(self, host_vertex: int) -> int:
         return self.vertices.index(host_vertex)
@@ -70,6 +76,12 @@ def color_dense_block(block: Multigraph, s: int, *, initial: EdgeColoring) -> Ed
     matching, missing sets of distinct vertices are disjoint, and each
     vertex is missed by exactly s - d(v) classes.
     """
+    _dense_block_masks(block, s, initial)
+    return initial
+
+
+def _dense_block_masks(block: Multigraph, s: int, initial: EdgeColoring) -> list[int]:
+    """``color_dense_block``'s checks; returns the coloring's color masks."""
     n = block.vertex_count
     if is_s_dense(block) != s:
         raise DensityMismatch(
@@ -93,7 +105,7 @@ def color_dense_block(block: Multigraph, s: int, *, initial: EdgeColoring) -> Ed
         for w in range(v + 1, n):
             if miss[v] & miss[w]:
                 raise LiftInvariantViolated(0, f"vertices {v},{w} share a missing class")
-    return initial
+    return masks
 
 
 def make_block(
@@ -102,11 +114,10 @@ def make_block(
     initial: EdgeColoring,
 ) -> BlockColoring:
     """Induce and density-check one block of the host graph, and check its
-    s-coloring ``initial``."""
+    s-coloring ``initial``, keeping the masks that check built."""
     verts = tuple(sorted(block_vertices))
     graph = induced_subgraph(host, verts)
-    coloring = color_dense_block(graph, s, initial=initial)
-    return BlockColoring(vertices=verts, graph=graph, coloring=coloring, x=x, y=y)
+    return BlockColoring(verts, graph, initial, x, y, _dense_block_masks(graph, s, initial))
 
 
 def _max_bipartite_matching(wants: dict[int, int]) -> dict[int, int]:
@@ -148,7 +159,7 @@ def permute_block_palette(
     if len(required) != len(set(required)):
         raise PreconditionViolated("boundary colors at one block must be distinct")
 
-    masks = color_masks(bc.graph, bc.coloring)
+    masks = color_masks(bc.graph, bc.coloring) if bc.masks is None else bc.masks
     if masks is None:
         raise PreconditionViolated("block coloring is not proper")
     colors = palette_mask(bc.coloring.palette)
@@ -168,16 +179,13 @@ def permute_block_palette(
         detail = {c: mask_colors(a) for c, a in wants.items()}
         raise NoFeasiblePermutation(f"no palette bijection satisfies {detail}")
 
-    taken = set(matching.values())
-    free_local = [c for c in range(1, s + 1) if c not in taken]
-    free_global = [c for c in range(1, s + 1) if c not in matching]
     to_global = {local: glob for glob, local in matching.items()}
-    to_global.update(dict(zip(free_local, free_global)))
+    free_local = [c for c in range(1, s + 1) if c not in to_global]
+    free_global = [c for c in range(1, s + 1) if c not in matching]
+    to_global.update(zip(free_local, free_global))
 
-    recolored = EdgeColoring(
-        s, {eid: to_global[c] for eid, c in bc.coloring.assignment.items()}
-    )
-    return BlockColoring(bc.vertices, bc.graph, recolored, bc.x, bc.y)
+    recolored = {eid: to_global[c] for eid, c in bc.coloring.assignment.items()}
+    return BlockColoring(bc.vertices, bc.graph, EdgeColoring(s, recolored), bc.x, bc.y)
 
 
 def assemble_lift(
@@ -185,26 +193,43 @@ def assemble_lift(
     outer: EdgeColoring,
     blocks: Sequence[BlockColoring],
     k: int,
-) -> EdgeColoring:
+) -> tuple[EdgeColoring, list[int], dict[int, list[Edge]] | None]:
     """Merge the outer coloring with the permuted block colorings.
 
     Every edge inside a block takes its block color; every other edge keeps
     the outer color (ids are shared with the contracted graph).  Properness
-    and the three lift properties are then re-verified globally.
+    and the three lift properties are then re-verified globally, and the
+    merged coloring is returned with what ``check_lift_properties`` returns.
     """
-    s = k + 2
-    combined: dict[int, int] = {}
-    internal: set[int] = set()
-    for bc in blocks:
-        for eid, c in bc.coloring.assignment.items():
-            combined[eid] = c
-            internal.add(eid)
+    combined = {eid: c for bc in blocks for eid, c in bc.coloring.assignment.items()}
+    colors = outer.assignment
     for e in h1.edges:
-        if e.id not in internal:
-            combined[e.id] = outer.color_of(e.id)
-    psi = EdgeColoring(s, combined)
-    check_lift_properties(h1, psi, blocks, k)
-    return psi
+        if e.id not in combined:
+            combined[e.id] = colors[e.id]
+    psi = EdgeColoring(k + 2, combined)
+    return (psi, *check_lift_properties(h1, psi, blocks, k))
+
+
+def block_edges(
+    host: Multigraph, blocks: Sequence[Collection[int]]
+) -> tuple[list[list[Edge]], list[list[Edge]]]:
+    """Per block, in edge order, the host's edges inside it and on its
+    boundary, from one pass over the edges (none without blocks).  The
+    blocks are disjoint (``all_min_optimal_sets`` checks it)."""
+    if not blocks:
+        return [], []
+    owner: list[int | None] = [None] * host.vertex_count
+    for i, block in enumerate(blocks):
+        for v in block:
+            owner[v] = i
+    inside, boundary = [[] for _ in blocks], [[] for _ in blocks]
+    for e in host.edges:
+        a, b = owner[e.u], owner[e.v]
+        if a is not None:
+            (inside if a == b else boundary)[a].append(e)
+        if b is not None and b != a:
+            boundary[b].append(e)
+    return inside, boundary
 
 
 def check_lift_properties(
@@ -212,9 +237,10 @@ def check_lift_properties(
     psi: EdgeColoring,
     blocks: Sequence[BlockColoring],
     k: int,
-) -> None:
+) -> tuple[list[int], dict[int, list[Edge]] | None]:
     """Verify that psi is a proper coloring of h1 (property 0) and the
-    three properties the downstream orientation relies on.
+    three properties the downstream orientation relies on; return psi's
+    masks and (k+1, k+2) incidence on h1 (None if no chain was walked).
 
     1. No block boundary edge carries the top color k+2.
     2. A (k+1, k+2)-chain through a boundary edge is a path reaching a
@@ -226,29 +252,26 @@ def check_lift_properties(
     masks = color_masks(h1, psi)
     if masks is None:
         raise LiftInvariantViolated(0, "assembled coloring is not proper")
-    all_block_vertices: set[int] = set()
-    for bc in blocks:
-        all_block_vertices |= bc.host_set()
+    reserve = None  # the (k+1, k+2) incidence, built for the first chain walk
+    all_block_vertices = {v for bc in blocks for v in bc.vertices}
 
-    for bc in blocks:
+    _, boundaries = block_edges(h1, [bc.vertices for bc in blocks])
+    for bc, boundary in zip(blocks, boundaries):
         inside = bc.host_set()
-        boundary = [
-            e for e in h1.edges if (e.u in inside) != (e.v in inside)
-        ]
         for e in boundary:
-            if psi.color_of(e.id) == s:
+            if psi.assignment[e.id] == s:
                 raise LiftInvariantViolated(1, f"boundary edge {e.id} carries color {s}")
         for e in boundary:
-            if psi.color_of(e.id) != k + 1:
+            if psi.assignment[e.id] != k + 1:
                 continue
             anchor = e.u if e.u in inside else e.v
-            ch = chain(psi, h1, anchor, k + 1, s)
+            if reserve is None:
+                reserve = two_color_incidence(psi, h1, k + 1, s)
+            ch = chain(psi, h1, anchor, k + 1, s, incidence=reserve)
             if ch.kind != "path":
                 raise LiftInvariantViolated(2, f"chain through edge {e.id} is a cycle")
             ends_outside = [p for p in ch.endpoints if p not in all_block_vertices]
-            ends_elsewhere = [
-                p for p in ch.endpoints if p in all_block_vertices and p not in inside
-            ]
+            ends_elsewhere = [p for p in ch.endpoints if p in all_block_vertices - inside]
             if not ends_outside or ends_elsewhere:
                 raise LiftInvariantViolated(
                     2,
@@ -262,3 +285,4 @@ def check_lift_properties(
                     )
         if masks[bc.x] >> s & 1:
             raise LiftInvariantViolated(3, f"top class touches designated vertex {bc.x}")
+    return masks, reserve

@@ -16,8 +16,13 @@ exceeding it raises instead of looping forever.
 
 Every move is returned as a dict: its phase, its kind ("endpoint-swap",
 "recolor-first", "linked-swap" or "detach"), the chain index it worked at,
-its step number and both potentials after it.  Each round's progress check
-and the main loop read those potentials instead of computing them again.
+its step number and both potentials after it.  The main loop checks each
+round's progress from those potentials instead of computing them again.
+
+Which colors a vertex presents or misses is read from per-vertex color
+masks (``coloring.color_masks``), built once per coloring: by the entry
+check for the start coloring, which is returned as it is when no move is
+made, and after each move for the new coloring.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .coloring import Chain, EdgeColoring, chain, chains, is_proper, kempe_swap, missing, present
+from .coloring import (
+    Chain, EdgeColoring, chain, chains, color_masks, kempe_swap, mask_colors, palette_mask,
+)
 from .errors import BudgetExhausted, PreconditionViolated, StageAssertionFailed
 from .multigraph import Multigraph
 
@@ -45,12 +52,32 @@ class Potentials:
 # Stage named by the invariant failures raised here (decompose's name for it).
 _STAGE = "special-coloring"
 
+# A move's coloring with its potentials, color masks and properness.
+_State = tuple[EdgeColoring, Potentials, list[int], bool]
 
-def potentials(g: Multigraph, coloring: EdgeColoring, k: int, S: Iterable[int]) -> Potentials:
-    """Recompute both counters from scratch."""
+
+def _masks(g: Multigraph, coloring: EdgeColoring) -> tuple[list[int], bool]:
+    """The coloring's per-vertex color masks and whether it is proper.  An
+    improper coloring (a move gone wrong) still gets the colors at each
+    vertex, so the checks after the move run in their order."""
+    masks = color_masks(g, coloring)
+    if masks is not None:
+        return masks, True
+    masks = [0] * g.vertex_count
+    for e in g.edges:
+        masks[e.u] |= 1 << coloring.assignment[e.id]
+        masks[e.v] |= 1 << coloring.assignment[e.id]
+    return masks, False
+
+
+def potentials(
+    g: Multigraph, coloring: EdgeColoring, k: int, S: Iterable[int], masks: list[int] | None = None
+) -> Potentials:
+    """Recompute both counters from scratch, reading exposure from the
+    coloring's per-vertex color ``masks`` (built here unless given)."""
     protected = set(S)
-    top = k + 2
-    exposed = sum(1 for v in protected if top in present(coloring, g, v))
+    masks = _masks(g, coloring)[0] if masks is None else masks
+    exposed = sum(masks[v] >> (k + 2) & 1 for v in protected)
     return Potentials(exposed, len(_bridges(g, coloring, k, protected)))
 
 
@@ -88,168 +115,115 @@ def special_coloring(
         if 2 * g.degree(v) > k:
             raise PreconditionViolated(f"vertex {v} has degree {g.degree(v)} > k/2")
 
-    if initial.palette != top or not is_proper(g, initial):
+    masks = color_masks(g, initial) if initial.palette == top else None
+    if masks is None:
         raise PreconditionViolated("initial coloring is not a proper (k+2)-coloring")
-    cur = initial
+    cur, proper = initial, True
 
     budget = max(1, 10 * len(g.edges) * top * top)
     moves: list[dict] = []
 
-    def spend(move: dict, after: EdgeColoring) -> Potentials:
+    def spend(move: dict, after: EdgeColoring) -> _State:
         if len(moves) >= budget:
             raise BudgetExhausted(f"recoloring exceeded {budget} moves")
-        pot = potentials(g, after, k, protected)
+        after_masks, after_proper = _masks(g, after)
+        pot = potentials(g, after, k, protected, after_masks)
         move.update(step=len(moves) + 1, exposed=pot.exposed, bridges=pot.bridges)
         moves.append(move)
-        return pot
+        return after, pot, after_masks, after_proper
 
-    pot = potentials(g, cur, k, protected)
+    pot = potentials(g, cur, k, protected, masks)
     while pot.exposed or pot.bridges:
-        if pot.exposed:
-            cur, pot = _lower_exposed(g, cur, k, protected, pot, spend)
-        else:
-            cur, pot = _lower_bridges(g, cur, k, protected, pot, spend)
+        phase = 1 if pot.exposed else 2
+        cur, after, masks, proper = _lower(g, cur, masks, k, protected, phase, spend)
+        if phase == 1 and after.exposed >= pot.exposed:
+            raise StageAssertionFailed(_STAGE, "phase-1 round must lower the exposed count")
+        if phase == 2 and after.exposed:
+            raise StageAssertionFailed(_STAGE, "phase 2 must not re-expose the top color")
+        if phase == 2 and after.bridges >= pot.bridges:
+            raise StageAssertionFailed(_STAGE, "phase-2 round must lower the bridge count")
+        if not proper:
+            raise StageAssertionFailed(_STAGE, f"phase-{phase} round left an improper coloring")
+        pot = after
 
-    if not is_proper(g, cur):
+    # The start coloring was checked at entry, and each move's in the loop.
+    if not proper:
         raise StageAssertionFailed(_STAGE, "final coloring is improper")
     return cur, moves
 
 
-def _lower_exposed(
+def _lower(
     g: Multigraph,
     cur: EdgeColoring,
+    masks: list[int],
     k: int,
     protected: list[int],
-    pot: Potentials,
-    spend: Callable[[dict, EdgeColoring], Potentials],
-) -> tuple[EdgeColoring, Potentials]:
-    """One outer phase-1 round: return a coloring with fewer exposed vertices."""
+    phase: int,
+    spend: Callable[[dict, EdgeColoring], _State],
+) -> _State:
+    """One outer round: the move that should lower the exposed count (phase
+    1, on the (alpha, k+2) chain at the smallest exposed vertex) or the
+    bridge count (phase 2, on the (k+1, k+2) chain at the smallest endpoint
+    of any bridge, sharing and swapping only colors in [1, k])."""
     top = k + 2
-    x = min(v for v in protected if top in present(cur, g, v))
-    alpha = min(c for c in missing(cur, g, x) if c <= k)
-    start = pot.exposed
+    palette = palette_mask(top)
+    if phase == 1:
+        x = min(v for v in protected if masks[v] >> top & 1)
+        alpha, shared = min(mask_colors(palette_mask(k) & ~masks[x])), palette
+    else:
+        bridges = _bridges(g, cur, k, set(protected))
+        if not bridges:
+            raise StageAssertionFailed(_STAGE, "a positive bridge count implies a bridge")
+        x, alpha, shared = bridges[0].vertices[0], k + 1, palette_mask(k)
     prev_index: int | None = None
 
     while True:
         ch = chain(cur, g, x, alpha, top)
         verts, eids = ch.oriented_from(x)
         y = verts[-1]
-        if y not in protected or top in present(cur, g, y):
+        if phase == 1 and (y not in protected or masks[y] >> top & 1):
             nxt = kempe_swap(cur, ch)
-            after = spend({"phase": 1, "move": "endpoint-swap", "index": None}, nxt)
-            return _checked_progress(g, nxt, after, start)
+            return spend({"phase": 1, "move": "endpoint-swap", "index": None}, nxt)
 
-        # y is protected, presents alpha, misses the top color: work inward.
-        miss_x = missing(cur, g, x)
-        index = None
-        beta = None
+        # In phase 1, y is protected and misses the top color: work inward.
+        miss_x = shared & ~masks[x]
+        index = beta = None
         for j in range(1, len(verts)):
-            common = missing(cur, g, verts[j]) & miss_x
+            common = ~masks[verts[j]] & miss_x
             if common:
-                index, beta = j, min(common)
+                index, beta = j, min(mask_colors(common))
                 break
         if index is None:
-            raise StageAssertionFailed(_STAGE, "the far endpoint always shares a missing color")
+            shares = "always shares a missing" if phase == 1 else "shares a low missing"
+            raise StageAssertionFailed(_STAGE, f"the far endpoint {shares} color")
         if prev_index is not None and index >= prev_index:
             raise StageAssertionFailed(_STAGE, "chain index must drop between rounds")
         prev_index = index
 
         if index == 1:
             nxt = cur.with_colors({eids[0]: beta})
-            after = spend({"phase": 1, "move": "recolor-first", "index": index}, nxt)
-            return _checked_progress(g, nxt, after, start)
+            return spend({"phase": phase, "move": "recolor-first", "index": index}, nxt)
 
         vi, vim1 = verts[index], verts[index - 1]
-        gamma = min(missing(cur, g, vim1) - {alpha, beta, top})
+        if phase == 1:
+            gamma = min(mask_colors(palette & ~masks[vim1] & ~(1 << alpha | 1 << beta | 1 << top)))
+        else:
+            gamma = min(mask_colors(palette & ~masks[vim1]))
+            if gamma > k or gamma == beta:
+                raise StageAssertionFailed(_STAGE, "interior vertices only miss low colors")
         side = chain(cur, g, vi, beta, gamma)
         if vim1 in side.vertices:
             cur = kempe_swap(cur, side)
-            spend({"phase": 1, "move": "linked-swap", "index": index}, cur)
+            _, _, masks, _ = spend({"phase": phase, "move": "linked-swap", "index": index}, cur)
             continue
 
-        # Unlinked: one composite move (side swap, edge recolor, and the
-        # closing chain swap unless the recolor alone already paid off).
-        nxt = kempe_swap(cur, side)
-        nxt = nxt.with_colors({eids[index - 1]: gamma})
-        if alpha in missing(nxt, g, vim1) or vim1 not in protected:
-            tail = chain(nxt, g, x, alpha, top)
-            nxt = kempe_swap(nxt, tail)
-        after = spend({"phase": 1, "move": "detach", "index": index}, nxt)
-        return _checked_progress(g, nxt, after, start)
-
-
-def _checked_progress(
-    g: Multigraph, nxt: EdgeColoring, after: Potentials, start: int
-) -> tuple[EdgeColoring, Potentials]:
-    if after.exposed >= start:
-        raise StageAssertionFailed(_STAGE, "phase-1 round must lower the exposed count")
-    if not is_proper(g, nxt):
-        raise StageAssertionFailed(_STAGE, "phase-1 round left an improper coloring")
-    return nxt, after
-
-
-def _lower_bridges(
-    g: Multigraph,
-    cur: EdgeColoring,
-    k: int,
-    protected: list[int],
-    pot: Potentials,
-    spend: Callable[[dict, EdgeColoring], Potentials],
-) -> tuple[EdgeColoring, Potentials]:
-    """One outer phase-2 round: return a coloring with fewer bridge chains."""
-    top = k + 2
-    bridges = _bridges(g, cur, k, set(protected))
-    if not bridges:
-        raise StageAssertionFailed(_STAGE, "a positive bridge count implies a bridge")
-    x = bridges[0].vertices[0]  # the smallest endpoint of any bridge
-    start = pot.bridges
-    prev_index: int | None = None
-
-    while True:
-        ch = chain(cur, g, x, k + 1, top)
-        verts, eids = ch.oriented_from(x)
-        miss_x = missing(cur, g, x)
-        index = None
-        beta = None
-        for j in range(1, len(verts)):
-            common = {c for c in missing(cur, g, verts[j]) & miss_x if c <= k}
-            if common:
-                index, beta = j, min(common)
-                break
-        if index is None:
-            raise StageAssertionFailed(_STAGE, "the far endpoint shares a low missing color")
-        if prev_index is not None and index >= prev_index:
-            raise StageAssertionFailed(_STAGE, "chain index must drop between rounds")
-        prev_index = index
-
-        if index == 1:
-            nxt = cur.with_colors({eids[0]: beta})
-            after = spend({"phase": 2, "move": "recolor-first", "index": index}, nxt)
-            return _checked_bridge_progress(g, nxt, after, start)
-
-        vi, vim1 = verts[index], verts[index - 1]
-        gamma = min(missing(cur, g, vim1))
-        if gamma > k or gamma == beta:
-            raise StageAssertionFailed(_STAGE, "interior vertices only miss low colors")
-        side = chain(cur, g, vi, beta, gamma)
-        if vim1 in side.vertices:
-            cur = kempe_swap(cur, side)
-            spend({"phase": 2, "move": "linked-swap", "index": index}, cur)
-            continue
-
-        nxt = kempe_swap(cur, side)
-        nxt = nxt.with_colors({eids[index - 1]: gamma})
-        after = spend({"phase": 2, "move": "detach", "index": index}, nxt)
-        return _checked_bridge_progress(g, nxt, after, start)
-
-
-def _checked_bridge_progress(
-    g: Multigraph, nxt: EdgeColoring, after: Potentials, start: int
-) -> tuple[EdgeColoring, Potentials]:
-    if after.exposed:
-        raise StageAssertionFailed(_STAGE, "phase 2 must not re-expose the top color")
-    if after.bridges >= start:
-        raise StageAssertionFailed(_STAGE, "phase-2 round must lower the bridge count")
-    if not is_proper(g, nxt):
-        raise StageAssertionFailed(_STAGE, "phase-2 round left an improper coloring")
-    return nxt, after
+        # Unlinked: one composite move (side swap, edge recolor, and in phase
+        # 1 the closing chain swap unless the recolor alone paid off), asking
+        # the recolored coloring one question at vim1, from vim1's edges.
+        nxt = kempe_swap(cur, side).with_colors({eids[index - 1]: gamma})
+        if phase == 1 and (
+            alpha not in {nxt.assignment[e.id] for e in g.incident(vim1)}
+            or vim1 not in protected
+        ):
+            nxt = kempe_swap(nxt, chain(nxt, g, x, alpha, top))
+        return spend({"phase": phase, "move": "detach", "index": index}, nxt)

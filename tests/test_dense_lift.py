@@ -18,7 +18,7 @@ from covdex import (
     missing,
     permute_block_palette,
 )
-from covdex.coloring import EdgeColoring
+from covdex.coloring import EdgeColoring, color_masks, two_color_incidence
 from covdex.dense_lift import BlockColoring, check_lift_properties
 from covdex.multigraph import Edge, Multigraph, induced_subgraph
 
@@ -217,8 +217,12 @@ def test_permute_agrees_with_exhaustive_bijection_search():
 def test_assemble_lift_without_blocks_returns_outer():
     g = k3()
     outer = EdgeColoring(3, {0: 1, 1: 2, 2: 3})
-    psi = assemble_lift(g, outer, [], 1)
+    psi, masks, incidence = assemble_lift(g, outer, [], 1)
     assert psi.assignment == outer.assignment
+    # The lift check's masks come back with psi; with no block it walks no
+    # chain, so it builds no (k+1, k+2) incidence.
+    assert masks == color_masks(g, psi)
+    assert incidence is None
 
 
 def test_assemble_lift_single_block_no_boundary():
@@ -230,7 +234,8 @@ def test_assemble_lift_single_block_no_boundary():
     bc = BlockColoring(vertices=(0, 1, 2), graph=block_graph, coloring=coloring, x=0, y=1)
     fixed = permute_block_palette(bc, {}, h1, 3)
     outer = EdgeColoring(5, {})
-    psi = assemble_lift(h1, outer, [fixed], 3)
+    psi, masks, _ = assemble_lift(h1, outer, [fixed], 3)
+    assert masks == color_masks(h1, psi)
     assert is_proper(h1, psi)
     assert all(not h1.edge(e).touches(0) for e in psi.color_class(5))
 
@@ -306,6 +311,16 @@ def test_lift_property_3_top_class_at_the_designated_vertex():
         "lift property 3: top class touches designated vertex 0",
     )
     check_lift_properties(h1, psi, [host_block((0, 1, 2), 1)], 1)  # x = 1 is missed
+
+
+def test_lift_check_returns_the_masks_and_the_incidence_of_its_chain_walks():
+    # Boundary edge 3 = (0,3) carries k+1 = 2; its (2,3)-chain 3-0-2-1 ends
+    # outside at 3, and every block vertex presents color 2.
+    h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    psi = EdgeColoring(3, {0: 1, 1: 2, 2: 3, 3: 2})
+    masks, incidence = check_lift_properties(h1, psi, [host_block((0, 1, 2), 1)], 1)
+    assert masks == color_masks(h1, psi)
+    assert incidence == two_color_incidence(psi, h1, 2, 3)
 
 
 class UncheckedGraph(Multigraph):

@@ -87,11 +87,12 @@ def test_block_path_never_solves_for_a_coloring():
 
 
 def test_block_path_answers_color_questions_from_masks():
-    # The lift and augment checks read per-vertex color masks built in one
-    # pass (coloring.color_masks); the per-query scans stay out of them.
+    # The recoloring, lift and augment checks read per-vertex color masks
+    # built in one pass (coloring.color_masks); the per-query scans stay out
+    # of them.
     scans = {"present", "missing", "color_class"}
     found = []
-    for name in ("dense_lift.py", "decomposer.py"):
+    for name in ("dense_lift.py", "decomposer.py", "special_coloring.py"):
         tree = ast.parse((ROOT / "src" / "covdex" / name).read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
