@@ -176,20 +176,20 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
     over its vertices 0..n-1, until every original vertex has degree
     exactly k+1, re-verifying the odd-set bound after each split.
 
-    The splits are those of chained ``split_off`` calls (the moved edge
-    leaves the edge order, its replacement is appended with the next id),
-    kept in an edge dict and per-vertex incidence; the graph and its trace
-    are built once at the end.  At the first split the table gives the
-    tight sets and the split candidates: deg(x) - (k+1) splits are made at
-    each vertex x, so only the odd sets U whose slack is at most twice the
-    sum of that over U, the dense sets, can reach slack 0 or drop below it
-    (see ``SplitCandidates``).  Each split is checked over the candidates
-    it changes, and the tight list only grows; a k above the bound fails
-    at the first split.  With no split the table already counts the
-    returned graph.  Otherwise it is counted again from the final graph
-    (see ``OddSetTable.recount``); it must have no odd set below the bound,
-    which also clears every graph in between because no slack ever rises,
-    and must agree with every tracked candidate slack."""
+    Degrees are the table's, e+ of each singleton.  The splits are those
+    of chained ``split_off`` calls (the moved edge leaves the edge order,
+    its replacement is appended with the next id), kept in an edge dict
+    and per-vertex incidence; the graph and its trace are built once at
+    the end.  At the first split the table gives the tight sets and the
+    split candidates: deg(x) - (k+1) splits are made at each vertex x, so
+    only the odd sets U whose slack is at most twice the sum of that over
+    U, the dense sets, can reach slack 0 or drop below it (see
+    ``SplitCandidates``).  Each split is checked over the candidates it
+    changes; a k above the bound fails at the first split.  The table is
+    then counted again from the final graph (``OddSetTable.recount``):
+    each original vertex must have degree k+1, no odd set may be below the
+    bound, which clears every graph in between as no slack ever rises, and
+    every tracked candidate slack must agree."""
     g = table.graph
     n = g.vertex_count
     original = range(n)
@@ -198,14 +198,16 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
             "regularize",
             f"odd-set table over {list(table.universe)}, not the graph's vertices 0..{n - 1}",
         )
+    if min(table.degrees, default=0) < k + 1:
+        raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
+    if all(degree == k + 1 for degree in table.degrees):
+        return g, SplitTrace()
     incidence: dict[int, dict[int, int]] = {v: {} for v in original}
     for e in g.edges:
         incidence[e.u][e.id] = e.v
         incidence[e.v][e.id] = e.u
-    if min(map(len, incidence.values()), default=0) < k + 1:
-        raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
     edges = {e.id: e for e in g.edges}
-    next_id = g.next_edge_id()
+    next_id = max(edges, default=-1) + 1
     records: list[SplitRecord] = []
     candidates: SplitCandidates | None = None
     tight: list[int] = []
@@ -247,14 +249,12 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
                     f"{value} < {k} at {witness.vertices if witness else ()}"
                 )
             tight += became_tight
-    h = g if not records else Multigraph(n + len(records), tuple(edges.values()))
-    for v in original:
-        if h.degree(v) != k + 1:
-            raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {h.degree(v)}")
-    if candidates is None:
-        return h, SplitTrace()
+    h = Multigraph(n + len(records), tuple(edges.values()))
     candidates.end_splits()
     table.recount(h)
+    for v, degree in enumerate(table.degrees):
+        if degree != k + 1:
+            raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {degree}")
     if table.below(k):
         raise StageAssertionFailed(
             "regularize", f"an odd set fell below the bound {k} unnoticed by the split checks"
@@ -475,7 +475,7 @@ def decompose(
         table = OddSetTable(g, g.vertices(), cap=opts.subset_cap)
         bound = gupta_bound(g, table=table)
         k = bound.k
-        mu = g.max_multiplicity()
+        mu = table.max_multiplicity
         hypotheses_held = mu <= 2 or k <= 6
         stages = run.stages
         stages.update(

@@ -31,21 +31,21 @@ therefore loses at most 2D(U), where D(U) counts the splits made at U's
 own vertices, and only a set whose slack starts at most 2D(U) can reach 0
 or drop below it.
 
-``OddSetTable.select`` picks those sets, and it is the table's one pass
-over packed lanes: 2^14 masks (a chunk) at a time, the chunk's counts one
-per lane, and the repunit, the widths |U|+1 and the flags of the odd sets
-of size >= 3 constant lanes, cached per number of high bits; one lane-wise
-subtraction per chunk tests every mask.  ``SplitCandidates`` keeps the
-slacks of the sets it picks split by split.  With no split planned the
-selection is the sets at slack 0 or below, which answers the bound and
-the tight sets at any k that the cached co-density does not settle, and
-the co-density itself: every set at the best 3-set's or largest odd set's
-ratio a/b or below is selected at k = ceil(a/b), so the least ratio among
-the selected sets is the co-density, and the table keeps every set at it.
+``OddSetTable.select`` picks those sets in the table's one pass over
+packed lanes: 2^14 masks (a chunk) at a time, the chunk's counts one per
+lane (a one-chunk table keeps the int its build packed), and the repunit,
+the widths |U|+1 and the flags of the odd sets of size >= 3 constant
+lanes, cached per number of high bits; one lane-wise subtraction per
+chunk tests every mask.  ``SplitCandidates`` keeps the slacks of the sets
+it picks split by split.  With no split planned the pass answers the
+bound and the tight sets at any k that the cached co-density does not
+settle, and the co-density itself: every set at the best 3-set's or
+largest odd set's ratio a/b or below is selected at k = ceil(a/b), so the
+least ratio among the selected sets is the co-density.
 
-The table carries the graph it counts.  ``decompose`` builds it once and
-hands it to ``regularize``, which counts it again only after splits, and
-then to ``puncture``.
+The table carries the graph it counts, and its count is the only count
+of that graph: e+({v}) is v's degree.  ``decompose`` builds it once and
+hands it to ``regularize``, which counts it again only after splits.
 
 Witnesses follow the enumeration order of odd subsets by increasing size,
 then lexicographic in universe order.
@@ -57,7 +57,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -134,6 +134,11 @@ def _flagged(items: Sequence[int], flags: int, bit: int = 0) -> list[int]:
     return found
 
 
+def _first(a: int, b: int) -> int:
+    """Of two masks of one size, the lexicographically first: it holds the lowest XOR bit."""
+    return a if (a ^ b) & -(a ^ b) & a else b
+
+
 @lru_cache(maxsize=None)
 def _start_sets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The masks of the 3-sets of n >= 3 bits, and of the largest odd sets."""
@@ -185,7 +190,8 @@ class GuptaBound:
 
 class OddSetTable:
     """e+(U) for every subset U of a fixed universe, kept by bitmask, with
-    the graph it counts (``graph``) and the cap it was built under."""
+    the graph it counts (``graph``), the cap it was built under, and from
+    that count the ``degrees`` (universe order) and ``max_multiplicity``."""
 
     def __init__(
         self, g: Multigraph, universe: Sequence[int], *, cap: int = SUBSET_CAP_DEFAULT
@@ -223,7 +229,9 @@ class OddSetTable:
             row = _doubled(degree[i], [-m for m in mult[i][:i]]) + packed
             packed |= row << (_LANE << i)
             del row
+        self.degrees, self.max_multiplicity = degree, max(map(max, mult), default=0)
         self.e_plus = _unpack(packed, 1 << n)
+        self._packed = packed if n <= _CHUNK_BITS else None
         self._codensity: tuple[Fraction | None, OddSetCertificate | None, list[int]] | None = None
         self._bounds: dict[int, tuple[bool, list[int]]] = {}
 
@@ -241,10 +249,11 @@ class OddSetTable:
         n = len(self.universe)
         low = min(n, _CHUNK_BITS)
         size = 1 << low
+        kept = self._packed if low == n else None
         for start in range(0, 1 << n, size):
             yield (
                 range(start, start + size),
-                _pack(self.e_plus[start:start + size]),
+                _pack(self.e_plus[start:start + size]) if kept is None else kept,
                 *_chunk_lanes(low, (start >> low).bit_count()),
             )
 
@@ -271,7 +280,7 @@ class OddSetTable:
             elif twice * b == a * width:
                 kept.append(mask)
         least = min(mask.bit_count() for mask in kept)
-        mask = min((m for m in kept if m.bit_count() == least), key=self._positions)
+        mask = reduce(_first, (m for m in kept if m.bit_count() == least))
         witness = self._certificate(mask, tuple(self.universe[i] for i in self._positions(mask)))
         return witness.ratio, witness, kept
 
@@ -283,13 +292,11 @@ class OddSetTable:
         value, witness, _ = self._codensity
         return value, witness
 
-    def select(self, k: int, splits: Sequence[int]) -> array:
-        """Masks of the odd sets of size >= 3 with 2e+(U) <= k(|U|+1) + 2D(U),
-        in increasing order, where D(U) sums ``splits[i]`` over the bits i
-        of U; with no splits, the sets at slack 0 or below.  A chunk's lanes
-        hold k(|U|+1) from its widths, 2D of each mask's low part doubled
-        like the table's build, and 2D of the chunk's high part, less 2e+(U):
-        one lane-wise subtraction per chunk tests every mask."""
+    def _lanes(self, k: int, splits: Sequence[int]) -> Iterator[tuple[range, int, int, int]]:
+        """The table's one pass: per chunk, its masks, their lanes
+        2^(_LANE-2) + k(|U|+1) + 2D(U) - 2e+(U) (2D of each mask's low part
+        doubled like the build, and of the chunk's high part), its repunit
+        and odd-set flags.  Bit _LANE-2 is set when 2e+(U) <= k(|U|+1) + 2D(U)."""
         n = len(self.universe)
         # Every lane below is 2^(_LANE-2) plus at most k(n+1) + 2D(V),
         # less at most twice the largest count.
@@ -301,28 +308,35 @@ class OddSetTable:
         low = min(n, _CHUNK_BITS)
         drops = [2 * made for made in splits]
         planned = _doubled(0, drops[:low]) if any(drops) else 0
-        masks = array("i")
         for chunk, counts, ones, widths, odd in self._chunks():
             high = chunk.start >> low
             spent = sum(drop for i, drop in enumerate(drops[low:]) if high >> i & 1)
-            # Bit _LANE-2 of a lane is set exactly when the test holds;
-            # only the odd sets of size >= 3 are kept.
-            over = (_OFFSET + spent) * ones + k * widths + planned - (counts << 1)
+            yield chunk, (_OFFSET + spent) * ones + k * widths + planned - (counts << 1), ones, odd
+
+    def select(self, k: int, splits: Sequence[int]) -> array:
+        """Masks of the odd sets of size >= 3 that ``_lanes`` flags, in
+        increasing order, D(U) summing ``splits[i]`` over U's bits i."""
+        masks = array("i")
+        for chunk, over, _, odd in self._lanes(k, splits):
             masks.extend(_flagged(chunk, over & odd, _LANE - 2))
         return masks
 
     def _at(self, k: int) -> tuple[bool, list[int]]:
         """Whether some odd set has negative slack, and the masks of those
-        at slack 0, in increasing order: read off the cached co-density
-        for a k up to it, else selected with no splits and cached per k."""
+        at slack 0 in increasing order: read off the cached co-density for a
+        k up to it, else cached per k from one pass with no splits, where an
+        even slack is negative when its flag survives taking 2 off the lane."""
         if self._codensity is not None:
             value, _, minimizers = self._codensity
             if value is None or k <= value:
                 return False, minimizers if k == value else []
         if k not in self._bounds:
-            at_most = self.select(k, [0] * len(self.universe))
-            tight = [mask for mask in at_most if self.slack(mask, k) == 0]
-            self._bounds[k] = len(tight) < len(at_most), tight
+            below, tight = False, []
+            for chunk, over, ones, odd in self._lanes(k, [0] * len(self.universe)):
+                short = (over - (ones << 1)) & odd
+                below = below or bool(short)
+                tight += _flagged(chunk, over & odd & ~short, _LANE - 2)
+            self._bounds[k] = below, tight
         return self._bounds[k]
 
     def below(self, k: int) -> bool:
@@ -371,13 +385,11 @@ class OddSetTable:
         return 2 * self.e_plus[mask] - k * (mask.bit_count() + 1)
 
     def recount(self, g: Multigraph) -> None:
-        """Count the table again from g, such as the graph after splits,
-        and make g its graph.  The stale counts go first, so that the build
-        does not peak with them alive, and the cached answers go with them."""
-        del self.e_plus
-        self.e_plus = OddSetTable(g, self.universe, cap=self.cap).e_plus
-        self.graph = g
-        self._codensity, self._bounds = None, {}
+        """Count the table again from g, such as the graph after splits, and
+        make g its graph.  The stale counts go first, so that the build does
+        not peak with them alive, and the cached answers go with them."""
+        del self.e_plus, self._packed
+        vars(self).update(vars(OddSetTable(g, self.universe, cap=self.cap)))
 
 
 class SplitCandidates:
@@ -484,12 +496,12 @@ def gupta_bound(
 ) -> GuptaBound:
     """delta, co-density, and k = min(delta - 1, floor(co-density)), k >= 0.
 
-    ``table``, when given, is g's table over all of its vertices and is
-    read instead of building one under ``cap``."""
+    Both are read off g's table over all of its vertices, ``table`` when
+    given, else one built under ``cap``: delta is its least degree."""
     if table is None:
         table = OddSetTable(g, g.vertices(), cap=cap)
     value, _ = table.codensity()
-    delta = g.min_degree()
+    delta = min(table.degrees, default=0)
     if value is None:
         k = delta - 1
     else:

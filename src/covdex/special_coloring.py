@@ -22,7 +22,8 @@ round's progress from those potentials instead of computing them again.
 Which colors a vertex presents or misses is read from per-vertex color
 masks (``coloring.color_masks``), built once per coloring: by the entry
 check for the start coloring, which is returned as it is when no move is
-made, and after each move for the new coloring.
+made, and after each move for the new coloring.  A proper start's masks
+also give the entry check its degrees, as popcounts.
 """
 
 from __future__ import annotations
@@ -107,15 +108,16 @@ def special_coloring(
     """
     protected = sorted(set(S))
     top = k + 2
+    masks = color_masks(g, initial) if initial.palette == top else None
+    # A proper coloring puts a different color on each edge at a vertex.
+    degree = dict(enumerate(g.degrees() if masks is None else map(int.bit_count, masks)))
     if k < 1:
         raise PreconditionViolated(f"need k >= 1, got {k}")
-    if g.max_degree() > k + 1:
-        raise PreconditionViolated(f"max degree {g.max_degree()} exceeds k+1 = {k + 1}")
+    if max(degree.values(), default=0) > k + 1:
+        raise PreconditionViolated(f"max degree {max(degree.values())} exceeds k+1 = {k + 1}")
     for v in protected:
-        if 2 * g.degree(v) > k:
-            raise PreconditionViolated(f"vertex {v} has degree {g.degree(v)} > k/2")
-
-    masks = color_masks(g, initial) if initial.palette == top else None
+        if 2 * degree[v] > k:
+            raise PreconditionViolated(f"vertex {v} has degree {degree[v]} > k/2")
     if masks is None:
         raise PreconditionViolated("initial coloring is not a proper (k+2)-coloring")
     cur, proper = initial, True

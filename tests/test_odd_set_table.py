@@ -21,6 +21,8 @@ from covdex import DisjointnessViolation, TooLarge, build, gupta_bound, split_of
 from covdex.density import (
     OddSetTable,
     SplitCandidates,
+    _first,
+    _pack,
     all_min_optimal_sets,
     codensity,
     min_optimal_containing,
@@ -337,3 +339,72 @@ def test_table_refuses_edge_counts_beyond_a_lane():
     lane = 8 * array("i").itemsize
     with pytest.raises(TooLarge, match="edges do not fit"):
         OddSetTable(SimpleNamespace(edges=range(1 << (lane - 2))), range(3))
+
+
+def test_table_degrees_and_multiplicity_match_the_graph():
+    """delta and mu are read off the table's count, not the graph's."""
+    graphs = [g for g, _ in corpus()]
+    # Edgeless, fewer than three vertices, and parallel edges only.
+    graphs += [build(0, []), build(1, []), build(5, []), build(2, [(0, 1)] * 3)]
+    graphs += [build(4, [(0, 1)] * 3 + [(2, 3)] * 2), build(3, [(1, 2)] * 4)]
+    for g in graphs:
+        table = OddSetTable(g, g.vertices())
+        assert table.degrees == g.degrees()
+        assert table.degrees == [table.e_plus[1 << v] for v in g.vertices()]
+        assert min(table.degrees, default=0) == g.min_degree()
+        assert table.max_multiplicity == g.max_multiplicity()
+        assert gupta_bound(g, table=table).delta == gupta_bound(g).delta == g.min_degree()
+
+
+def test_below_and_tight_sets_from_one_lane_pass_match_a_scan():
+    """Fresh tables (no cached co-density) answer both from one pass at
+    every k from floor(co-density) - 1 to floor(co-density) + 3."""
+    below = tight = 0
+    for g, universes in corpus():
+        for restrict in universes:
+            universe = tuple(g.vertices()) if restrict is None else tuple(restrict)
+            value, _ = OddSetTable(g, universe).codensity()
+            if value is None:
+                continue
+            fresh = OddSetTable(g, universe)
+            for k in range(int(value) - 1, int(value) + 4):
+                assert fresh.below(k) == (full_scan_min_slack(fresh, k) < 0)
+                assert fresh.tight_sets(k) == full_scan_tight(fresh, k)
+                below += fresh.below(k)
+                tight += bool(fresh.tight_sets(k))
+            assert fresh._codensity is None
+    assert below >= 1000 and tight >= 200
+
+
+def test_one_chunk_table_keeps_its_packed_lanes():
+    for g, universes in corpus():
+        for restrict in universes:
+            universe = tuple(g.vertices()) if restrict is None else tuple(restrict)
+            table = OddSetTable(g, universe)
+            assert table._packed == _pack(table.e_plus)
+    # A recount keeps the new graph's lanes, and the passes read them.
+    g = random_multigraph(FuzzConfig(n=14, max_multiplicity=2, edge_probability=0.5, seed=3))
+    table = OddSetTable(g, range(14))
+    before = table._packed
+    h = split_off(g, 0, g.incident(0)[0].id)[0]
+    table.recount(h)
+    assert table._packed == _pack(table.e_plus) != before
+    assert table.select(9, [0] * 14) == OddSetTable(h, range(14)).select(9, [0] * 14)
+    # Past one chunk the lanes are packed per chunk and none is kept.
+    big = random_multigraph(FuzzConfig(n=15, max_multiplicity=2, edge_probability=0.5, seed=3))
+    assert OddSetTable(big, range(15))._packed is None
+
+
+def test_witness_tie_break_compares_masks_in_lexicographic_order():
+    def positions(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    pairs = 0
+    for n in range(3, 9):
+        for size in range(3, n + 1, 2):
+            masks = [sum(1 << i for i in c) for c in combinations(range(n), size)]
+            for a in masks:
+                for b in masks:
+                    assert _first(a, b) == min(a, b, key=positions)
+                    pairs += 1
+    assert pairs > 6000

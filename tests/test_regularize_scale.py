@@ -5,12 +5,16 @@ which rebuilds a table and scans every odd set after each split.  The
 counting tests pin the number of 2^n passes one ``decompose`` makes.
 """
 
-from conftest import doubled_triangle
+from functools import cached_property
+
+from conftest import doubled_triangle, k4, petersen
+from test_output_digests import planted_five_block, planted_two_triangles
 from test_regularize_equivalence import graph_key, reference_regularize
 
 from covdex import CoverDecomposition, decompose, gupta_bound, regularize
 from covdex.decomposer import puncture
 from covdex.density import OddSetTable, SplitCandidates
+from covdex.multigraph import Multigraph
 from covdex.oracle import FuzzConfig, random_multigraph
 
 
@@ -34,9 +38,10 @@ def test_regularize_matches_the_reference_at_fifty_splits_and_more():
 
 def count_passes(monkeypatch):
     """Lists that collect the table builds, the co-density passes, the
-    selections (with or without planned splits), the candidate passes, and
-    every pass over a table's chunks, of the calls made after this."""
-    counts = {"built": [], "ratio": [], "select": [], "candidates": [], "chunks": []}
+    lane passes (a selection with or without planned splits, or the bound
+    and tight sets read with no splits), the candidate passes, and every
+    pass over a table's chunks, of the calls made after this."""
+    counts = {"built": [], "ratio": [], "lanes": [], "candidates": [], "chunks": []}
 
     def counting(cls, name, key):
         method = getattr(cls, name)
@@ -49,7 +54,7 @@ def count_passes(monkeypatch):
 
     counting(OddSetTable, "__init__", "built")
     counting(OddSetTable, "_ratio_pass", "ratio")
-    counting(OddSetTable, "select", "select")
+    counting(OddSetTable, "_lanes", "lanes")
     counting(OddSetTable, "_chunks", "chunks")
     counting(SplitCandidates, "__init__", "candidates")
     return counts
@@ -68,8 +73,8 @@ def test_decompose_makes_two_tables_two_scans_and_one_candidate_pass(monkeypatch
     assert len(counts["built"]) == 2
     assert len(counts["ratio"]) == 1
     assert len(counts["candidates"]) == 1
-    assert len(counts["select"]) == 3
-    ratio, candidates, recounted = counts["select"]
+    assert len(counts["lanes"]) == 3
+    ratio, candidates, recounted = counts["lanes"]
     assert not any(ratio[1]) and any(candidates[1])
     assert recounted == (result.k, [0] * 16)
     assert len(counts["chunks"]) == 3
@@ -86,5 +91,43 @@ def test_decompose_without_splits_makes_no_fused_pass(monkeypatch):
     assert len(counts["built"]) == 1
     assert len(counts["ratio"]) == 1
     assert len(counts["candidates"]) == 0
-    assert counts["select"] == [(3, [0, 0, 0])]
+    assert counts["lanes"] == [(3, [0, 0, 0])]
     assert len(counts["chunks"]) == 1
+
+
+def test_decompose_counts_each_graph_once(monkeypatch):
+    """delta, mu and regularize's degree checks read the odd-set table:
+    no ``decompose`` without blocks builds a graph's incidence or counts
+    its multiplicities, and one with blocks builds only the two incidences
+    that its colourings walk."""
+    counts = {"incidence": 0, "max_multiplicity": 0}
+    build_incidence = Multigraph.__dict__["_incidence"].func
+    max_multiplicity = Multigraph.max_multiplicity
+
+    def incidence(self):
+        counts["incidence"] += 1
+        return build_incidence(self)
+
+    def multiplicity(self):
+        counts["max_multiplicity"] += 1
+        return max_multiplicity(self)
+
+    counted = cached_property(incidence)
+    counted.__set_name__(Multigraph, "_incidence")
+    monkeypatch.setattr(Multigraph, "_incidence", counted)
+    monkeypatch.setattr(Multigraph, "max_multiplicity", multiplicity)
+    # Fresh graphs: a graph's incidence is cached once built.
+    splits = FuzzConfig(n=6, max_multiplicity=2, edge_probability=0.8, seed=0)
+    cases = [(k4, 0, 0), (petersen, 0, 0), (lambda: random_multigraph(splits), 0, 0)]
+    cases += [(planted_two_triangles, 2, 2), (planted_five_block, 2, 2)]
+    split = []
+    for make, blocks, builds in cases:
+        g = make()
+        counts.update(incidence=0, max_multiplicity=0)
+        result = decompose(g)
+        assert isinstance(result, CoverDecomposition)
+        assert result.stages["blocks"] == blocks
+        assert counts == {"incidence": builds, "max_multiplicity": 0}
+        split.append(result.stages["splits"] > 0)
+    # With and without splits: the split graph's degrees come from the recount.
+    assert any(split) and not all(split)

@@ -156,3 +156,43 @@ def test_randomized_instances_converge_with_descending_potential():
         assert is_proper(g, out)
         assert_lexicographic_descent(g, k, S, start, events)
         done += 1
+
+
+def precondition_outcome(g, k, S, initial):
+    """The exception special_coloring raises on entry, as (type, text)."""
+    try:
+        special_coloring(g, k, S, initial=initial)
+    except (PreconditionViolated, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_precondition_messages_keep_their_order():
+    # The degrees come from the start's color masks when it is proper and
+    # from the graph when it is not, so each check fires in the same order
+    # with the same text either way.
+    tri, dt = k3(), doubled_triangle()
+    improper = EdgeColoring(4, {0: 1, 1: 1, 2: 2})
+    cases = [
+        # k < 1 comes first, even with every other check failing.
+        (dt, 0, [0], EdgeColoring(2, {e.id: 1 for e in dt.edges}), "need k >= 1, got 0"),
+        # Delta > k+1, from a proper start and from an improper one.
+        (dt, 1, [], find_coloring(dt, 6), "max degree 4 exceeds k+1 = 2"),
+        (dt, 1, [0], EdgeColoring(3, {e.id: 1 for e in dt.edges}), "max degree 4 exceeds k+1 = 2"),
+        (dt, 2, [], EdgeColoring(4, {e.id: 1 for e in dt.edges}), "max degree 4 exceeds k+1 = 3"),
+        # A protected vertex above k/2, before the improper start.
+        (tri, 2, [0], find_coloring(tri, 4), "vertex 0 has degree 2 > k/2"),
+        (tri, 2, [2, 1], improper, "vertex 1 has degree 2 > k/2"),
+        (tri, 3, [1], improper, "vertex 1 has degree 2 > k/2"),
+        # The start last: improper, uncolored, or with the wrong palette.
+        (tri, 2, [], improper, "initial coloring is not a proper (k+2)-coloring"),
+        (tri, 2, [], EdgeColoring(4, {0: 1, 1: 2}), "initial coloring is not a proper (k+2)-coloring"),
+        (tri, 2, [], find_coloring(tri, 5), "initial coloring is not a proper (k+2)-coloring"),
+    ]
+    for g, k, S, initial, message in cases:
+        assert precondition_outcome(g, k, S, initial) == ("PreconditionViolated", message)
+    # A protected vertex outside the graph raises KeyError, from either start.
+    star = build(4, [(0, 1), (0, 2), (0, 3)])
+    for S, missing in (([7], 7), ([-1], -1), ([1, 9], 9)):
+        for start in (find_coloring(star, 5), EdgeColoring(5, {0: 1, 1: 1, 2: 1})):
+            assert precondition_outcome(star, 3, S, start) == ("KeyError", str(missing))
