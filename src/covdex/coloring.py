@@ -45,42 +45,42 @@ c was already odd on U and stays put where it was even.  Uncoloring is
 the mirror image, and recoloring is an uncoloring then a coloring.  Since
 cbd - popcount(X) >= 0, h(U) >= m(|U|-1) - (degree sum of U), so a set
 whose degree sum is at most m(|U|-1) never fires, and neither does a
-single vertex (h = 0).  ``OddSetLookahead`` tracks the odd sets with
+single vertex (h = 0).  The look-ahead tracks the odd sets with
 3 <= |U| <= 5 over the touched vertices (larger sets solved no more
-instances in trials).  It holds h/2 bit-sliced: one int per bit plane
-with a bit per set, one parity int per color, one membership int per
-vertex.  An update is a borrow or carry chain over a few planes, and a
-borrow out of the top plane means some set went negative.  The build is
-bit-sliced too: the planes start at m(|U|-1)/2 on the sets of each size,
-and every edge is one borrow chain over the sets that hold both its ends.
+instances in trials), with one parity int per color and one membership
+int per vertex, in one of two forms.  On at most ``LOOKAHEAD_LANE_CORE``
+(13) touched vertices, and with 2m < 128, ``ByteLaneLookahead`` holds
+h/2 + 128 in a byte per set: coloring ab with c subtracts
+(member[a] ^ member[b]) & parity[c], and a byte whose bit 7 clears went
+negative.  The build starts each byte at 128 + m(|U|-1)/2, subtracts
+member[a] & member[b] per edge, and stops at the first negative byte, so
+no byte ever borrows from the next.  Elsewhere ``OddSetLookahead`` holds
+h/2 bit-sliced, a bit per set in each of a few planes; an update or a
+build step is a borrow or carry chain over the planes, and a borrow out
+of the top plane means some set went negative.  Bytes win where Python's
+cost per operation dominates (1.0-1.6 times as fast on fuzz cores of 8
+to 13 vertices), planes where the width of the ints does (0.7-1.0 at
+14-16).  Neither keeps a refuted color: it is undone before the next.
 
 The look-ahead is lazy, and how soon it starts depends on the core's
-size, because an update costs time in proportion to the width of the
-ints.  On at most ``LOOKAHEAD_SMALL_CORE`` (16) touched vertices the
+size.  On at most ``LOOKAHEAD_SMALL_CORE`` (16) touched vertices the
 table holds every odd set of size 3 and 5 (by the bound above, the sets
 that cannot fire change no cut), and the plain search runs until, at a
 dead end, it has visited ``LOOKAHEAD_NODES_PER_SET`` (1/32) times as many
-nodes as there are such sets; a build there runs a few big-int
-operations per edge, over ints of at most 4928 bits.  On more vertices
-it waits for ``LOOKAHEAD_LARGE_NODES_PER_SET`` (2) nodes per set, and the
-table then keeps only the sets whose degree sum exceeds m(|U|-1),
-squeezed out of the full ints once per build (a quarter to four fifths
-of the sets drop on the fuzz cores of 17 to 24 vertices measured).
-Timed on chi-prime cores of fuzz graphs, the early start paid on at most
-16 vertices where the table cuts (it costs time on long searches it
-seldom cuts), and lost past that, by up to tenfold at 24, where a node
-with the full table costs about 100 us against 2.5 us without it.  At
-40 vertices (667 888 sets) a search builds only past 1.3 million nodes.
+nodes as there are such sets; a build there takes about 77 us at n = 12
+(1012 sets, 42 edges, 8 colors).  On more vertices it waits for
+``LOOKAHEAD_LARGE_NODES_PER_SET`` (2) nodes per set, and the planes then
+keep only the sets whose degree sum exceeds m(|U|-1), squeezed out of
+the full ints once per build (a quarter to four fifths of the sets drop
+on fuzz cores of 17 to 24 vertices; the early start lost tenfold at 24).
 At switch-on the stack is replayed into the table, and the search jumps
 back to the shallowest prefix that already violates.  From then on a
 color that drives some h negative is treated as tried and failed, without
 counting a node.  Every cut subtree holds no coloring, and the search
-order is unchanged, so the depth-first search visits a subsequence of the
-plain search's nodes: it returns the same first coloring, or the same
-None, within at most the plain search's node count, and the budget still
-counts nodes.  Only the layout of the sets over n vertices (the
-membership ints and a mask per size) is kept between calls, one per n up
-to 16; the planes and parities are built per call.
+order is unchanged, so the search visits a subsequence of the plain
+search's nodes: the same first coloring, or the same None, within at
+most the plain search's node count (the budget still counts nodes).
+Only the layouts of the sets are kept between calls, one per n to 16.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ LOOKAHEAD_NODES_PER_SET = 1 / 32
 # ... on at most this many touched vertices, and past that at this many.
 LOOKAHEAD_SMALL_CORE = 16
 LOOKAHEAD_LARGE_NODES_PER_SET = 2
+# Byte lanes (``ByteLaneLookahead``) on at most this many touched vertices.
+LOOKAHEAD_LANE_CORE = 13
 # Odd set sizes the look-ahead tracks.
 LOOKAHEAD_SIZES = (3, 5)
 
@@ -467,6 +469,53 @@ class OddSetLookahead:
         ]
 
 
+@lru_cache(maxsize=None)
+def _lane_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_lookahead_layout(n)`` with byte i in place of bit i."""
+    member, masks = _lookahead_layout(n)
+    width = masks[-1].bit_length()
+    digits = [_digits(x, width).translate(_SELECTORS) for x in member + masks]
+    lanes = tuple(int.from_bytes(x, "little") for x in digits)
+    return lanes[:n], lanes[n:]
+
+
+class ByteLaneLookahead(OddSetLookahead):
+    """The table with h(U)/2 + 128 in byte i of the int ``h`` (see the
+    module docstring); with 2m < 128 no byte leaves 0..255."""
+
+    def __init__(self, n: int, pairs: Sequence[tuple[int, int]], m: int) -> None:
+        member, masks = _lane_layout(n)
+        self.member = member
+        h = sum((128 + m * (size - 1) // 2) * mask for size, mask in zip(LOOKAHEAD_SIZES, masks))
+        self.parity: dict[int, int] = {}
+        self.tracked = -1
+        self.refuted = False
+        for u, v in pairs:
+            both = member[u] & member[v]
+            h -= both
+            if h >> 7 & both != both:
+                self.refuted = True
+                break
+        self.h = h
+
+    def color(self, u: int, v: int, bit: int) -> bool:
+        moved = self.member[u] ^ self.member[v]
+        parity = self.parity.get(bit, 0)
+        self.parity[bit] = parity ^ moved
+        dec = moved & parity
+        self.h -= dec
+        return self.h >> 7 & dec == dec
+
+    def uncolor(self, u: int, v: int, bit: int) -> None:
+        moved = self.member[u] ^ self.member[v]
+        parity = self.parity[bit] ^ moved
+        self.parity[bit] = parity
+        self.h += moved & parity
+
+    def halves(self) -> list[int]:
+        return [lane - 128 for lane in self.h.to_bytes(len(self.sets), "little")]
+
+
 def find_coloring(
     g: Multigraph,
     m: int,
@@ -552,7 +601,9 @@ def find_coloring(
                 prunes += 1  # the dead-end loop below undoes the refuted color
             elif switch_at is not None and nodes >= switch_at:
                 switch_at = None
-                look = OddSetLookahead(len(slot), list(zip(eu, ev)), m)
+                small = len(slot) <= LOOKAHEAD_LANE_CORE and 2 * m < 128
+                form = ByteLaneLookahead if small else OddSetLookahead
+                look = form(len(slot), list(zip(eu, ev)), m)
                 if look.refuted:
                     prunes += 1
                     return None

@@ -563,7 +563,9 @@ def decompose(
             bc = dense_lift.make_block(h1, sorted(p.block), p.x, p.y, k + 2, initial=block_start)
             requirements = {e.id: phi2.assignment[e.id] for e in boundary}
             blocks.append(dense_lift.permute_block_palette(bc, requirements, h1, k))
-        psi, masks, reserve = dense_lift.assemble_lift(h1, phi2, blocks, k)
+        psi, masks, reserve = dense_lift.assemble_lift(
+            h1, phi2, blocks, k, boundaries=block_boundary
+        )
         run.dump["lifted_coloring"] = lambda: _coloring_obj(psi)
 
         run.enter("augment")

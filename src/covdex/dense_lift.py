@@ -124,21 +124,22 @@ def _max_bipartite_matching(wants: dict[int, int]) -> dict[int, int]:
     """Augmenting-path matching: each key gets one of its allowed targets
     (the set bits of its mask), or {} when no complete matching exists."""
     matched_to: dict[int, int] = {}  # target -> key
-
-    def try_assign(key: int, banned: set[int]) -> bool:
-        for t in mask_colors(wants[key]):
-            if t in banned:
-                continue
-            banned.add(t)
-            if t not in matched_to or try_assign(matched_to[t], banned):
-                matched_to[t] = key
-                return True
-        return False
-
     for key in sorted(wants):
-        if not try_assign(key, set()):
+        if not _try_assign(wants, matched_to, key, set()):
             return {}
     return {key: t for t, key in matched_to.items()}
+
+
+def _try_assign(wants: dict[int, int], taken: dict[int, int], key: int, banned: set[int]) -> bool:
+    # An augmenting path from key; not a closure, which would leave a cycle.
+    for t in mask_colors(wants[key]):
+        if t in banned:
+            continue
+        banned.add(t)
+        if t not in taken or _try_assign(wants, taken, taken[t], banned):
+            taken[t] = key
+            return True
+    return False
 
 
 def permute_block_palette(
@@ -193,6 +194,8 @@ def assemble_lift(
     outer: EdgeColoring,
     blocks: Sequence[BlockColoring],
     k: int,
+    *,
+    boundaries: Sequence[Sequence[Edge]] | None = None,
 ) -> tuple[EdgeColoring, list[int], dict[int, list[Edge]] | None]:
     """Merge the outer coloring with the permuted block colorings.
 
@@ -207,7 +210,7 @@ def assemble_lift(
         if e.id not in combined:
             combined[e.id] = colors[e.id]
     psi = EdgeColoring(k + 2, combined)
-    return (psi, *check_lift_properties(h1, psi, blocks, k))
+    return (psi, *check_lift_properties(h1, psi, blocks, k, boundaries=boundaries))
 
 
 def block_edges(
@@ -237,10 +240,13 @@ def check_lift_properties(
     psi: EdgeColoring,
     blocks: Sequence[BlockColoring],
     k: int,
+    *,
+    boundaries: Sequence[Sequence[Edge]] | None = None,
 ) -> tuple[list[int], dict[int, list[Edge]] | None]:
     """Verify that psi is a proper coloring of h1 (property 0) and the
     three properties the downstream orientation relies on; return psi's
     masks and (k+1, k+2) incidence on h1 (None if no chain was walked).
+    ``boundaries``, if given, are the blocks' as ``block_edges`` returns them.
 
     1. No block boundary edge carries the top color k+2.
     2. A (k+1, k+2)-chain through a boundary edge is a path reaching a
@@ -255,7 +261,8 @@ def check_lift_properties(
     reserve = None  # the (k+1, k+2) incidence, built for the first chain walk
     all_block_vertices = {v for bc in blocks for v in bc.vertices}
 
-    _, boundaries = block_edges(h1, [bc.vertices for bc in blocks])
+    if boundaries is None:
+        _, boundaries = block_edges(h1, [bc.vertices for bc in blocks])
     for bc, boundary in zip(blocks, boundaries):
         inside = bc.host_set()
         for e in boundary:

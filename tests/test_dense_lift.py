@@ -1,9 +1,11 @@
+import gc
 import itertools
 import random
 
 import pytest
 
 from conftest import doubled_triangle, k3, k5
+from covdex import dense_lift
 from covdex import (
     DensityMismatch,
     LiftInvariantViolated,
@@ -11,6 +13,7 @@ from covdex import (
     assemble_lift,
     build,
     color_dense_block,
+    decompose,
     find_coloring,
     is_proper,
     is_s_dense,
@@ -19,8 +22,10 @@ from covdex import (
     permute_block_palette,
 )
 from covdex.coloring import EdgeColoring, color_masks, two_color_incidence
+from covdex.decomposer import DecomposeOptions
 from covdex.dense_lift import BlockColoring, check_lift_properties
 from covdex.multigraph import Edge, Multigraph, induced_subgraph
+from test_output_digests import planted_five_block, planted_two_triangles
 
 
 def matching_union(n, s, seed):
@@ -321,6 +326,63 @@ def test_lift_check_returns_the_masks_and_the_incidence_of_its_chain_walks():
     masks, incidence = check_lift_properties(h1, psi, [host_block((0, 1, 2), 1)], 1)
     assert masks == color_masks(h1, psi)
     assert incidence == two_color_incidence(psi, h1, 2, 3)
+
+
+def test_lift_check_reads_given_boundaries_instead_of_finding_them(monkeypatch):
+    h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    psi = EdgeColoring(3, {0: 1, 1: 2, 2: 3, 3: 2})
+    blocks = [host_block((0, 1, 2), 1)]
+    found = check_lift_properties(h1, psi, blocks, 1)
+    _, boundaries = dense_lift.block_edges(h1, [(0, 1, 2)])
+    monkeypatch.setattr(dense_lift, "block_edges", None)
+    assert check_lift_properties(h1, psi, blocks, 1, boundaries=boundaries) == found
+    # Given boundaries are trusted: without edge 3 no chain is walked.
+    assert check_lift_properties(h1, psi, blocks, 1, boundaries=[[]])[1] is None
+
+
+def test_decompose_finds_each_graph_s_block_edges_once(monkeypatch):
+    # puncture on the regularized graph, then chi-prime on the punctured
+    # one; the lift check reuses chi-prime's boundaries.
+    calls = []
+    real = dense_lift.block_edges
+
+    def counting(host, blocks):
+        calls.append(host.vertex_count)
+        return real(host, blocks)
+
+    monkeypatch.setattr(dense_lift, "block_edges", counting)
+    for g in (planted_two_triangles(), planted_five_block()):
+        calls.clear()
+        result = decompose(g)
+        assert result.stages["blocks"] == 2 and len(calls) == 2
+
+
+# A certify-dense benchmark instance (seed 1, instance 3) whose chi-prime
+# search builds the look-ahead.
+CERTIFY_DENSE = [
+    (0, 1), (0, 1), (0, 2), (0, 2), (0, 3), (0, 3), (0, 4), (0, 4), (0, 5), (0, 5), (0, 6),
+    (0, 6), (0, 7), (0, 7), (1, 2), (1, 3), (1, 4), (1, 4), (1, 5), (1, 6), (1, 6), (1, 7),
+    (1, 7), (2, 3), (2, 3), (2, 4), (2, 4), (2, 5), (2, 5), (2, 6), (2, 6), (2, 7), (2, 7),
+    (3, 4), (3, 5), (3, 5), (3, 6), (3, 6), (3, 7), (3, 7), (4, 5), (4, 5), (4, 6), (4, 6),
+    (4, 7), (4, 7), (5, 6), (5, 6), (5, 7), (5, 7), (6, 7), (6, 7),
+]
+
+
+def test_decompose_leaves_no_cyclic_garbage():
+    # The palette matching once recursed through a closure: one
+    # function-cell cycle per call, left for the cyclic collector.
+    graphs = [planted_two_triangles(), planted_five_block(), build(8, CERTIFY_DENSE)]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        results = [decompose(g, DecomposeOptions(color_budget=5_000)) for g in graphs]
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert [r.run["counters"]["lookahead_builds"] for r in results] == [0, 1, 1]
+    assert all(r.k for r in results) and garbage == 0
 
 
 class UncheckedGraph(Multigraph):

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import petersen
 from covdex import BudgetExhausted, build, coloring, decomposer, find_coloring
-from covdex.coloring import LOOKAHEAD_SIZES, OddSetLookahead
+from covdex.coloring import LOOKAHEAD_SIZES, ByteLaneLookahead, OddSetLookahead
 from covdex.oracle import FuzzConfig, random_multigraph
 from test_solver_equivalence import (
     REFERENCE_BUDGET,
@@ -324,15 +324,19 @@ def test_a_large_core_answers_as_the_full_table_does(monkeypatch):
     assert look.halves() == list(combination_loop_build(n, pairs, m).values())
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_bit_sliced_h_matches_a_recount(seed):
+@pytest.mark.parametrize(
+    "form, seed",
+    [pytest.param(OddSetLookahead, seed, id=str(seed)) for seed in range(6)]
+    + [pytest.param(ByteLaneLookahead, seed, id=f"lanes-{seed}") for seed in range(6)],
+)
+def test_bit_sliced_h_matches_a_recount(form, seed):
     rng = random.Random(seed)
     g = random_multigraph(
         FuzzConfig(n=7 + seed % 3, max_multiplicity=2, edge_probability=0.7, seed=seed)
     )
     pairs = _pairs(g)
     m = g.max_degree() + seed % 2
-    look = OddSetLookahead(g.vertex_count, pairs, m)
+    look = form(g.vertex_count, pairs, m)
     assert not look.refuted and look.sets
     colors: dict[int, int] = {}
     used = [set() for _ in range(g.vertex_count)]
@@ -378,3 +382,188 @@ def test_bit_sliced_h_matches_a_recount(seed):
         assert min(truth) >= 0
         assert look.halves() == truth
     assert fired
+
+
+# --- byte lanes against bit planes -----------------------------------------
+
+
+def _random_walk(looks, n, pairs, m, rng, steps=300):
+    """Color and uncolor at random, keeping the coloring proper, in every
+    table of ``looks`` alike; returns how often a color was refuted.  Every
+    refuted color is undone at once, as the search does."""
+    colors: dict[int, int] = {}
+    used = [0] * n
+    fired = 0
+    for step in range(steps):
+        blank = [i for i in range(len(pairs)) if i not in colors]
+        if colors and (rng.random() < 0.35 or not blank):
+            index = rng.choice(sorted(colors))
+            u, v = pairs[index]
+            bit = colors.pop(index)
+            used[u] ^= bit
+            used[v] ^= bit
+            for look in looks:
+                look.uncolor(u, v, bit)
+        elif blank:
+            index = rng.choice(blank)
+            u, v = pairs[index]
+            free = [1 << c for c in range(1, m + 1) if not (used[u] | used[v]) >> c & 1]
+            if not free:
+                continue
+            bit = rng.choice(free)
+            answers = {look.color(u, v, bit) for look in looks}
+            assert len(answers) == 1, step
+            if answers == {False}:
+                fired += 1
+                for look in looks:
+                    look.uncolor(u, v, bit)
+            else:
+                colors[index] = bit
+                used[u] |= bit
+                used[v] |= bit
+        if step % 25 == 0:
+            assert len({tuple(look.halves()) for look in looks}) == 1, step
+    return fired
+
+
+def test_byte_lanes_match_the_planes_and_the_combination_loop():
+    # Up to 13 vertices the planes keep every set, as the lanes do, so the
+    # two agree set by set; the combination loop gives h/2 of the sets that
+    # can fire.
+    rng = random.Random(18)
+    refuted = walked = fired = 0
+    for trial in range(66):
+        n = 3 + trial % 11
+        g = random_multigraph(
+            FuzzConfig(n=n, max_multiplicity=1 + trial % 3,
+                       edge_probability=rng.choice((0.4, 0.7, 0.9)), seed=100 + trial)
+        )
+        pairs = _pairs(g)
+        m = max(g.max_degree() + rng.choice((-2, -1, 0, 0, 1, 3)), 1)
+        lanes, planes = ByteLaneLookahead(n, pairs, m), OddSetLookahead(n, pairs, m)
+        reference = combination_loop_build(n, pairs, m)
+        assert lanes.refuted == planes.refuted == any(h < 0 for h in reference.values())
+        assert lanes.sets == planes.sets
+        refuted += lanes.refuted
+        if lanes.refuted:
+            continue
+        halves = dict(zip(lanes.sets, lanes.halves()))
+        assert lanes.halves() == planes.halves()
+        assert all(halves[u] == h for u, h in reference.items())
+        fired += _random_walk([lanes, planes], n, pairs, m, random.Random(trial))
+        walked += 1
+    assert refuted >= 5 and walked >= 40 and fired >= 100
+
+
+def _planes_only(monkeypatch):
+    monkeypatch.setattr(coloring, "LOOKAHEAD_LANE_CORE", 0)
+
+
+def test_lanes_and_planes_give_the_same_search(eager):
+    # Every case of the equivalence suite fits the lanes (at most 9
+    # vertices, 2m < 128); with the cut-off at 0 the planes run instead.
+    cases = list(equivalence_cases())
+    assert all(g.vertex_count <= 13 and 2 * m < 128 for g, m in cases)
+    outcomes = []
+    for planes in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if planes:
+                _planes_only(patch)
+            runs = []
+            for g, m in cases:
+                counters = {}
+                try:
+                    got = find_coloring(g, m, budget=20_000, lookahead=True, counters=counters)
+                except BudgetExhausted:
+                    got = "capped"
+                if got not in (None, "capped"):
+                    got = list(got.assignment.items())
+                runs.append((got, counters))
+            outcomes.append(runs)
+    assert outcomes[0] == outcomes[1]
+    assert sum(c["lookahead_builds"] for _, c in outcomes[0]) >= 80
+    assert sum(c["prunes"] > 0 for _, c in outcomes[0]) >= 80
+
+
+class _Spy:
+    """Records which form of the table find_coloring builds."""
+
+    def __init__(self, monkeypatch):
+        self.built = []
+        for form in (ByteLaneLookahead, OddSetLookahead):
+            monkeypatch.setattr(coloring, form.__name__, self._recording(form))
+
+    def _recording(self, form):
+        spy = self
+
+        class Recording(form):
+            def __init__(self, *args):
+                spy.built.append(form.__name__)
+                super().__init__(*args)
+
+        return Recording
+
+
+@pytest.mark.parametrize("m, form", [(63, "ByteLaneLookahead"), (64, "OddSetLookahead")])
+def test_the_form_switches_where_2m_reaches_128(eager, monkeypatch, m, form):
+    # A triangle with m + 3 edges: Δ <= m, yet no m-coloring, as every two
+    # edges meet.  The first dead end builds the table, and it refutes.
+    spy = _Spy(monkeypatch)
+    third = (m + 3) // 3
+    g = build(3, [(0, 1)] * third + [(1, 2)] * third + [(0, 2)] * (m + 3 - 2 * third))
+    counters = {}
+    assert find_coloring(g, m, lookahead=True, counters=counters) is None
+    assert spy.built == [form]
+    assert counters["lookahead_builds"] == 1 and counters["prunes"] == 1
+
+
+def test_lanes_hold_h_up_to_the_top_byte():
+    # m = 63: a 5-set with no edge inside holds h/2 = 126, byte 254.
+    pairs = [(0, 5), (1, 6), (2, 5)]
+    look = ByteLaneLookahead(7, pairs, 63)
+    assert not look.refuted
+    truth = [_half_h(u, pairs, {}, 63) for u in look.sets]
+    assert max(truth) == 126 and look.halves() == truth
+    assert look.color(0, 5, 1 << 1) and look.color(1, 6, 1 << 1)
+    truth = [_half_h(u, pairs, {0: 1, 1: 1}, 63) for u in look.sets]
+    assert look.halves() == truth
+
+
+def test_a_build_refuted_by_parallel_edges_leaves_every_other_byte_alone():
+    # 300 parallel edges 2-4 at m = 20: the bytes of the 3-sets holding
+    # both start at 148, so without the stop the 149th such edge would
+    # borrow from the next byte.  The build stops at the 21st, where those
+    # sets reach h/2 = -1.
+    n, m = 9, 20
+    pairs = [(0, 1), (5, 7)] + [(2, 4)] * 300
+    lanes, planes = ByteLaneLookahead(n, pairs, m), OddSetLookahead(n, pairs, m)
+    assert lanes.refuted and planes.refuted
+    inside = dict.fromkeys([(0, 1), (5, 7)], 1)
+    inside[(2, 4)] = m + 1
+    expected = [
+        m * (len(u) - 1) // 2 - sum(c for (a, b), c in inside.items() if a in u and b in u)
+        for u in lanes.sets
+    ]
+    assert lanes.halves() == expected
+    assert min(expected) == -1 and max(expected) == 2 * m
+
+
+CAPPED = FuzzConfig(n=10, max_multiplicity=2, edge_probability=0.9, seed=2)
+
+
+def test_a_capped_core_runs_the_same_search_on_lanes_and_planes():
+    # Both hypotheses hold, yet chi-prime caps: the look-ahead is built
+    # once, and the search up to the cap is node for node the same.
+    g = random_multigraph(CAPPED)
+    runs = []
+    for planes in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            spy = _Spy(patch)
+            if planes:
+                _planes_only(patch)
+            with pytest.raises(BudgetExhausted) as caught:
+                decomposer.decompose(g, decomposer.DecomposeOptions(color_budget=50_000))
+        assert spy.built == ["OddSetLookahead" if planes else "ByteLaneLookahead"]
+        runs.append(caught.value.run["counters"])
+    assert runs[0] == runs[1]
+    assert runs[0]["lookahead_builds"] == 1 and runs[0]["nodes"] == 50_001
