@@ -13,14 +13,16 @@ universe's i-th vertex).  It is filled in O(2^n) time by
 
 where the row sums mult(i, S) are built by the same doubling over the bits
 below i.  Each doubling step runs on one Python int that holds a lane per
-subset, as wide as an ``array('i')`` item: a step is a few shifts, adds
-and ORs of whole ints instead of a Python loop over its 2^i values, and
-no lane borrows or carries, because every value stays in [0, 2^(w-1)) for
-w-bit lanes.  The int is then unpacked into the ``array('i')``.  The table
-keeps 4 * 2^n bytes, 64 MiB at the default cap of 24 vertices; while it is
-built, the packed int and its temporaries take about three times that.
-The cap guards runtime and memory, not correctness, and is checked before
-anything is allocated.
+subset: a step is a few shifts, adds and ORs of whole ints instead of a
+Python loop over its 2^i values, and no lane borrows or carries, because
+every value stays in [0, 2^(w-1)) for w-bit lanes.  The lanes are as
+narrow as the values allow: 16 bits (an ``array('h')`` item) below 2^14
+edges, else 32 (``array('i')``), and every pass below takes the narrowest
+width that holds its own values.  The int is then unpacked into the array.
+The table keeps 2 * 2^n bytes, 32 MiB at the default cap of 24 vertices;
+while it is built, the packed int and its temporaries take about three
+times that.  The cap guards runtime and memory, not correctness, and is
+checked before anything is allocated.
 
 For a given k, a set's integer slack is 2e+(U) - k(|U|+1): an odd set is
 optimal exactly when its slack is 0, and k <= co-density exactly when no
@@ -70,60 +72,72 @@ SUBSET_CAP_DEFAULT = 24
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 # bytes.translate table from a set size to 1 for the odd sizes >= 3, else 0.
 _ODD_SET = bytes(size % 2 == 1 and size >= 3 for size in range(256))
-# Bits per lane of a packed int, the width of an array('i') item.
-_LANE = 8 * array("i").itemsize
-# The top bit of a lane, above every e+ value an array('i') can hold.
-_NO_SET = 1 << (_LANE - 1)
-# Added to every lane of a slack, so that the bit it sets is clear exactly
-# when the lane's value without it is negative.
-_OFFSET = 1 << (_LANE - 2)
+# Per bit b of a byte, the bytes.translate table from a byte to its bit b.
+_BIT = [bytes(value >> b & 1 for value in range(256)) for b in range(8)]
+# The typecodes of the packed ints' lanes, narrowest first, and their
+# widths w in bits.  The build and every pass take the first whose lanes
+# hold their values below 2^(w-2), and refuse what 32-bit lanes do not
+# hold; a slack's lane adds 2^(w-2), its offset bit, which is clear
+# exactly when the value without it is negative.
+_CODES = "hi"
+_BITS = {code: 8 * array(code).itemsize for code in "hi"}
 # The table's passes walk it 2^_CHUNK_BITS masks at a time.
 _CHUNK_BITS = 14
 
 
+def _narrowest(top: int) -> str | None:
+    """The first of _CODES whose w-bit lanes hold top below 2^(w-2), or None."""
+    for code in _CODES:
+        if top < 1 << (_BITS[code] - 2):
+            return code
+    return None
+
+
 def _pack(values: array) -> int:
-    """One lane per item of an array('i'), item 0 lowest."""
+    """One lane per item of an array, as wide as the item, item 0 lowest."""
     if sys.byteorder == "big":
         values = array(values.typecode, values)
         values.byteswap()
     return int.from_bytes(values, "little")
 
 
-def _unpack(packed: int, count: int) -> array:
-    """The lowest count lanes of a packed int as an array('i'); every lane
-    must be below 2^(_LANE-1) and every higher lane 0."""
-    values = array("i")
-    values.frombytes(packed.to_bytes(_LANE // 8 * count, "little"))
+def _unpack(packed: int, count: int, code: str = "i") -> array:
+    """The lowest count lanes of a packed int as an array of the typecode,
+    as wide as its item; every lane must be below 2^(w-1) and every higher
+    lane 0."""
+    values = array(code)
+    values.frombytes(packed.to_bytes(values.itemsize * count, "little"))
     if sys.byteorder == "big":
         values.byteswap()
     return values
 
 
-def _byte_lanes(data: bytes) -> int:
-    """One lane per byte of data, holding the byte's value."""
-    lanes = bytearray(_LANE // 8 * len(data))
-    lanes[:: _LANE // 8] = data
+def _byte_lanes(data: bytes, w: int) -> int:
+    """One w-bit lane per byte of data, holding the byte's value."""
+    lanes = bytearray(w // 8 * len(data))
+    lanes[:: w // 8] = data
     return int.from_bytes(lanes, "little")
 
 
-def _doubled(base: int, weights: Sequence[int]) -> int:
-    """Lanes over the subsets S of range(len(weights)), lane S holding base
-    plus the weights in S: each weight doubles the lanes, adding itself to
-    the new upper half.  Every lane must stay in [0, 2^(_LANE-1))."""
+def _doubled(base: int, weights: Sequence[int], w: int) -> int:
+    """w-bit lanes over the subsets S of range(len(weights)), lane S holding
+    base plus the weights in S: each weight doubles the lanes, adding itself
+    to the new upper half.  Every lane must stay in [0, 2^(w-1))."""
     packed, ones = base, 1
     for j, weight in enumerate(weights):
-        shift = _LANE << j
+        shift = w << j
         packed |= (packed + weight * ones if weight else packed) << shift
         ones |= ones << shift
     return packed
 
 
-def _flagged(items: Sequence[int], flags: int, bit: int = 0) -> list[int]:
-    """The items whose lane in flags has the given bit set; every other bit
-    of the flags must be clear.  The cost grows with the number found."""
+def _flagged(items: Sequence[int], flags: int, w: int, bit: int) -> list[int]:
+    """The items whose w-bit lane in flags has the given bit set; every
+    other bit of the flags must be clear.  The cost grows with the number
+    found."""
     if not flags:
         return []
-    step = _LANE // 8
+    step = w // 8
     lanes = flags.to_bytes(step * len(items), "little")[bit // 8::step]
     flag = bytes([1 << bit % 8])
     found = []
@@ -148,17 +162,17 @@ def _start_sets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _chunk_lanes(low: int, high: int) -> tuple[int, int, int]:
-    """The constant lanes of a chunk of 2^low masks whose high part has
-    ``high`` bits: the repunit, |U|+1 for each mask's set U, and bit
-    _LANE-2 (the flag bit) set in the lanes of the odd sets of size >= 3."""
+def _chunk_lanes(low: int, high: int, w: int) -> tuple[int, int, int]:
+    """The constant w-bit lanes of a chunk of 2^low masks whose high part
+    has ``high`` bits: the repunit, |U|+1 for each mask's set U, and bit
+    w-2 (the flag bit) set in the lanes of the odd sets of size >= 3."""
     sizes = bytearray([high])
     for _ in range(low):
         sizes += sizes.translate(_PLUS_ONE)
     return (
-        _byte_lanes(b"\1" * len(sizes)),
-        _byte_lanes(sizes.translate(_PLUS_ONE)),
-        _byte_lanes(sizes.translate(_ODD_SET)) << (_LANE - 2),
+        _byte_lanes(b"\1" * len(sizes), w),
+        _byte_lanes(sizes.translate(_PLUS_ONE), w),
+        _byte_lanes(sizes.translate(_ODD_SET), w) << (w - 2),
     )
 
 
@@ -196,14 +210,18 @@ class OddSetTable:
     def __init__(
         self, g: Multigraph, universe: Sequence[int], *, cap: int = SUBSET_CAP_DEFAULT
     ):
-        if len(universe) > cap:
+        try:
+            size = len(universe)
+        except OverflowError:  # a range of 2^63 or more vertices
+            size = (universe[-1] - universe[0]) // universe.step + 1
+        if size > cap:
+            raise TooLarge(f"odd-subset enumeration over {size} vertices exceeds cap {cap}")
+        self._code = code = _narrowest(len(g.edges))
+        if code is None:
             raise TooLarge(
-                f"odd-subset enumeration over {len(universe)} vertices exceeds cap {cap}"
+                f"{len(g.edges)} edges do not fit the {_BITS['i']}-bit counts of the odd-set table"
             )
-        if len(g.edges) >= 1 << (_LANE - 2):
-            raise TooLarge(
-                f"{len(g.edges)} edges do not fit the {_LANE}-bit counts of the odd-set table"
-            )
+        w = _BITS[code]
         self.graph, self.universe, self.cap = g, tuple(universe), cap
         n = len(self.universe)
         self._position = {v: i for i, v in enumerate(self.universe)}
@@ -219,18 +237,18 @@ class OddSetTable:
                 if i is not None:
                     mult[i][j] += 1
                     mult[j][i] += 1
-        # One lane per subset of a packed int, bit 0 of the mask lowest.
-        # Every lane stays in [0, 2^(_LANE-1)), so no operation below
+        # One w-bit lane per subset of a packed int, bit 0 of the mask
+        # lowest.  Every lane stays in [0, 2^(w-2)), so no operation below
         # borrows or carries between lanes.
         packed = 0
         for i in range(n):
             # deg(i) - mult(i, S) in lane S, over the subsets S of the bits
             # below i.
-            row = _doubled(degree[i], [-m for m in mult[i][:i]]) + packed
-            packed |= row << (_LANE << i)
+            row = _doubled(degree[i], [-m for m in mult[i][:i]], w) + packed
+            packed |= row << (w << i)
             del row
         self.degrees, self.max_multiplicity = degree, max(map(max, mult), default=0)
-        self.e_plus = _unpack(packed, 1 << n)
+        self.e_plus = _unpack(packed, 1 << n, code)
         self._packed = packed if n <= _CHUNK_BITS else None
         self._codensity: tuple[Fraction | None, OddSetCertificate | None, list[int]] | None = None
         self._bounds: dict[int, tuple[bool, list[int]]] = {}
@@ -242,20 +260,21 @@ class OddSetTable:
         count = self.e_plus[mask]
         return OddSetCertificate(vertices, count, Fraction(2 * count, len(vertices) + 1))
 
-    def _chunks(self) -> Iterator[tuple[range, int, int, int, int]]:
+    def _chunks(self, code: str) -> Iterator[tuple[range, int, int, int, int]]:
         """Per chunk of 2^_CHUNK_BITS masks, in increasing order: its masks,
-        their counts packed one per lane, and the chunk's repunit, widths
-        |U|+1 and odd-set flags (see ``_chunk_lanes``)."""
+        their counts packed one per lane of the typecode's width, and the
+        chunk's repunit, widths |U|+1 and odd-set flags (``_chunk_lanes``)."""
         n = len(self.universe)
         low = min(n, _CHUNK_BITS)
         size = 1 << low
-        kept = self._packed if low == n else None
+        kept = self._packed if low == n and code == self._code else None
         for start in range(0, 1 << n, size):
-            yield (
-                range(start, start + size),
-                _pack(self.e_plus[start:start + size]) if kept is None else kept,
-                *_chunk_lanes(low, (start >> low).bit_count()),
-            )
+            packed = kept
+            if packed is None:
+                counts = self.e_plus[start:start + size]
+                packed = _pack(counts if counts.typecode == code else array(code, counts))
+            high = (start >> low).bit_count()
+            yield range(start, start + size), packed, *_chunk_lanes(low, high, _BITS[code])
 
     def _ratio_pass(self) -> tuple[Fraction | None, OddSetCertificate | None, list[int]]:
         """The co-density, its witness and every minimizer, in increasing
@@ -292,33 +311,43 @@ class OddSetTable:
         value, witness, _ = self._codensity
         return value, witness
 
-    def _lanes(self, k: int, splits: Sequence[int]) -> Iterator[tuple[range, int, int, int]]:
-        """The table's one pass: per chunk, its masks, their lanes
-        2^(_LANE-2) + k(|U|+1) + 2D(U) - 2e+(U) (2D of each mask's low part
-        doubled like the build, and of the chunk's high part), its repunit
-        and odd-set flags.  Bit _LANE-2 is set when 2e+(U) <= k(|U|+1) + 2D(U)."""
+    def _fit(self, k: int, splits: Sequence[int]) -> str:
+        """The typecode of the narrowest lanes that hold the pass at k with
+        the planned splits (see ``_lanes``)."""
         n = len(self.universe)
-        # Every lane below is 2^(_LANE-2) plus at most k(n+1) + 2D(V),
+        # Every lane of the pass is 2^(w-2) plus at most k(n+1) + 2D(V),
         # less at most twice the largest count.
-        if k * (n + 1) + 2 * sum(splits) + 2 * self.e_plus[-1] >= _OFFSET:
+        code = _narrowest(k * (n + 1) + 2 * sum(splits) + 2 * self.e_plus[-1])
+        if code is None:
             raise TooLarge(
                 f"slacks of the odd sets over {n} vertices at k = {k} do not fit "
-                f"{_LANE}-bit lanes"
+                f"{_BITS['i']}-bit lanes"
             )
+        return code
+
+    def _lanes(self, k: int, splits: Sequence[int]) -> Iterator[tuple[range, int, int, int, int]]:
+        """The table's one pass, on the w-bit lanes that ``_fit`` picks: per
+        chunk, its masks, their lanes 2^(w-2) + k(|U|+1) + 2D(U) - 2e+(U)
+        (2D of each mask's low part doubled like the build, and of the
+        chunk's high part), its repunit and odd-set flags, and w.  Bit w-2
+        is set when 2e+(U) <= k(|U|+1) + 2D(U)."""
+        code = self._fit(k, splits)
+        n, w = len(self.universe), _BITS[code]
         low = min(n, _CHUNK_BITS)
         drops = [2 * made for made in splits]
-        planned = _doubled(0, drops[:low]) if any(drops) else 0
-        for chunk, counts, ones, widths, odd in self._chunks():
+        planned = _doubled(0, drops[:low], w) if any(drops) else 0
+        for chunk, counts, ones, widths, odd in self._chunks(code):
             high = chunk.start >> low
             spent = sum(drop for i, drop in enumerate(drops[low:]) if high >> i & 1)
-            yield chunk, (_OFFSET + spent) * ones + k * widths + planned - (counts << 1), ones, odd
+            over = ((1 << (w - 2)) + spent) * ones + k * widths + planned - (counts << 1)
+            yield chunk, over, ones, odd, w
 
     def select(self, k: int, splits: Sequence[int]) -> array:
         """Masks of the odd sets of size >= 3 that ``_lanes`` flags, in
         increasing order, D(U) summing ``splits[i]`` over U's bits i."""
         masks = array("i")
-        for chunk, over, _, odd in self._lanes(k, splits):
-            masks.extend(_flagged(chunk, over & odd, _LANE - 2))
+        for chunk, over, _, odd, w in self._lanes(k, splits):
+            masks.extend(_flagged(chunk, over & odd, w, w - 2))
         return masks
 
     def _at(self, k: int) -> tuple[bool, list[int]]:
@@ -332,10 +361,10 @@ class OddSetTable:
                 return False, minimizers if k == value else []
         if k not in self._bounds:
             below, tight = False, []
-            for chunk, over, ones, odd in self._lanes(k, [0] * len(self.universe)):
+            for chunk, over, ones, odd, w in self._lanes(k, [0] * len(self.universe)):
                 short = (over - (ones << 1)) & odd
                 below = below or bool(short)
-                tight += _flagged(chunk, over & odd & ~short, _LANE - 2)
+                tight += _flagged(chunk, over & odd & ~short, w, w - 2)
             self._bounds[k] = below, tight
         return self._bounds[k]
 
@@ -404,37 +433,45 @@ class SplitCandidates:
     deg - (k+1)), the test reads 2e_in(U) >= (k+2)|U| - k, and the
     candidates are the dense sets.
 
-    The candidates' slacks, each plus 2^(_LANE-2), are lanes of one int in
-    increasing mask order, and every vertex of the universe has a
-    membership int with a 1 in the lanes of the candidates that contain
-    it.  A split subtracts 2 from the lanes of x's membership that are not
-    in y's.  Every lane stays in [0, 2^(_LANE-1)), which the selection
-    checks before anything is packed.
+    The candidates' slacks, each plus 2^(w-2), are w-bit lanes of one int
+    in increasing mask order, w the selection's lane width, and every
+    vertex of the universe has a membership int with a 1 in the lanes of
+    the candidates that contain it.  A split subtracts 2 from the lanes of
+    x's membership that are not in y's.  Every lane stays in [0, 2^(w-1)),
+    which the selection checks before anything is packed.
     """
 
     def __init__(self, table: OddSetTable, k: int, splits: Sequence[int]):
+        self._code = table._fit(k, splits)
+        self._w = w = _BITS[self._code]
         self._masks = masks = table.select(k, splits)
         self._position = table._position
-        ones = _byte_lanes(b"\1" * len(masks))
-        packed = _pack(masks)
-        self._member = [packed >> i & ones for i in range(len(table.universe))]
-        del packed
-        # 2^(_LANE-2) - k(|U|+1) per candidate; a lane is this plus 2e+(U).
-        self._base = (_OFFSET - k) * ones - k * sum(self._member)
+        ones = _byte_lanes(b"\1" * len(masks), w)
+        # Bit i of each mask, read off its byte i // 8: from n = 16 on the
+        # masks do not fit 16-bit lanes.
+        step = masks.itemsize
+        raw = _pack(masks).to_bytes(step * len(masks), "little")
+        self._member = [
+            _byte_lanes(raw[i // 8::step].translate(_BIT[i % 8]), w)
+            for i in range(len(table.universe))
+        ]
+        # 2^(w-2) - k(|U|+1) per candidate; a lane is this plus 2e+(U).
+        self._base = ((1 << (w - 2)) - k) * ones - k * sum(self._member)
         self._lanes = self._slack_lanes(table)
-        self._offsets = _OFFSET * ones
-        # Added to a lane below 2^(_LANE-1), sets its top bit unless it is 0.
-        self._to_top = (_NO_SET - 1) * ones
+        self._offsets = (1 << (w - 2)) * ones
+        # Added to a lane below 2^(w-1), sets its top bit unless it is 0.
+        self._to_top = ((1 << (w - 1)) - 1) * ones
 
     def _slack_lanes(self, table: OddSetTable) -> int:
-        counts = _pack(array("i", map(table.e_plus.__getitem__, self._masks)))
+        counts = _pack(array(self._code, map(table.e_plus.__getitem__, self._masks)))
         return (counts << 1) + self._base
 
     @property
     def slacks(self) -> dict[int, int]:
         """Each candidate's mask with its current slack."""
-        lanes = _unpack(self._lanes, len(self._masks))
-        return dict(zip(self._masks, map((-_OFFSET).__add__, lanes)))
+        lanes = _unpack(self._lanes, len(self._masks), self._code)
+        offset = 1 << (self._w - 2)
+        return dict(zip(self._masks, (lane - offset for lane in lanes)))
 
     def split(self, x: int, y: int) -> tuple[bool, list[int]]:
         """Account for ``split_off`` moving edge (x, y) off x, one of the
@@ -448,11 +485,12 @@ class SplitCandidates:
         self._lanes -= touched << 1
         lanes = self._lanes
         # A lane's offset bit is clear exactly when its slack is negative.
-        dropped = (lanes >> (_LANE - 2)) & touched != touched
+        w = self._w
+        dropped = (lanes >> (w - 2)) & touched != touched
         # XOR leaves 0 in the lanes at slack 0, and the addition then sets
         # the top bit of every other lane.
-        zero = touched & ~(((lanes ^ self._offsets) + self._to_top) >> (_LANE - 1))
-        return dropped, _flagged(self._masks, zero)
+        zero = touched & ~(((lanes ^ self._offsets) + self._to_top) >> (w - 1))
+        return dropped, _flagged(self._masks, zero, w, 0)
 
     def end_splits(self) -> None:
         """Drop what only ``split`` reads, the membership ints above all,

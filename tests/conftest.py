@@ -70,3 +70,13 @@ def digon_fixture():
 @pytest.fixture(name="petersen")
 def petersen_fixture():
     return petersen()
+
+
+# (chunk bits, lane typecodes) for the lane tests: chunks of 14, 2 and 3
+# bits on the narrowest lanes that hold each pass (16 bits on their
+# graphs), then the same chunks with 32-bit lanes forced by leaving only
+# array('i') among the typecodes the passes may pick.
+CHUNKS_AND_LANES = [
+    *(pytest.param(bits, "hi", id=str(bits)) for bits in (14, 2, 3)),
+    *(pytest.param(bits, "i", id=f"{bits}-32bit") for bits in (14, 2, 3)),
+]

@@ -191,6 +191,21 @@ def test_too_large_exit_code(capsys, tmp_path, k4_path):
     assert "TooLarge" in err
 
 
+@pytest.mark.parametrize("command", ["codensity", "bound", "decompose"])
+def test_huge_vertex_count_exits_too_large(capsys, tmp_path, command):
+    # Past 2^63 vertices len(range(n)) overflows; the cap check must still
+    # refuse the graph with exit 3, not end in an internal error.
+    path = tmp_path / "huge.graph"
+    path.write_text("v 99999999999999999999999\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 3 and out == ""
+    error = json.loads(err.splitlines()[-1])["payload"]
+    assert error == {
+        "error": "TooLarge",
+        "message": "odd-subset enumeration over 99999999999999999999999 vertices exceeds cap 24",
+    }
+
+
 def test_fuzz_summary_and_report(capsys, tmp_path):
     report = tmp_path / "report.json"
     code, out, _ = run_cli(

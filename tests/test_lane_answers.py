@@ -5,9 +5,11 @@ masks per chunk, and ``codensity``, ``below`` and ``tight_sets`` answer
 from its selection with no splits; ``below``/``tight_sets`` read the
 cached co-density when k is at most its value.  The references below read
 ``e_plus`` one mask at a time.  The chunks are also narrowed to 2 and 3
-bits, so that the chunks' high parts have 0, 1, 2 and 3 or more bits.
-``all_min_optimal_sets`` is compared with the per-vertex loop it
-replaced, and the selection's lane guard is checked at its limit.
+bits, so that the chunks' high parts have 0, 1, 2 and 3 or more bits,
+and each of these runs on the 16-bit lanes its graphs fit and on 32-bit
+lanes forced.  ``all_min_optimal_sets`` is compared with the per-vertex
+loop it replaced, and the selection's lane guard is checked at its limit
+and where it moves the pass from 16-bit to 32-bit lanes.
 """
 
 import random
@@ -18,6 +20,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import CHUNKS_AND_LANES
 from covdex import DisjointnessViolation, TooLarge, build
 from covdex import density
 from covdex.density import OddSetTable, all_min_optimal_sets
@@ -92,9 +95,10 @@ def seeded_cases():
     return cases
 
 
-@pytest.mark.parametrize("chunk_bits", [14, 2, 3])
-def test_lane_answers_match_a_scan_of_every_mask(monkeypatch, chunk_bits):
+@pytest.mark.parametrize("chunk_bits,codes", CHUNKS_AND_LANES)
+def test_lane_answers_match_a_scan_of_every_mask(monkeypatch, chunk_bits, codes):
     monkeypatch.setattr(density, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(density, "_CODES", codes)
     high_bits = set()
     below = tight = lowered = 0
     for g, universe, value, witness_mask, answers in seeded_cases():
@@ -102,7 +106,9 @@ def test_lane_answers_match_a_scan_of_every_mask(monkeypatch, chunk_bits):
         # splits; after codensity() the k up to the co-density read its
         # minimizers.
         fresh = OddSetTable(g, universe)
+        assert fresh.e_plus.typecode == codes[0]
         for k, answer in enumerate(answers):
+            assert fresh._fit(k, [0] * len(universe)) == codes[0]
             assert (fresh.below(k), fresh.tight_sets(k)) == answer
         table = OddSetTable(g, universe)
         got, witness = table.codensity()
@@ -148,9 +154,10 @@ def scan_selection(table, k, splits):
     ]
 
 
-@pytest.mark.parametrize("chunk_bits", [14, 2, 3])
-def test_selection_matches_a_scan_of_every_mask(monkeypatch, chunk_bits):
+@pytest.mark.parametrize("chunk_bits,codes", CHUNKS_AND_LANES)
+def test_selection_matches_a_scan_of_every_mask(monkeypatch, chunk_bits, codes):
     monkeypatch.setattr(density, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(density, "_CODES", codes)
     rng = random.Random(61 + chunk_bits)
     high_bits = set()
     plain = low_planned = high_planned = 0
@@ -164,6 +171,7 @@ def test_selection_matches_a_scan_of_every_mask(monkeypatch, chunk_bits):
                 splits = [0] * n
             selected = list(table.select(k, splits))
             assert selected == scan_selection(table, k, splits)
+            assert table._fit(k, splits) == codes[0]
             plain += not any(splits)
             low_planned += any(splits[:chunk_bits])
             high_planned += any(splits[chunk_bits:])
@@ -292,3 +300,41 @@ def test_zero_split_selection_refuses_slacks_beyond_a_lane():
     assert list(table.select((1 << 28) - 3, [0, 0, 0])) == [0b111]
     assert table.below((1 << 28) - 3)
     assert table.tight_sets((1 << 28) - 3) == []
+
+
+def test_passes_at_and_above_the_16_bit_guard_match_a_scan():
+    # A pass runs on 16-bit lanes while k(n+1) + 2D(V) + 2e+(V) < 2^14 and
+    # on 32-bit lanes from 2^14 on.  Five heavy vertices (about 2000
+    # edges, so the table is 16-bit) and three isolated ones, on which the
+    # planned splits go: {5, 6, 7} has e+ = 0.
+    rng = random.Random(14)
+    pairs = [pair for pair in combinations(range(5), 2) for _ in range(rng.randrange(150, 250))]
+    g = build(8, pairs)
+    table = OddSetTable(g, range(8))
+    assert table.e_plus.typecode == "h"
+    value, _ = table.codensity()
+    fresh = OddSetTable(g, range(8))
+    guard = 1 << 14
+    codes = set()
+    for top in (guard - 2, guard - 1, guard, guard + 1):
+        # k(n+1) = 9k has top's parity when k does; 2D(V) makes up the rest.
+        for k in (int(value) - 1, int(value), int(value) + 1, int(value) + 2):
+            if (top - 9 * k) % 2:
+                continue
+            spare = (top - 9 * k - 2 * table.e_plus[-1]) // 2
+            assert spare >= 0
+            third = spare // 3
+            splits = [0, 0, 0, 0, 0, third, third, spare - 2 * third]
+            assert 9 * k + 2 * sum(splits) + 2 * table.e_plus[-1] == top
+            code = table._fit(k, splits)
+            assert code == ("h" if top < guard else "i")
+            codes.add(code)
+            assert list(table.select(k, splits)) == scan_selection(table, k, splits)
+    # With no splits, the largest k below the guard and the next one.
+    low = (guard - 1 - 2 * table.e_plus[-1]) // 9
+    for k in (low, low + 1):
+        assert fresh._fit(k, [0] * 8) == ("h" if k == low else "i")
+        slacks = scan_slacks(fresh, k)
+        assert fresh.below(k) == any(slack < 0 for _, slack in slacks)
+        assert fresh.tight_sets(k) == [mask for mask, slack in slacks if slack == 0]
+    assert codes == {"h", "i"}

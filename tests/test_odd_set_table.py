@@ -9,6 +9,7 @@ after every split.
 """
 
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
 from itertools import combinations
@@ -332,6 +333,61 @@ def test_table_checks_the_cap_before_building():
         OddSetTable(build(2, [(0, 1)]), range(10**6))
     with pytest.raises(TooLarge):
         OddSetTable(build(5, []), range(5), cap=4)
+
+
+def test_table_refuses_vertex_counts_past_a_machine_size():
+    # len() of a range of 2^63 or more vertices overflows; the check reads
+    # the count off the range instead, before anything is allocated.
+    for n in (2**63, 10**23):
+        with pytest.raises(TooLarge) as info:
+            OddSetTable(build(n, []), range(n))
+        assert str(info.value) == f"odd-subset enumeration over {n} vertices exceeds cap 24"
+
+
+def test_table_lanes_follow_the_edge_count():
+    # Below 2^14 edges the counts are 16-bit, from there on 32-bit; a pass
+    # takes the narrowest lanes that hold its own values either way.
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    rest = [(3, 4), (4, 5), (5, 6), (6, 7), (3, 7), (3, 5), (0, 3)]
+    for copies, code in (((1 << 14) // 3 - 3, "h"), ((1 << 14) // 3 + 1, "i")):
+        g = build(8, triangle * copies + rest)
+        assert (len(g.edges) < 1 << 14) == (code == "h")
+        table = OddSetTable(g, range(8))
+        assert table.e_plus.typecode == code
+        assert table.e_plus == array_recurrence(g, range(8))
+        # The five light vertices: the table keeps the graph's width, its
+        # passes run on 16-bit lanes.
+        light = OddSetTable(g, range(3, 8))
+        assert light.e_plus.typecode == code and light._fit(3, [1] * 5) == "h"
+        assert light.e_plus == array_recurrence(g, range(3, 8))
+        for k in range(5):
+            expected = [
+                mask
+                for mask in range(32)
+                if mask.bit_count() in (3, 5)
+                and light.slack(mask, k) <= 2 * mask.bit_count()
+            ]
+            assert list(light.select(k, [1] * 5)) == expected
+            assert light.tight_sets(k) == [m for m in expected if light.slack(m, k) == 0]
+
+
+def test_table_builds_16_bit_counts_in_about_three_times_their_bytes():
+    g = random_multigraph(FuzzConfig(n=18, max_multiplicity=2, edge_probability=0.5, seed=0))
+    OddSetTable(g, range(18))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = OddSetTable(g, range(18))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # 2 bytes per subset kept; with 32-bit lanes this build peaks at 3.3 MB.
+    assert table.e_plus.itemsize == 2
+    assert peak < 4 * 2 * (1 << 18)
 
 
 def test_table_refuses_edge_counts_beyond_a_lane():

@@ -4,7 +4,9 @@ Each digest is the sha256 of the canonical JSON of ``to_dict()``
 (``sort_keys``, compact separators), so any change to a payload, to the
 failure report or to its state dump shows here.  A change to how
 ``decompose`` records its run (stage names, spans, counters, dump
-artifacts) must leave every digest as it is.
+artifacts) must leave every digest as it is.  Two more digests pin the
+stdout bytes of ``covdex decompose`` on random graphs at n = 20 and 22,
+whose tables span 64 and 256 chunks.
 """
 
 import hashlib
@@ -81,6 +83,12 @@ PINNED = [
 
 DUMP_155 = "70f9526d5cfaa2cfa4f8d5218827fb587af68c6cc66d51185c16c0914bd02b45"
 
+# stdout of ``covdex decompose`` on FuzzConfig(n, 2, 0.5, seed=0).
+DECOMPOSE_STDOUT = [
+    (20, "cbd76e42b83429061cb3f5a5d703acbe806b837fd12161a635eab4a13ab4183a"),
+    (22, "207c9ba9a52652ca5fe847f9e544ccbe2661d9adf5b99626ae053c3f836b3c53"),
+]
+
 
 @pytest.mark.parametrize("maker,digest", PINNED)
 def test_decompose_output_digest(maker, digest):
@@ -104,3 +112,14 @@ def test_dump_on_fail_file_digest(capsys, tmp_path):
     assert code == 4
     (dump,) = dump_dir.iterdir()
     assert sha256(dump.read_bytes()) == DUMP_155
+
+
+@pytest.mark.parametrize("n,digest", DECOMPOSE_STDOUT, ids=["20", "22"])
+def test_decompose_stdout_digest_past_one_chunk(capsys, tmp_path, n, digest):
+    path = tmp_path / f"fuzz{n}.graph"
+    g = random_multigraph(FuzzConfig(n=n, max_multiplicity=2, edge_probability=0.5, seed=0))
+    write_graph(g, str(path))
+    code = main(["decompose", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sha256(out.encode()) == digest

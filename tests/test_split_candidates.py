@@ -5,7 +5,9 @@ every mask to select the candidates, a dict of their slacks, and per
 vertex with planned splits the list of candidates that contain it.  The
 packed class must select the same sets with the same slacks and answer
 every split the same way, also when the selection runs on chunks of 2 or
-3 bits, so that the chunks' high parts have 0, 1 and 2 or more bits.
+3 bits, so that the chunks' high parts have 0, 1 and 2 or more bits, on
+the 16-bit lanes the graphs fit and on 32-bit lanes forced, and at
+n = 16-18, where the candidates' masks no longer fit a 16-bit lane.
 """
 
 import random
@@ -13,6 +15,7 @@ from array import array
 
 import pytest
 
+from conftest import CHUNKS_AND_LANES
 from covdex import TooLarge, build, split_off
 from covdex import density
 from covdex.density import OddSetTable, SplitCandidates, _pack, _unpack, codensity
@@ -74,9 +77,10 @@ def planned_run(g, rng, count):
     return plan
 
 
-@pytest.mark.parametrize("chunk_bits", [14, 2, 3])
-def test_packed_candidates_match_the_dict_class(monkeypatch, chunk_bits):
+@pytest.mark.parametrize("chunk_bits,codes", CHUNKS_AND_LANES)
+def test_packed_candidates_match_the_dict_class(monkeypatch, chunk_bits, codes):
     monkeypatch.setattr(density, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(density, "_CODES", codes)
     rng = random.Random(100 + chunk_bits)
     high_bits = set()
     splits = unplanned_y = dropped = tight = 0
@@ -97,6 +101,7 @@ def test_packed_candidates_match_the_dict_class(monkeypatch, chunk_bits):
         # Below, at and above the bound: above it some sets start below 0.
         for k in range(max(int(value) - 1, 0), int(value) + 2):
             packed = SplitCandidates(table, k, planned)
+            assert packed._code == codes[0]
             reference = DictCandidates(table, k, planned)
             initial = packed.slacks
             assert initial == reference.slacks
@@ -127,6 +132,48 @@ def test_packed_candidates_match_the_dict_class(monkeypatch, chunk_bits):
         assert {1, 2, 3} <= high_bits
     if chunk_bits == 3:
         assert 0 in high_bits
+
+
+def test_candidates_past_16_bit_masks_match_the_dict_class():
+    # From n = 16 on, masks reach 2^15 and more: the membership ints are
+    # read off the masks' bytes, while the slacks stay in 16-bit lanes.
+    rng = random.Random(16)
+    high = splits = tight = 0
+    for n in (16, 17, 18):
+        g = random_multigraph(FuzzConfig(n=n, max_multiplicity=2, edge_probability=0.5, seed=n))
+        plan = planned_run(g, rng, 2 * n)
+        planned = [sum(1 for x, _ in plan if x == v) for v in range(n)]
+        table = OddSetTable(g, range(n))
+        k = int(table.codensity()[0])
+        packed = SplitCandidates(table, k, planned)
+        reference = DictCandidates(table, k, planned)
+        assert packed._code == "h"
+        assert packed.slacks == reference.slacks
+        high += sum(mask >= 1 << 15 for mask in packed.slacks)
+        h = g
+        for x, eid in plan:
+            y = h.edge(eid).other(x)
+            h, _ = split_off(h, x, eid)
+            answer = packed.split(x, y)
+            assert answer == reference.split(x, y)
+            splits += 1
+            tight += bool(answer[1])
+        assert packed.slacks == reference.slacks
+        assert packed.agrees_with(OddSetTable(h, range(n)))
+    assert high >= 100 and splits >= 90 and tight >= 5
+
+
+def test_pack_and_unpack_round_trip_on_16_bit_lanes():
+    rng = random.Random(6)
+    top = (1 << 15) - 1
+    for count in (0, 1, 2, 7, 1000):
+        values = array("h", [rng.choice((0, 1, top, rng.randrange(top))) for _ in range(count)])
+        packed = _pack(values)
+        assert packed.bit_length() <= 16 * count
+        assert _unpack(packed, count, "h") == values
+        assert _unpack(packed, count + 3, "h") == values + array("h", [0, 0, 0])
+    # Item i is lane i, 16 bits per lane, item 0 lowest.
+    assert _pack(array("h", [1, 2, top])) == 1 | 2 << 16 | top << 32
 
 
 def test_pack_and_unpack_round_trip():
