@@ -6,15 +6,11 @@ from .coloring import (
     EdgeColoring,
     chain,
     chains,
-    chromatic_index,
     color_masks,
     find_coloring,
     is_proper,
     is_s_dense,
     kempe_swap,
-    linked,
-    missing,
-    present,
 )
 from .decomposer import (
     CoverDecomposition,
@@ -34,19 +30,16 @@ from .density import (
     all_min_optimal_sets,
     codensity,
     gupta_bound,
-    is_optimal,
     min_optimal_containing,
 )
 from .dense_lift import (
     BlockColoring,
     assemble_lift,
-    color_dense_block,
     make_block,
     permute_block_palette,
 )
 from .errors import (
     AugmentationFailed,
-    BadSet,
     BudgetExhausted,
     CodensityDropped,
     CovdexError,
@@ -65,17 +58,13 @@ from .errors import (
     VertexOutOfRange,
 )
 from .multigraph import (
-    Contraction,
     Edge,
     Multigraph,
     SplitRecord,
     SplitTrace,
-    boundary_counts,
     build,
-    contract_set,
     format_graph,
     induced_subgraph,
-    is_connected,
     parse_graph,
     read_graph,
     split_off,

@@ -123,9 +123,6 @@ class EdgeColoring:
         merged.update(updates)
         return EdgeColoring(self.palette, merged)
 
-    def color_class(self, color: int) -> frozenset[int]:
-        return frozenset(e for e, c in self.assignment.items() if c == color)
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -141,10 +138,6 @@ class Chain:
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
     kind: str  # "path" | "cycle"
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.edges
 
     @property
     def endpoints(self) -> tuple[int, int]:
@@ -195,16 +188,6 @@ def palette_mask(palette: int) -> int:
 def mask_colors(mask: int) -> list[int]:
     """The colors of a color mask, in increasing order."""
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
-
-
-def present(coloring: EdgeColoring, g: Multigraph, v: int) -> frozenset[int]:
-    """Colors appearing on edges at v."""
-    return frozenset(coloring.assignment[e.id] for e in g.incident(v))
-
-
-def missing(coloring: EdgeColoring, g: Multigraph, v: int) -> frozenset[int]:
-    """Palette colors not appearing at v."""
-    return frozenset(range(1, coloring.palette + 1)) - present(coloring, g, v)
 
 
 def two_color_incidence(
@@ -324,15 +307,6 @@ def kempe_swap(coloring: EdgeColoring, ch: Chain) -> EdgeColoring:
         else:
             raise ValueError(f"stale chain: edge {eid} now colored {c}")
     return coloring.with_colors(updates)
-
-
-def linked(
-    coloring: EdgeColoring, g: Multigraph, u: int, v: int, alpha: int, beta: int
-) -> bool:
-    """True iff u and v lie on the same (alpha, beta)-chain."""
-    if u == v:
-        raise ValueError("linkedness is asked of two distinct vertices")
-    return u in chain(coloring, g, v, alpha, beta).vertices
 
 
 @lru_cache(maxsize=None)
@@ -647,16 +621,6 @@ def find_coloring(
             counters["nodes"] = counters.get("nodes", 0) + nodes
             counters["prunes"] = counters.get("prunes", 0) + prunes
             counters["lookahead_builds"] = counters.get("lookahead_builds", 0) + (look is not None)
-
-
-def chromatic_index(g: Multigraph, budget: int = COLOR_BUDGET_DEFAULT) -> int:
-    """Smallest m admitting a proper m-edge-coloring (exhaustively bracketed)."""
-    if not g.edges:
-        return 0
-    for m in range(g.max_degree(), len(g.edges) + 1):
-        if find_coloring(g, m, budget) is not None:
-            return m
-    raise AssertionError("unreachable: |E| colors always suffice")
 
 
 def is_s_dense(g: Multigraph) -> int | None:

@@ -271,7 +271,7 @@ def puncture(table: OddSetTable, k: int) -> tuple[Multigraph, tuple[Puncture, ..
     optimal set of ``table.graph`` over the table's universe (sorted), and
     re-verify the resulting internal edge counts.  The sets are disjoint,
     so one pass sorts the internal edges by set, and one graph drops every
-    victim, as chained ``without_edge`` calls would."""
+    victim, as deleting the victims one at a time would."""
     g = table.graph
     certs = all_min_optimal_sets(g, k, table.universe, table=table)
     if not certs:
@@ -307,7 +307,7 @@ def contract_blocks(
     vertex map, the merged vertex ids (aligned with punctures), and whether
     every merged vertex met the k/2 degree bound.
 
-    One pass gives what chained ``contract_set`` calls give: the r vertices
+    One pass gives what contracting the blocks in turn gives: the r vertices
     outside every block keep their order, block i becomes vertex r+i, edges
     inside a block drop out; each block's boundary and degree are counted."""
     owner = {v: i for i, p in enumerate(punctures) for v in p.block}

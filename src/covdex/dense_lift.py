@@ -67,21 +67,11 @@ class BlockColoring:
         return frozenset(self.vertices)
 
 
-def color_dense_block(block: Multigraph, s: int, *, initial: EdgeColoring) -> EdgeColoring:
-    """Check a proper s-coloring ``initial`` of a block with exactly
-    s(|V|-1)/2 edges (in the pipeline, a restriction of the certified host
-    coloring) and return it.
-
-    The structural consequences are verified: every class is a near-perfect
-    matching, missing sets of distinct vertices are disjoint, and each
-    vertex is missed by exactly s - d(v) classes.
-    """
-    _dense_block_masks(block, s, initial)
-    return initial
-
-
 def _dense_block_masks(block: Multigraph, s: int, initial: EdgeColoring) -> list[int]:
-    """``color_dense_block``'s checks; returns the coloring's color masks."""
+    """Check a proper s-coloring ``initial`` of a block with exactly
+    s(|V|-1)/2 edges: every class is a near-perfect matching, missing sets
+    of distinct vertices are disjoint, and each vertex is missed by exactly
+    s - d(v) classes.  Returns the coloring's color masks."""
     n = block.vertex_count
     if is_s_dense(block) != s:
         raise DensityMismatch(

@@ -63,7 +63,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadSet, DisjointnessViolation, TooLarge
+from .errors import DisjointnessViolation, TooLarge, VertexOutOfRange
 from .multigraph import Multigraph
 
 SUBSET_CAP_DEFAULT = 24
@@ -203,9 +203,10 @@ class GuptaBound:
 
 
 class OddSetTable:
-    """e+(U) for every subset U of a fixed universe, kept by bitmask, with
-    the graph it counts (``graph``), the cap it was built under, and from
-    that count the ``degrees`` (universe order) and ``max_multiplicity``."""
+    """e+(U) for every subset U of a fixed universe, distinct vertices of
+    the graph it counts (``graph``), kept by bitmask, with the cap it was
+    built under, and from that count the ``degrees`` (universe order) and
+    ``max_multiplicity``."""
 
     def __init__(
         self, g: Multigraph, universe: Sequence[int], *, cap: int = SUBSET_CAP_DEFAULT
@@ -221,8 +222,14 @@ class OddSetTable:
             raise TooLarge(
                 f"{len(g.edges)} edges do not fit the {_BITS['i']}-bit counts of the odd-set table"
             )
+        universe = tuple(universe)
+        for v in universe:
+            if not 0 <= v < g.vertex_count:
+                raise VertexOutOfRange(f"universe vertex {v} out of range for n={g.vertex_count}")
+        if len(set(universe)) < size:
+            raise ValueError(f"universe {universe} repeats a vertex")
         w = _BITS[code]
-        self.graph, self.universe, self.cap = g, tuple(universe), cap
+        self.graph, self.universe, self.cap = g, universe, cap
         n = len(self.universe)
         self._position = {v: i for i, v in enumerate(self.universe)}
         degree = [0] * n
@@ -505,12 +512,6 @@ class SplitCandidates:
         return self._lanes == self._slack_lanes(table)
 
 
-def e_plus(g: Multigraph, vertex_set: Iterable[int]) -> int:
-    """Number of edges incident to at least one vertex of the set."""
-    inside = set(vertex_set)
-    return sum(1 for e in g.edges if e.u in inside or e.v in inside)
-
-
 def codensity(
     g: Multigraph,
     *,
@@ -547,14 +548,6 @@ def gupta_bound(
     return GuptaBound(delta=delta, codensity=value, k=max(k, 0))
 
 
-def is_optimal(g: Multigraph, vertex_set: Iterable[int], k: int) -> bool:
-    """True iff e+(U) equals k * (|U|+1) / 2 exactly."""
-    subset = sorted(set(vertex_set))
-    if len(subset) < 3 or len(subset) % 2 == 0:
-        raise BadSet(f"need an odd set of size >= 3, got {len(subset)} vertices")
-    return e_plus(g, subset) == k * (len(subset) + 1) // 2
-
-
 def min_optimal_containing(
     g: Multigraph,
     x: int,
@@ -567,7 +560,9 @@ def min_optimal_containing(
 
     Uniqueness at the minimum size is a structural guarantee when k is the
     graph's actual bound; a tie raises DisjointnessViolation rather than
-    picking one arbitrarily.
+    picking one arbitrarily.  ``decompose`` does not call it (``puncture``
+    reads ``all_min_optimal_sets``); it stays only as a layer of the
+    benchmark's tracer and as a reference for the tests.
     """
     universe = g.vertices() if restrict_to is None else restrict_to
     table = OddSetTable(g, universe, cap=cap)

@@ -23,10 +23,6 @@ class EdgeNotIncident(CovdexError, ValueError):
     """An operation referenced an edge at a vertex it does not touch."""
 
 
-class BadSet(CovdexError, ValueError):
-    """A vertex set violates the odd-size-at-least-3 requirement."""
-
-
 class TooLarge(CovdexError):
     """Input exceeds the configured exhaustive-search cap."""
 

@@ -110,12 +110,6 @@ class Multigraph:
     def next_edge_id(self) -> int:
         return max(self._by_id, default=-1) + 1
 
-    def without_edge(self, edge_id: int) -> "Multigraph":
-        """New graph with one edge removed; everything else unchanged."""
-        if edge_id not in self._by_id:
-            raise KeyError(f"no edge with id {edge_id}")
-        return Multigraph(self.vertex_count, tuple(e for e in self.edges if e.id != edge_id))
-
 
 @dataclass(frozen=True)
 class SplitRecord:
@@ -147,19 +141,6 @@ class SplitTrace:
         return edge_id
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """Result of contracting a vertex set into a single vertex.
-
-    Boundary edges keep their ids; ``vertex_map`` sends every old vertex
-    (contracted ones included) to its index in the new graph.
-    """
-
-    graph: Multigraph
-    vertex_map: dict[int, int]
-    merged_vertex: int
-
-
 def build(n: int, edge_list: Iterable[tuple[int, int]]) -> Multigraph:
     """Build a multigraph from vertex pairs; ids are assigned 0,1,2,... in order."""
     edges = []
@@ -172,27 +153,6 @@ def build(n: int, edge_list: Iterable[tuple[int, int]]) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-def boundary_counts(g: Multigraph, vertex_set: Iterable[int]) -> tuple[int, int, int]:
-    """Return (internal, boundary, incident) edge counts for a vertex set.
-
-    internal  = edges with both endpoints in the set,
-    boundary  = edges with exactly one endpoint in the set,
-    incident  = internal + boundary.
-    """
-    inside = set(vertex_set)
-    for v in inside:
-        if not (0 <= v < g.vertex_count):
-            raise VertexOutOfRange(f"vertex {v} out of range")
-    internal = boundary = 0
-    for e in g.edges:
-        hits = (e.u in inside) + (e.v in inside)
-        if hits == 2:
-            internal += 1
-        elif hits == 1:
-            boundary += 1
-    return internal, boundary, internal + boundary
-
-
 def split_off(g: Multigraph, x: int, edge_id: int) -> tuple[Multigraph, SplitRecord]:
     """Detach one edge from x onto a fresh degree-1 vertex.
 
@@ -201,9 +161,9 @@ def split_off(g: Multigraph, x: int, edge_id: int) -> tuple[Multigraph, SplitRec
     original via the returned record.
 
     ``decompose`` does not call it: ``regularize`` makes the same splits on
-    its own edge dict.  It stays public as the one-split reference that
-    the tests check ``regularize`` against, and the benchmark's tracer
-    lists it among its layers.
+    its own edge dict.  It stays only as a layer of the benchmark's tracer
+    and as the one-split reference that the tests check ``regularize``
+    against.
     """
     e = g.edge(edge_id)
     if not e.touches(x):
@@ -214,31 +174,6 @@ def split_off(g: Multigraph, x: int, edge_id: int) -> tuple[Multigraph, SplitRec
     edges = tuple(f for f in g.edges if f.id != edge_id) + (Edge(new_id, y, new_vertex),)
     record = SplitRecord(new_vertex=new_vertex, original_vertex=x, moved_edge=edge_id, new_edge=new_id)
     return Multigraph(g.vertex_count + 1, edges), record
-
-
-def contract_set(g: Multigraph, vertex_set: Iterable[int]) -> Contraction:
-    """Contract a vertex set into one vertex, dropping its internal edges.
-
-    Surviving vertices are renumbered densely (outside vertices first, in
-    increasing order, then the merged vertex last); boundary edges keep
-    their ids with the inside endpoint replaced by the merged vertex.
-    """
-    inside = set(vertex_set)
-    for v in inside:
-        if not (0 <= v < g.vertex_count):
-            raise VertexOutOfRange(f"vertex {v} out of range")
-    outside = [v for v in g.vertices() if v not in inside]
-    merged = len(outside)
-    vertex_map = {v: i for i, v in enumerate(outside)}
-    vertex_map.update({v: merged for v in inside})
-    edges = []
-    for e in g.edges:
-        hits = (e.u in inside) + (e.v in inside)
-        if hits == 2:
-            continue
-        edges.append(Edge(e.id, vertex_map[e.u], vertex_map[e.v]))
-    n = merged + 1 if inside else merged
-    return Contraction(Multigraph(n, tuple(edges)), vertex_map, merged)
 
 
 def induced_subgraph(g: Multigraph, vertex_set: Iterable[int]) -> Multigraph:
@@ -262,22 +197,6 @@ def induced_subgraph(g: Multigraph, vertex_set: Iterable[int]) -> Multigraph:
         if e.u in remap and e.v in remap
     )
     return Multigraph(size, edges)
-
-
-def is_connected(g: Multigraph) -> bool:
-    """True when every vertex is reachable from vertex 0 (vacuously for n<=1)."""
-    if g.vertex_count <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for e in g.incident(v):
-            w = e.other(v)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
 
 
 def parse_graph(text: str) -> Multigraph:

@@ -19,15 +19,13 @@ from covdex import (
     build,
     chain,
     codensity,
-    color_dense_block,
     decompose,
     find_coloring,
+    make_block,
     gupta_bound,
-    is_connected,
     is_proper,
     is_s_dense,
     kempe_swap,
-    missing,
     potentials,
     random_multigraph,
     special_coloring,
@@ -37,6 +35,7 @@ from covdex import (
 from covdex.cli import main as cli_main
 from covdex.coloring import EdgeColoring
 from covdex.oracle import FuzzConfig
+from reference import color_class, is_connected, missing
 
 INF = float("inf")
 
@@ -186,10 +185,10 @@ def test_criterion_6_special_coloring_suite():
 
 def test_criterion_7_dense_block_suite():
     def check(g, s):
-        coloring = color_dense_block(g, s, initial=find_coloring(g, s))
+        coloring = make_block(g, g.vertices(), 0, 1, s, initial=find_coloring(g, s)).coloring
         half = (g.vertex_count - 1) // 2
         for c in range(1, s + 1):
-            assert len(coloring.color_class(c)) == half
+            assert len(color_class(coloring, c)) == half
         miss = [missing(coloring, g, v) for v in g.vertices()]
         for a, b in itertools.combinations(range(g.vertex_count), 2):
             assert not (miss[a] & miss[b])

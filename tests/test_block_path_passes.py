@@ -18,8 +18,8 @@ from conftest import nested_optimal, petersen
 from covdex import build, decompose
 from covdex.decomposer import Puncture, contract_blocks, puncture, regularize
 from covdex.density import OddSetTable, all_min_optimal_sets, gupta_bound
-from covdex.multigraph import contract_set
 from covdex.oracle import FuzzConfig, random_multigraph
+from reference import contract_set, without_edge
 from test_output_digests import (
     planted_five_block,
     planted_two_triangles,
@@ -36,7 +36,7 @@ def chained_puncture(table, k):
             (e for e in h1.edges if e.u in members and e.v in members), key=lambda e: e.id
         )
         x, y = sorted((victim.u, victim.v))
-        h1 = h1.without_edge(victim.id)
+        h1 = without_edge(h1, victim.id)
         punctures.append(Puncture(members, x, y, victim.id))
     return h1, tuple(punctures)
 

@@ -10,6 +10,7 @@ from conftest import c5, k3, k4, petersen
 from covdex import cli, format_graph, write_graph
 from covdex.cli import main
 from covdex.oracle import FuzzConfig, random_multigraph
+from reference import without_edge
 
 
 def run_cli(capsys, *argv):
@@ -399,7 +400,7 @@ DECOMPOSE_STAGES = [
         (random_multigraph(
             FuzzConfig(n=5, max_multiplicity=5, edge_probability=0.7, seed=200000)
         ), [], "special-coloring"),
-        (k3().without_edge(0), [], "bound"),  # a path: k = 0
+        (without_edge(k3(), 0), [], "bound"),  # a path: k = 0
         # Capped runs (exit 3, nothing on stdout) still report their run.
         (c5(), ["--budget", "1"], "chi-prime"),
         (c5(), ["--cap", "2"], "bound"),

@@ -8,11 +8,10 @@ from covdex import (
     CoverDecomposition,
     FailureReport,
     StageAssertionFailed,
-    boundary_counts,
+    VertexOutOfRange,
     build,
     decompose,
     gupta_bound,
-    is_connected,
     map_back,
     regularize,
     verify_decomposition,
@@ -29,6 +28,7 @@ from covdex.decomposer import (
 from covdex.density import OddSetTable, SplitCandidates
 from covdex.multigraph import Edge, Multigraph, SplitRecord, SplitTrace
 from covdex.oracle import FuzzConfig, random_multigraph
+from reference import boundary_counts, is_connected
 
 
 def decomposed_ok(g):
@@ -96,9 +96,12 @@ def test_regularize_rejects_low_degree():
 
 def test_regularize_rejects_a_table_over_other_vertices():
     g = doubled_triangle()
-    for universe in ((0, 1), (2, 1, 0), (0, 1, 2, 3)):
+    for universe in ((0, 1), (2, 1, 0)):
         with pytest.raises(StageAssertionFailed, match="not the graph's vertices 0..2"):
             regularize(OddSetTable(g, universe), 3)
+    # A universe past the graph's vertices is refused by the table itself.
+    with pytest.raises(VertexOutOfRange, match="universe vertex 3 out of range for n=3"):
+        OddSetTable(g, (0, 1, 2, 3))
     assert regularize(OddSetTable(g, range(3)), 3)[0] is g
 
 

@@ -12,19 +12,18 @@ from covdex import (
     NoFeasiblePermutation,
     assemble_lift,
     build,
-    color_dense_block,
     decompose,
     find_coloring,
     is_proper,
     is_s_dense,
     make_block,
-    missing,
     permute_block_palette,
 )
 from covdex.coloring import EdgeColoring, color_masks, two_color_incidence
 from covdex.decomposer import DecomposeOptions
 from covdex.dense_lift import BlockColoring, check_lift_properties
 from covdex.multigraph import Edge, Multigraph, induced_subgraph
+from reference import color_class, missing, without_edge
 from test_output_digests import planted_five_block, planted_two_triangles
 
 
@@ -45,10 +44,16 @@ def matching_union(n, s, seed):
     return build(n, pairs)
 
 
+def checked_block(block, s, initial):
+    """The s-coloring ``initial`` of a whole graph taken as a block, after
+    ``make_block``'s checks."""
+    return make_block(block, block.vertices(), 0, 1, s, initial=initial).coloring
+
+
 def test_color_dense_block_k3():
-    coloring = color_dense_block(k3(), 3, initial=find_coloring(k3(), 3))
+    coloring = checked_block(k3(), 3, initial=find_coloring(k3(), 3))
     for c in range(1, 4):
-        assert len(coloring.color_class(c)) == 1
+        assert len(color_class(coloring, c)) == 1
     g = k3()
     for v in range(3):
         assert len(missing(coloring, g, v)) == 1
@@ -56,24 +61,24 @@ def test_color_dense_block_k3():
 
 def test_color_dense_block_k5():
     g = k5()
-    coloring = color_dense_block(g, 5, initial=find_coloring(g, 5))
+    coloring = checked_block(g, 5, initial=find_coloring(g, 5))
     for c in range(1, 6):
-        assert len(coloring.color_class(c)) == 2  # near-perfect on 5 vertices
+        assert len(color_class(coloring, c)) == 2  # near-perfect on 5 vertices
 
 
 def test_color_dense_block_path():
     g = build(3, [(0, 1), (1, 2)])
-    coloring = color_dense_block(g, 2, initial=find_coloring(g, 2))
-    assert coloring.color_class(1) != coloring.color_class(2)
+    coloring = checked_block(g, 2, initial=find_coloring(g, 2))
+    assert color_class(coloring, 1) != color_class(coloring, 2)
     assert missing(coloring, g, 1) == frozenset()
 
 
 def test_color_dense_block_rejects_wrong_counts():
     with pytest.raises(DensityMismatch):
-        color_dense_block(k3(), 4, initial=find_coloring(k3(), 4))  # 3 edges != 4*(3-1)/2
+        checked_block(k3(), 4, initial=find_coloring(k3(), 4))  # 3 edges != 4*(3-1)/2
     with pytest.raises(DensityMismatch):
         even = build(4, [(0, 1), (2, 3)])
-        color_dense_block(even, 1, initial=find_coloring(even, 1))  # even order
+        checked_block(even, 1, initial=find_coloring(even, 1))  # even order
 
 
 def test_color_dense_block_accepts_matching_unions():
@@ -82,7 +87,7 @@ def test_color_dense_block_accepts_matching_unions():
         s = 2 + seed % 4
         g = matching_union(n, s, seed)
         assert is_s_dense(g) == s
-        coloring = color_dense_block(g, s, initial=find_coloring(g, s))
+        coloring = checked_block(g, s, initial=find_coloring(g, s))
         miss = [missing(coloring, g, v) for v in g.vertices()]
         for a, b in itertools.combinations(range(n), 2):
             assert not (miss[a] & miss[b])
@@ -104,7 +109,7 @@ def test_permute_without_boundary_steers_top_class_off_x():
     host = k3()
     bc = fixed_k3_block(x=1)
     out = permute_block_palette(bc, {}, host, 1)  # palette s = k+2 = 3
-    top_edges = out.coloring.color_class(3)
+    top_edges = color_class(out.coloring, 3)
     assert all(not host.edge(e).touches(1) for e in top_edges)
     assert is_proper(bc.graph, out.coloring)
 
@@ -116,8 +121,8 @@ def test_permute_single_boundary_requirement_is_forced():
     # vertex 0 misses local class 2 (its edges carry 1 and 3), so requiring
     # color 1 on the boundary edge forces the bijection to send 2 -> 1.
     out = permute_block_palette(bc, {3: 1}, host, 1)
-    assert out.coloring.color_class(1) == bc.coloring.color_class(2)
-    top_edges = out.coloring.color_class(3)
+    assert color_class(out.coloring, 1) == color_class(bc.coloring, 2)
+    top_edges = color_class(out.coloring, 3)
     assert all(not host.edge(e).touches(1) for e in top_edges)
 
 
@@ -177,7 +182,7 @@ def test_permute_agrees_with_exhaustive_bijection_search():
     while agreements < 40:
         n, s = 5, rng.randint(3, 5)
         block_graph = matching_union(n, s, rng.randrange(10**6))
-        coloring = color_dense_block(block_graph, s, initial=find_coloring(block_graph, s))
+        coloring = checked_block(block_graph, s, initial=find_coloring(block_graph, s))
         outside = n + 2
         boundary = []
         used_colors = rng.sample(range(1, s + 1), min(s - 1, rng.randint(0, 3)))
@@ -233,16 +238,16 @@ def test_assemble_lift_without_blocks_returns_outer():
 def test_assemble_lift_single_block_no_boundary():
     # The doubled triangle punctured at its first edge: one block, nothing
     # outside, so the assembled coloring is the permuted block coloring.
-    h1 = doubled_triangle().without_edge(0)
+    h1 = without_edge(doubled_triangle(), 0)
     block_graph = induced_subgraph(h1, {0, 1, 2})
-    coloring = color_dense_block(block_graph, 5, initial=find_coloring(block_graph, 5))
+    coloring = checked_block(block_graph, 5, initial=find_coloring(block_graph, 5))
     bc = BlockColoring(vertices=(0, 1, 2), graph=block_graph, coloring=coloring, x=0, y=1)
     fixed = permute_block_palette(bc, {}, h1, 3)
     outer = EdgeColoring(5, {})
     psi, masks, _ = assemble_lift(h1, outer, [fixed], 3)
     assert masks == color_masks(h1, psi)
     assert is_proper(h1, psi)
-    assert all(not h1.edge(e).touches(0) for e in psi.color_class(5))
+    assert all(not h1.edge(e).touches(0) for e in color_class(psi, 5))
 
 
 # --- the lift checks ------------------------------------------------------
@@ -397,7 +402,7 @@ class UncheckedGraph(Multigraph):
 
 def block_violation(block, s, initial):
     with pytest.raises(LiftInvariantViolated) as caught:
-        color_dense_block(block, s, initial=initial)
+        dense_lift._dense_block_masks(block, s, initial)
     return caught.value.prop, str(caught.value)
 
 

@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from conftest import c5, digon, doubled_triangle, k3, k4, nested_optimal, petersen
 from covdex import (
-    BadSet,
     DisjointnessViolation,
     TooLarge,
     all_min_optimal_sets,
-    boundary_counts,
     build,
     codensity,
     gupta_bound,
-    is_optimal,
     min_optimal_containing,
 )
 from covdex.oracle import FuzzConfig, random_multigraph
+from reference import boundary_counts
 
 
 def exhaustive_optimal_sets(g, k):
@@ -87,25 +85,6 @@ def test_gupta_bound_clamps_at_zero():
     assert gupta_bound(build(2, [(0, 1)])).k == 0
     assert gupta_bound(build(1, [])).k == 0
     assert gupta_bound(build(0, [])).k == 0
-
-
-def test_is_optimal_counterexamples():
-    assert not is_optimal(k4(), {0, 1, 2}, 2)  # e+ = 6, need 4
-    assert not is_optimal(c5(), {0, 1, 2, 3, 4}, 1)  # e+ = 5, need 3
-
-
-def test_is_optimal_positive_instances():
-    assert is_optimal(doubled_triangle(), {0, 1, 2}, 3)
-    g = nested_optimal()
-    assert is_optimal(g, {2, 3, 4}, 5)
-    assert is_optimal(g, {0, 1, 2, 3, 4}, 5)
-
-
-def test_is_optimal_rejects_bad_sets():
-    with pytest.raises(BadSet):
-        is_optimal(k4(), {0, 1}, 2)
-    with pytest.raises(BadSet):
-        is_optimal(k4(), {0}, 2)
 
 
 def test_min_optimal_containing_none_for_k4():

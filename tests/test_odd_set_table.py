@@ -18,7 +18,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from covdex import DisjointnessViolation, TooLarge, build, gupta_bound, split_off
+from covdex import (
+    DisjointnessViolation,
+    TooLarge,
+    VertexOutOfRange,
+    build,
+    gupta_bound,
+    split_off,
+)
 from covdex.density import (
     OddSetTable,
     SplitCandidates,
@@ -342,6 +349,29 @@ def test_table_refuses_vertex_counts_past_a_machine_size():
         with pytest.raises(TooLarge) as info:
             OddSetTable(build(n, []), range(n))
         assert str(info.value) == f"odd-subset enumeration over {n} vertices exceeds cap 24"
+
+
+@pytest.mark.parametrize(
+    "universe, kind, message",
+    [
+        ([0, 0, 1, 2], ValueError, "universe (0, 0, 1, 2) repeats a vertex"),
+        ([0, 1, 9], VertexOutOfRange, "universe vertex 9 out of range for n=4"),
+        ([0, 1, -1], VertexOutOfRange, "universe vertex -1 out of range for n=4"),
+    ],
+    ids=["repeated", "past-n", "negative"],
+)
+def test_table_refuses_a_universe_that_is_not_a_set_of_graph_vertices(universe, kind, message):
+    # Read as given, each of these universes puts K4's co-density at 5/2,
+    # over a repeated or a phantom vertex; over [0, 1, 2] it is 3.
+    k4 = build(4, list(combinations(range(4), 2)))
+    for ask in (
+        lambda: codensity(k4, restrict_to=universe),
+        lambda: min_optimal_containing(k4, 0, 3, restrict_to=universe),
+    ):
+        with pytest.raises(ValueError) as info:
+            ask()
+        assert type(info.value) is kind and str(info.value) == message
+    assert codensity(k4, restrict_to=[0, 1, 2])[0] == 3
 
 
 def test_table_lanes_follow_the_edge_count():

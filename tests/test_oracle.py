@@ -6,7 +6,6 @@ import pytest
 from conftest import c5, digon, k3, k4, petersen
 from covdex import (
     TooLarge,
-    boundary_counts,
     brute_codensity,
     brute_cover_index,
     build,

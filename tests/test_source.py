@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import covdex.decomposer
@@ -71,19 +73,85 @@ def test_benchmark_tracer_layers_resolve():
     assert covdex.decomposer.codensity is covdex.density.codensity
 
 
+def _named(tree: ast.AST) -> list[str]:
+    """Every name the code reads or writes, as a Name or an Attribute."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def _readme_library() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_public_name_has_a_use():
+    # A public def or class of the package is kept only when package code
+    # other than __init__'s re-exports names it, the benchmark's tracer
+    # wraps it, or README's Library section offers it.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    uses = Counter(name for module, tree in trees.items() if module != "__init__.py" for name in _named(tree))
+    layers = {(f"{module}.py", name) for module, name in _tracer_layers()}
+    library = _readme_library()
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        # Names inside the definition itself (a recursive call) are no use.
+        and uses[node.name] <= _named(node).count(node.name)
+        and (module, node.name) not in layers
+        and not re.search(rf"\b{node.name}\b", library)
+    ]
+    assert unused == []
+
+
+def test_readme_library_example_runs(capsys):
+    code = re.search(r"```python\n(.*?)```", _readme_library(), re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "GuptaBound(delta=3, codensity=Fraction(3, 1), k=2)"
+    assert f"# {printed[0]}" in code
+
+
+def _covdex_imports(path: Path) -> set[str]:
+    """The covdex modules a file imports from, relative imports resolved
+    against the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                modules = [node.module] if node.module else [a.name for a in node.names]
+                found.update(f"covdex.{module}" for module in modules)
+            else:
+                found.add(node.module)
+    return {name for name in found if name.split(".")[0] == "covdex"}
+
+
+def test_the_references_share_no_code_with_the_pipeline():
+    # The oracle and the tests' references are evidence only while they
+    # get their answers on their own: from covdex they take the graph
+    # value types and the errors, nothing else.
+    for path in (ROOT / "src" / "covdex" / "oracle.py", ROOT / "tests" / "reference.py"):
+        assert _covdex_imports(path) <= {"covdex.multigraph", "covdex.errors"}, path.name
+
+
 def test_block_path_never_solves_for_a_coloring():
     # The recoloring and the lift start from the coloring certified at
-    # chi-prime, so only the solver's own module, decompose's certify step
-    # and the CLI's "color" command name find_coloring in code (the package
-    # __init__ re-exports it by import, which is not a use).
+    # chi-prime, so only decompose's certify step and the CLI's "color"
+    # command name find_coloring in code (the package __init__ re-exports
+    # it by import, which is not a use).
     users = {
         path.name
         for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id == "find_coloring")
-        or (isinstance(node, ast.Attribute) and node.attr == "find_coloring")
+        if "find_coloring" in _named(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert users == {"coloring.py", "decomposer.py", "cli.py"}
+    assert users == {"decomposer.py", "cli.py"}
 
 
 def test_block_path_answers_color_questions_from_masks():
