@@ -156,14 +156,18 @@ class Chain:
         raise ValueError(f"vertex {v} is not an endpoint of this chain")
 
 
-def color_masks(g: Multigraph, coloring: EdgeColoring) -> list[int] | None:
+def color_masks(
+    g: Multigraph, coloring: EdgeColoring, *, edges: Sequence[Edge] | None = None
+) -> list[int] | None:
     """Per vertex, the colors on its edges as a bitmask (bit c for color c),
     from one pass over the edges; None when the coloring is not proper: an
     edge is uncolored or colored outside [1, palette], or a vertex repeats
-    a color.  Its missing colors are ``palette_mask(palette) & ~mask``."""
+    a color.  Its missing colors are ``palette_mask(palette) & ~mask``.
+    ``edges``, when given, are read in place of g's, such as a block's
+    internal edges; the masks still run over g's vertices."""
     assignment, palette = coloring.assignment, coloring.palette
     used = [0] * g.vertex_count
-    for e in g.edges:
+    for e in g.edges if edges is None else edges:
         c = assignment.get(e.id)
         if c is None or not (1 <= c <= palette):
             return None
@@ -528,9 +532,10 @@ def find_coloring(
     eu = [slot[e.u] for e in edges]
     ev = [slot[e.v] for e in edges]
     used = [0] * len(slot)
-    # Symmetry breaking: with colors 1..j in use, only colors 1..j+1 are tried.
-    # Each colored edge brings in at most one new color, so j <= |E|.
-    caps = [(1 << min(m, j + 1)) - 1 for j in range(min(m, len(edges)) + 1)]
+    # Symmetry breaking: with colors 1..j in use, only the colors 1..tops[j]
+    # (j+1, or m) are tried.  Each colored edge brings in at most one new
+    # color, so j <= |E|.
+    tops = [min(m, j + 1) for j in range(min(m, len(edges)) + 1)]
     pending = list(range(len(edges)))
     # One frame per colored edge: (position in pending, edge, its endpoints,
     # untried color bits, the parent's ncolors, the color bit on the edge).
@@ -549,20 +554,22 @@ def find_coloring(
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted(f"coloring search exceeded {budget} nodes")
-            cap = caps[ncolors]
-            best_count = m + 1
+            # Every color in use lies inside the cap, so the fewest admissible
+            # colors are the most colors taken at the edge's two ends.
+            top = tops[ncolors]
+            best_taken = -1
             for i in pending:
-                allowed = cap & ~(used[eu[i]] | used[ev[i]])
-                count = allowed.bit_count()
-                if count < best_count:
-                    best, best_allowed, best_count = i, allowed, count
-                    if not count:
+                taken = (used[eu[i]] | used[ev[i]]).bit_count()
+                if taken > best_taken:
+                    best, best_taken = i, taken
+                    if taken == top:
                         break
-            if best_count:
+            if best_taken < top:
                 # Descend: take the edge out of pending, try its lowest color.
                 pos = pending.index(best)
                 del pending[pos]
                 u, v = eu[best], ev[best]
+                best_allowed = ((1 << top) - 1) & ~(used[u] | used[v])
                 bit = best_allowed & -best_allowed
                 stack.append((pos, best, u, v, best_allowed ^ bit, ncolors, bit))
                 used[u] |= bit
@@ -625,10 +632,14 @@ def find_coloring(
 
 def is_s_dense(g: Multigraph) -> int | None:
     """The integer s >= 1 with |E| = s(|V|-1)/2, for odd |V| >= 3; else None."""
-    n = g.vertex_count
+    return dense_palette(g.vertex_count, len(g.edges))
+
+
+def dense_palette(n: int, edge_count: int) -> int | None:
+    """``is_s_dense`` of a graph with n vertices and edge_count edges."""
     if n < 3 or n % 2 == 0:
         return None
-    twice = 2 * len(g.edges)
+    twice = 2 * edge_count
     if twice % (n - 1):
         return None
     s = twice // (n - 1)

@@ -400,7 +400,10 @@ def orient_and_augment(
     low = palette_mask(k)
 
     for v in range(n_original):
-        gaps = mask_colors(low & ~masks[v])
+        gap = low & ~masks[v]
+        if not gap:
+            continue
+        gaps = mask_colors(gap)
         if v in y_of:
             p = y_of[v]
             if len(gaps) > 2:
@@ -434,7 +437,10 @@ def _extend_to_pendants(
     h1: Multigraph, core: EdgeColoring, palette: int
 ) -> EdgeColoring:
     """Color every edge of h1 that core leaves uncolored, in edge-id order,
-    with the lowest color free at both ends."""
+    with the lowest color free at both ends.  A core coloring that already
+    colors every edge of h1 is returned as it is."""
+    if core.palette == palette and all(e.id in core.assignment for e in h1.edges):
+        return core
     colors = dict(core.assignment)
     # Bit c of used[v] is set when an edge at v has color c.
     used = [0] * h1.vertex_count
@@ -560,7 +566,7 @@ def decompose(
         blocks = []
         for p, inside, boundary in zip(punctures, block_inside, block_boundary):
             block_start = EdgeColoring(k + 2, {e.id: colors[e.id] for e in inside})
-            bc = dense_lift.make_block(h1, sorted(p.block), p.x, p.y, k + 2, initial=block_start)
+            bc = dense_lift.make_block(h1, p.block, inside, p.x, p.y, k + 2, initial=block_start)
             requirements = {e.id: phi2.assignment[e.id] for e in boundary}
             blocks.append(dense_lift.permute_block_palette(bc, requirements, h1, k))
         psi, masks, reserve = dense_lift.assemble_lift(

@@ -9,13 +9,19 @@ steered to miss the block's designated vertex.  The bijection is found by
 bipartite matching between constrained global colors and local classes;
 infeasibility is dumped, never patched.
 
+A block is read on the host's edges: ``make_block`` checks it from its
+internal host edges, which ``block_edges`` sorts out for every block in
+one pass, and builds no graph of its own.  Its density comes from the
+edge count, and each vertex's degree from one count over those edges.
+
 The block and lift checks read missing sets, and whether a vertex
 presents a color, from per-vertex color masks that ``coloring.color_masks``
 builds in the one pass over the edges that also decides properness; class
-sizes come from one count over the assignment.  Each coloring's masks are
-built once: ``make_block`` keeps a block's for the palette matching, and
-the lift check hands the lifted coloring's masks and its (k+1, k+2)
-incidence, which all its chain walks share, on to the orientation.
+sizes come from one count over the assignment.  Every mask list runs over
+the host's vertices.  Each coloring's masks are built once: ``make_block``
+keeps a block's for the palette matching, and the lift check hands the
+lifted coloring's masks and its (k+1, k+2) incidence, which all its chain
+walks share, on to the orientation.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .coloring import (
     EdgeColoring,
     chain,
     color_masks,
-    is_s_dense,
+    dense_palette,
     mask_colors,
     palette_mask,
     two_color_incidence,
@@ -39,45 +45,50 @@ from .errors import (
     NoFeasiblePermutation,
     PreconditionViolated,
 )
-from .multigraph import Edge, Multigraph, induced_subgraph
+from .multigraph import Edge, Multigraph
 
 
 @dataclass(frozen=True)
 class BlockColoring:
     """A colored punctured block inside a host graph.
 
-    ``vertices`` lists the block's host vertex ids in increasing order;
-    position in the list is the local vertex id in ``graph``.  The coloring
-    is keyed by host edge ids (induced subgraphs keep them).  ``x`` and
-    ``y`` are the endpoints of the punctured edge, as host ids.  ``masks``,
-    when set, are the coloring's per-vertex color masks on ``graph``.
+    ``vertices`` lists the block's host vertex ids in increasing order.  The
+    coloring is keyed by host edge ids.  ``x`` and ``y`` are the endpoints
+    of the punctured edge, as host ids.  ``masks``, when set, are the
+    coloring's per-vertex color masks over the host's vertices (0 outside
+    the block).
     """
 
     vertices: tuple[int, ...]
-    graph: Multigraph
     coloring: EdgeColoring
     x: int
     y: int
     masks: list[int] | None = field(default=None, compare=False)
 
-    def local_vertex(self, host_vertex: int) -> int:
-        return self.vertices.index(host_vertex)
-
     def host_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
 
-def _dense_block_masks(block: Multigraph, s: int, initial: EdgeColoring) -> list[int]:
-    """Check a proper s-coloring ``initial`` of a block with exactly
-    s(|V|-1)/2 edges: every class is a near-perfect matching, missing sets
-    of distinct vertices are disjoint, and each vertex is missed by exactly
-    s - d(v) classes.  Returns the coloring's color masks."""
-    n = block.vertex_count
-    if is_s_dense(block) != s:
+def _dense_block_masks(
+    host: Multigraph,
+    vertices: Sequence[int],
+    inside: Sequence[Edge],
+    s: int,
+    initial: EdgeColoring,
+) -> list[int]:
+    """Check a proper s-coloring ``initial`` of a block, the host's sorted
+    ``vertices`` and its ``inside`` edges, which must number exactly
+    s(|V|-1)/2: every class is a near-perfect matching, missing sets of
+    distinct vertices are disjoint, and each vertex is missed by exactly
+    s - d(v) classes, d(v) counted from the edges.  Messages name a vertex
+    by its position in ``vertices``.  Returns the coloring's color masks
+    over the host's vertices."""
+    n = len(vertices)
+    if dense_palette(n, len(inside)) != s:
         raise DensityMismatch(
-            f"block has {len(block.edges)} edges on {n} vertices; expected {s}*({n}-1)/2"
+            f"block has {len(inside)} edges on {n} vertices; expected {s}*({n}-1)/2"
         )
-    masks = color_masks(block, initial) if initial.palette == s else None
+    masks = color_masks(host, initial, edges=inside) if initial.palette == s else None
     if masks is None:
         raise PreconditionViolated("supplied block coloring is not a proper s-coloring")
     half = (n - 1) // 2
@@ -86,28 +97,37 @@ def _dense_block_masks(block: Multigraph, s: int, initial: EdgeColoring) -> list
     for c in range(1, s + 1):
         if sizes[c] != half:
             raise LiftInvariantViolated(0, f"class {c} is not a near-perfect matching")
+    degree = [0] * host.vertex_count
+    for e in inside:
+        degree[e.u] += 1
+        degree[e.v] += 1
     colors = palette_mask(s)
-    miss = [colors & ~mask for mask in masks]
-    for v in block.vertices():
-        count = miss[v].bit_count()
-        if count != s - block.degree(v):
-            raise LiftInvariantViolated(0, f"vertex {v} missed by {count} classes")
-        for w in range(v + 1, n):
-            if miss[v] & miss[w]:
-                raise LiftInvariantViolated(0, f"vertices {v},{w} share a missing class")
+    miss = [colors & ~masks[v] for v in vertices]
+    for i, v in enumerate(vertices):
+        count = miss[i].bit_count()
+        if count != s - degree[v]:
+            raise LiftInvariantViolated(0, f"vertex {i} missed by {count} classes")
+        for j in range(i + 1, n):
+            if miss[i] & miss[j]:
+                raise LiftInvariantViolated(0, f"vertices {i},{j} share a missing class")
     return masks
 
 
 def make_block(
-    host: Multigraph, block_vertices: Sequence[int], x: int, y: int, s: int,
+    host: Multigraph,
+    block_vertices: Sequence[int],
+    inside: Sequence[Edge],
+    x: int,
+    y: int,
+    s: int,
     *,
     initial: EdgeColoring,
 ) -> BlockColoring:
-    """Induce and density-check one block of the host graph, and check its
+    """Density-check one block of the host graph from its internal host
+    edges ``inside`` (as ``block_edges`` gives them), and check its
     s-coloring ``initial``, keeping the masks that check built."""
     verts = tuple(sorted(block_vertices))
-    graph = induced_subgraph(host, verts)
-    return BlockColoring(verts, graph, initial, x, y, _dense_block_masks(graph, s, initial))
+    return BlockColoring(verts, initial, x, y, _dense_block_masks(host, verts, inside, s, initial))
 
 
 def _max_bipartite_matching(wants: dict[int, int]) -> dict[int, int]:
@@ -143,26 +163,28 @@ def permute_block_palette(
     ``boundary_requirements`` maps each host boundary edge id to the color
     it carries outside; the bijection must leave that color missing at the
     edge's block endpoint, and must route the top color k+2 to a class that
-    misses the designated vertex x.
+    misses the designated vertex x.  The block's masks are ``bc.masks``, or
+    else built from its internal host edges.
     """
     s = k + 2
     required = list(boundary_requirements.values())
     if len(required) != len(set(required)):
         raise PreconditionViolated("boundary colors at one block must be distinct")
 
-    masks = color_masks(bc.graph, bc.coloring) if bc.masks is None else bc.masks
+    masks = bc.masks
+    if masks is None:
+        (edges,), _ = block_edges(host, [bc.vertices])
+        masks = color_masks(host, bc.coloring, edges=edges)
     if masks is None:
         raise PreconditionViolated("block coloring is not proper")
     colors = palette_mask(bc.coloring.palette)
-    local_missing = [colors & ~mask for mask in masks]
     inside = bc.host_set()
     wants: dict[int, int] = {}
     for eid, color in sorted(boundary_requirements.items()):
         edge = host.edge(eid)
-        w_host = edge.u if edge.u in inside else edge.v
-        allowed = local_missing[bc.local_vertex(w_host)]
+        allowed = colors & ~masks[edge.u if edge.u in inside else edge.v]
         wants[color] = wants.get(color, allowed) & allowed
-    top_allowed = local_missing[bc.local_vertex(bc.x)]
+    top_allowed = colors & ~masks[bc.x]
     wants[s] = wants.get(s, top_allowed) & top_allowed
 
     matching = _max_bipartite_matching(wants)
@@ -176,7 +198,7 @@ def permute_block_palette(
     to_global.update(zip(free_local, free_global))
 
     recolored = {eid: to_global[c] for eid, c in bc.coloring.assignment.items()}
-    return BlockColoring(bc.vertices, bc.graph, EdgeColoring(s, recolored), bc.x, bc.y)
+    return BlockColoring(bc.vertices, EdgeColoring(s, recolored), bc.x, bc.y)
 
 
 def assemble_lift(

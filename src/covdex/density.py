@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DisjointnessViolation, TooLarge, VertexOutOfRange
@@ -154,11 +155,17 @@ def _first(a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _start_sets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The masks of the 3-sets of n >= 3 bits, and of the largest odd sets."""
+def _start_sets(n: int) -> tuple[tuple[itemgetter, int], ...]:
+    """For the 3-sets of n >= 3 bits, and for the largest odd sets, an
+    itemgetter of their masks that always returns a tuple, and |U|+1."""
     full = (1 << n) - 1
-    largest = (full,) if n % 2 else tuple(full ^ (1 << i) for i in range(n))
-    return tuple(1 << i | 1 << j | 1 << l for i, j, l in combinations(range(n), 3)), largest
+    largest = [full] if n % 2 else [full ^ (1 << i) for i in range(n)]
+    triples = [1 << i | 1 << j | 1 << l for i, j, l in combinations(range(n), 3)]
+    # A lone mask is asked for twice: itemgetter of one item is no tuple.
+    return tuple(
+        (itemgetter(*masks, *masks[:1]), masks[0].bit_count() + 1)
+        for masks in (triples, largest)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -294,8 +301,8 @@ class OddSetTable:
             return None, None, []
         e_plus = self.e_plus
         a = b = 0
-        for masks in _start_sets(n):
-            twice, width = 2 * min(map(e_plus.__getitem__, masks)), masks[0].bit_count() + 1
+        for counts, width in _start_sets(n):
+            twice = 2 * min(counts(e_plus))
             if not b or twice * b < a * width:
                 a, b = twice, width
         kept: list[int] = []
@@ -586,30 +593,44 @@ def all_min_optimal_sets(
     pairwise vertex-disjoint; that disjointness is checked, not assumed.
     ``table``, when given, is g's table over the sorted universe and is read
     instead of building one.
+
+    One pass over the tight masks by size collects them: a mask is the
+    least set of its vertices that no smaller mask claimed, and a vertex
+    that two masks of its least size claim is a tie, which raises
+    DisjointnessViolation as a walk over the vertices in order would.
     """
     universe = tuple(sorted(set(restrict_to)))
     if table is None:
         table = OddSetTable(g, universe, cap=cap)
-    tight = table._ordered(table.tight_sets(k))
-    # Each vertex's least set is tie-checked; its certificate is built once.
-    least_masks: dict[int, None] = {}
-    for x in universe:
-        bit = 1 << table._position[x]
-        least = table._least(x, (mask for mask in tight if mask & bit))
-        if least is not None:
-            least_masks[least] = None
-    collected = [table._certificate(mask, table._sorted_vertices(mask)) for mask in least_masks]
-    certs = [
-        a
-        for a in collected
-        if not any(b.as_set() < a.as_set() for b in collected)
-    ]
-    for i, a in enumerate(certs):
-        for b in certs[i + 1:]:
-            overlap = a.as_set() & b.as_set()
-            if overlap:
+    tight = table.tight_sets(k)
+    # claimed: the vertices of smaller masks; at_size: of this size's so far.
+    claimed = at_size = tie = size = 0
+    fresh: dict[int, int] = {}  # mask -> the vertices it is the least set of
+    for mask in sorted(tight, key=int.bit_count):
+        if mask.bit_count() != size:
+            size = mask.bit_count()
+            claimed |= at_size
+            at_size = 0
+        new = mask & ~claimed
+        tie |= new & at_size
+        at_size |= new
+        if new:
+            fresh[mask] = new
+    if tie:
+        # Re-walk the first tied vertex's sets, only to raise its error.
+        first = tie & -tie
+        x = table.universe[first.bit_length() - 1]
+        table._least(x, (mask for mask in table._ordered(tight) if mask & first))
+    # In the order of the least vertex each mask is the least set of.
+    collected = sorted(fresh, key=lambda mask: fresh[mask] & -fresh[mask])
+    minimal = [a for a in collected if not any(b != a and b & a == b for b in collected)]
+    for i, a in enumerate(minimal):
+        for b in minimal[i + 1:]:
+            if a & b:
                 raise DisjointnessViolation(
-                    f"optimal sets {a.vertices} and {b.vertices} share {sorted(overlap)}"
+                    f"optimal sets {table._sorted_vertices(a)} and "
+                    f"{table._sorted_vertices(b)} share {list(table._sorted_vertices(a & b))}"
                 )
+    certs = [table._certificate(mask, table._sorted_vertices(mask)) for mask in minimal]
     certs.sort(key=lambda c: (c.size, c.vertices))
     return certs

@@ -181,13 +181,16 @@ def induced_subgraph(g: Multigraph, vertex_set: Iterable[int]) -> Multigraph:
 
     Vertices are renumbered in increasing order to 0..|S|-1, so inducing on
     a prefix 0..s-1 leaves vertex names unchanged, and the subgraph keeps
-    the host's own ``Edge`` objects.
+    the host's own ``Edge`` objects.  On all of g's vertices it is g itself
+    (graphs are immutable), so nothing is copied or validated again.
     """
     inside = sorted(set(vertex_set))
     for v in inside:
         if not (0 <= v < g.vertex_count):
             raise VertexOutOfRange(f"vertex {v} out of range")
     size = len(inside)
+    if size == g.vertex_count:
+        return g
     if not inside or inside[-1] == size - 1:
         return Multigraph(size, tuple(e for e in g.edges if e.u < size and e.v < size))
     remap = {v: i for i, v in enumerate(inside)}

@@ -6,15 +6,23 @@ answers each question by a direct scan of the edges.  ``present`` and
 ``missing`` read one vertex's colors, ``color_class`` one class,
 ``boundary_counts`` one vertex set's edges, ``without_edge`` and
 ``contract_set`` the graphs that ``puncture`` and ``contract_blocks``
-build in one pass, and ``is_connected`` picks connected test graphs.
+build in one pass, ``induced_block_masks`` the block check that
+``make_block`` makes on the host's edges, and ``is_connected`` picks
+connected test graphs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from covdex.errors import VertexOutOfRange
+from covdex.errors import (
+    DensityMismatch,
+    LiftInvariantViolated,
+    PreconditionViolated,
+    VertexOutOfRange,
+)
 from covdex.multigraph import Edge, Multigraph
 
 
@@ -99,6 +107,53 @@ def contract_set(g: Multigraph, vertex_set: Iterable[int]) -> Contraction:
         edges.append(Edge(e.id, vertex_map[e.u], vertex_map[e.v]))
     n = merged + 1 if inside else merged
     return Contraction(Multigraph(n, tuple(edges)), vertex_map, merged)
+
+
+def induced_block_masks(host: Multigraph, vertices: Iterable[int], s: int, initial) -> list[int]:
+    """The block check on the block's induced graph, as ``make_block`` made
+    it before it read the host's edges.  The block's vertices are
+    renumbered 0..|V|-1 in increasing order, and the checks run in the
+    same order with the same messages: the block has s(|V|-1)/2 edges, the
+    coloring is a proper s-coloring, every class has (|V|-1)/2 edges, each
+    vertex is missed by s - d(v) classes, and no two vertices miss a
+    common class.  Returns the color masks (bit c for color c) of the
+    renumbered vertices."""
+    local = {v: i for i, v in enumerate(sorted(set(vertices)))}
+    edges = [(e.id, local[e.u], local[e.v]) for e in host.edges if e.u in local and e.v in local]
+    n = len(local)
+    twice = 2 * len(edges)
+    dense = twice // (n - 1) if n >= 3 and n % 2 and not twice % (n - 1) else None
+    if not dense or dense != s:
+        raise DensityMismatch(
+            f"block has {len(edges)} edges on {n} vertices; expected {s}*({n}-1)/2"
+        )
+    masks = [0] * n
+    degree = [0] * n
+    for eid, a, b in edges:
+        c = initial.assignment.get(eid)
+        if (
+            initial.palette != s
+            or c is None
+            or not 1 <= c <= s
+            or (masks[a] | masks[b]) >> c & 1
+        ):
+            raise PreconditionViolated("supplied block coloring is not a proper s-coloring")
+        masks[a] |= 1 << c
+        masks[b] |= 1 << c
+        degree[a] += 1
+        degree[b] += 1
+    sizes = Counter(initial.assignment.values())
+    for c in range(1, s + 1):
+        if sizes[c] != (n - 1) // 2:
+            raise LiftInvariantViolated(0, f"class {c} is not a near-perfect matching")
+    miss = [{c for c in range(1, s + 1) if not mask >> c & 1} for mask in masks]
+    for v in range(n):
+        if len(miss[v]) != s - degree[v]:
+            raise LiftInvariantViolated(0, f"vertex {v} missed by {len(miss[v])} classes")
+        for w in range(v + 1, n):
+            if miss[v] & miss[w]:
+                raise LiftInvariantViolated(0, f"vertices {v},{w} share a missing class")
+    return masks
 
 
 def is_connected(g: Multigraph) -> bool:

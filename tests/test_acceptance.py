@@ -185,7 +185,8 @@ def test_criterion_6_special_coloring_suite():
 
 def test_criterion_7_dense_block_suite():
     def check(g, s):
-        coloring = make_block(g, g.vertices(), 0, 1, s, initial=find_coloring(g, s)).coloring
+        block = make_block(g, g.vertices(), g.edges, 0, 1, s, initial=find_coloring(g, s))
+        coloring = block.coloring
         half = (g.vertex_count - 1) // 2
         for c in range(1, s + 1):
             assert len(color_class(coloring, c)) == half

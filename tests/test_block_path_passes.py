@@ -18,6 +18,7 @@ from conftest import nested_optimal, petersen
 from covdex import build, decompose
 from covdex.decomposer import Puncture, contract_blocks, puncture, regularize
 from covdex.density import OddSetTable, all_min_optimal_sets, gupta_bound
+from covdex.multigraph import Multigraph
 from covdex.oracle import FuzzConfig, random_multigraph
 from reference import contract_set, without_edge
 from test_output_digests import (
@@ -141,9 +142,9 @@ def counted_fixture(monkeypatch):
     original_masks = covdex.coloring.color_masks
     original_incidence = covdex.coloring.two_color_incidence
 
-    def masks(g, coloring):
+    def masks(g, coloring, **kwargs):
         calls["masks"].append((coloring,))
-        return original_masks(g, coloring)
+        return original_masks(g, coloring, **kwargs)
 
     def incidence(coloring, g, alpha, beta):
         calls["incidence"].append((coloring, alpha, beta))
@@ -187,3 +188,23 @@ def test_each_coloring_is_masked_once_with_a_recoloring_move(counted):
     assert result.run["counters"]["moves.endpoint-swap"] == 1
     assert len(counted["masks"]) == distinct(counted["masks"]) == 5
     assert distinct(counted["incidence"]) == len(counted["incidence"])
+
+
+@pytest.mark.parametrize("maker", [planted_two_triangles, planted_five_block])
+def test_block_path_builds_no_graph_per_block(monkeypatch, maker):
+    # Without splits decompose builds the punctured and the contracted
+    # graph and no other: the chi-prime core is the punctured graph itself,
+    # and each block is checked on the punctured graph's edges.
+    g = maker()
+    built = []
+    validate = Multigraph.__post_init__
+
+    def counting(self):
+        built.append(self.vertex_count)
+        validate(self)
+
+    monkeypatch.setattr(Multigraph, "__post_init__", counting)
+    result = decompose(g)
+    assert result.stages["splits"] == 0 and result.stages["blocks"] == 2
+    contracted = g.vertex_count - sum(result.stages["block_sizes"]) + 2
+    assert built == [g.vertex_count, contracted]

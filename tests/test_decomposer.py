@@ -418,3 +418,9 @@ def test_extend_to_pendants_matches_the_per_edge_color_sets():
             assert _extend_to_pendants(h1, core, palette) == expected
             extended += 1
     assert extended >= 50 and failed >= 50
+
+
+def test_extend_to_pendants_returns_a_core_that_colors_every_edge():
+    h1 = build(3, [(0, 1), (1, 2), (0, 2)])
+    core = EdgeColoring(3, {0: 1, 1: 2, 2: 3})
+    assert _extend_to_pendants(h1, core, 3) is core

@@ -7,9 +7,11 @@ import pytest
 from conftest import doubled_triangle, k3, k5
 from covdex import dense_lift
 from covdex import (
+    CovdexError,
     DensityMismatch,
     LiftInvariantViolated,
     NoFeasiblePermutation,
+    PreconditionViolated,
     assemble_lift,
     build,
     decompose,
@@ -22,9 +24,9 @@ from covdex import (
 from covdex.coloring import EdgeColoring, color_masks, two_color_incidence
 from covdex.decomposer import DecomposeOptions
 from covdex.dense_lift import BlockColoring, check_lift_properties
-from covdex.multigraph import Edge, Multigraph, induced_subgraph
-from reference import color_class, missing, without_edge
-from test_output_digests import planted_five_block, planted_two_triangles
+from covdex.multigraph import Edge, induced_subgraph
+from reference import color_class, induced_block_masks, missing, without_edge
+from test_output_digests import PINNED, planted_five_block, planted_two_triangles
 
 
 def matching_union(n, s, seed):
@@ -47,7 +49,7 @@ def matching_union(n, s, seed):
 def checked_block(block, s, initial):
     """The s-coloring ``initial`` of a whole graph taken as a block, after
     ``make_block``'s checks."""
-    return make_block(block, block.vertices(), 0, 1, s, initial=initial).coloring
+    return make_block(block, block.vertices(), block.edges, 0, 1, s, initial=initial).coloring
 
 
 def test_color_dense_block_k3():
@@ -98,7 +100,6 @@ def test_color_dense_block_accepts_matching_unions():
 def fixed_k3_block(x=1, y=2):
     return BlockColoring(
         vertices=(0, 1, 2),
-        graph=k3(),
         coloring=EdgeColoring(3, {0: 1, 1: 2, 2: 3}),
         x=x,
         y=y,
@@ -111,7 +112,7 @@ def test_permute_without_boundary_steers_top_class_off_x():
     out = permute_block_palette(bc, {}, host, 1)  # palette s = k+2 = 3
     top_edges = color_class(out.coloring, 3)
     assert all(not host.edge(e).touches(1) for e in top_edges)
-    assert is_proper(bc.graph, out.coloring)
+    assert is_proper(host, out.coloring)
 
 
 def test_permute_single_boundary_requirement_is_forced():
@@ -129,16 +130,12 @@ def test_permute_single_boundary_requirement_is_forced():
 def test_permute_requires_distinct_boundary_colors():
     host = build(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
     bc = fixed_k3_block()
-    from covdex import PreconditionViolated
-
     with pytest.raises(PreconditionViolated):
         permute_block_palette(bc, {3: 1, 4: 1}, host, 1)
 
 
 def test_permute_rejects_an_improper_block_coloring():
-    from covdex import PreconditionViolated
-
-    bc = BlockColoring((0, 1, 2), k3(), EdgeColoring(3, {0: 1, 1: 1, 2: 3}), 1, 2)
+    bc = BlockColoring((0, 1, 2), EdgeColoring(3, {0: 1, 1: 1, 2: 3}), 1, 2)
     with pytest.raises(PreconditionViolated, match="block coloring is not proper"):
         permute_block_palette(bc, {}, k3(), 1)
 
@@ -154,8 +151,9 @@ def test_permute_infeasible_when_one_vertex_needs_two_colors():
 
 def brute_force_feasible(bc, requirements, host, s):
     inside = set(bc.vertices)
+    block_graph = induced_subgraph(host, bc.vertices)
     local_missing = {
-        v: missing(bc.coloring, bc.graph, v) for v in bc.graph.vertices()
+        v: missing(bc.coloring, block_graph, v) for v in block_graph.vertices()
     }
     for perm in itertools.permutations(range(1, s + 1)):
         to_global = {local: perm[local - 1] for local in range(1, s + 1)}
@@ -198,7 +196,6 @@ def test_permute_agrees_with_exhaustive_bijection_search():
         host = build(outside, host_pairs)
         bc = BlockColoring(
             vertices=tuple(range(n)),
-            graph=block_graph,
             coloring=coloring,
             x=rng.randrange(n),
             y=0,
@@ -217,9 +214,9 @@ def test_permute_agrees_with_exhaustive_bijection_search():
             for eid, color in requirements.items():
                 e = host.edge(eid)
                 w = e.u if e.u in inside else e.v
-                assert color in missing(out.coloring, bc.graph, bc.vertices.index(w))
+                assert color in missing(out.coloring, block_graph, bc.vertices.index(w))
             x_local = bc.vertices.index(bc.x)
-            assert s in missing(out.coloring, bc.graph, x_local)
+            assert s in missing(out.coloring, block_graph, x_local)
         agreements += 1
     assert feasible_count > 0
 
@@ -241,7 +238,7 @@ def test_assemble_lift_single_block_no_boundary():
     h1 = without_edge(doubled_triangle(), 0)
     block_graph = induced_subgraph(h1, {0, 1, 2})
     coloring = checked_block(block_graph, 5, initial=find_coloring(block_graph, 5))
-    bc = BlockColoring(vertices=(0, 1, 2), graph=block_graph, coloring=coloring, x=0, y=1)
+    bc = BlockColoring(vertices=(0, 1, 2), coloring=coloring, x=0, y=1)
     fixed = permute_block_palette(bc, {}, h1, 3)
     outer = EdgeColoring(5, {})
     psi, masks, _ = assemble_lift(h1, outer, [fixed], 3)
@@ -265,7 +262,7 @@ def lift_violation(h1, psi, blocks, k):
 
 def host_block(vertices, x):
     # check_lift_properties reads a block's host vertices and x alone.
-    return BlockColoring(vertices=vertices, graph=None, coloring=None, x=x, y=vertices[-1])
+    return BlockColoring(vertices=vertices, coloring=None, x=x, y=vertices[-1])
 
 
 def test_lift_property_1_boundary_edge_with_the_top_color():
@@ -390,26 +387,22 @@ def test_decompose_leaves_no_cyclic_garbage():
     assert all(r.k for r in results) and garbage == 0
 
 
-class UncheckedGraph(Multigraph):
-    """A Multigraph built without validation.  On any valid s-dense block
-    a proper s-coloring already forces the right missing counts and
-    disjoint missing sets, so only a loop, which ``Multigraph`` rejects,
-    reaches those two checks."""
-
-    def __post_init__(self):
-        pass
+# On any valid s-dense block a proper s-coloring already forces the right
+# missing counts and disjoint missing sets, so only a loop, which
+# ``Multigraph`` rejects, reaches those two checks: the block check reads a
+# raw list of host edges, and the cases below pass loops in it.
 
 
-def block_violation(block, s, initial):
+def block_violation(inside, s, initial):
     with pytest.raises(LiftInvariantViolated) as caught:
-        dense_lift._dense_block_masks(block, s, initial)
+        dense_lift._dense_block_masks(build(3, []), (0, 1, 2), inside, s, initial)
     return caught.value.prop, str(caught.value)
 
 
 def test_color_dense_block_property_0_class_size():
     # Edge id 9 is not in the block, but it still counts toward class 1.
     initial = EdgeColoring(3, {0: 1, 1: 2, 2: 3, 9: 1})
-    assert block_violation(k3(), 3, initial) == (
+    assert block_violation(k3().edges, 3, initial) == (
         0,
         "lift property 0: class 1 is not a near-perfect matching",
     )
@@ -417,8 +410,8 @@ def test_color_dense_block_property_0_class_size():
 
 def test_color_dense_block_property_0_missing_count():
     # The loop at vertex 0 counts twice in its degree but brings one color.
-    block = UncheckedGraph(3, (Edge(0, 0, 0), Edge(1, 1, 2)))
-    assert block_violation(block, 2, EdgeColoring(2, {0: 1, 1: 2})) == (
+    inside = [Edge(0, 0, 0), Edge(1, 1, 2)]
+    assert block_violation(inside, 2, EdgeColoring(2, {0: 1, 1: 2})) == (
         0,
         "lift property 0: vertex 0 missed by 1 classes",
     )
@@ -426,8 +419,76 @@ def test_color_dense_block_property_0_missing_count():
 
 def test_color_dense_block_property_0_shared_missing_class():
     # Class 2 sits on the loop at vertex 2, so vertices 0 and 1 both miss it.
-    block = UncheckedGraph(3, (Edge(0, 0, 1), Edge(1, 2, 2)))
-    assert block_violation(block, 2, EdgeColoring(2, {0: 1, 1: 2})) == (
+    inside = [Edge(0, 0, 1), Edge(1, 2, 2)]
+    assert block_violation(inside, 2, EdgeColoring(2, {0: 1, 1: 2})) == (
         0,
         "lift property 0: vertices 0,1 share a missing class",
     )
+
+
+def decompose_blocks(monkeypatch, makers):
+    """Every block that ``decompose`` checks on the graphs of the makers,
+    as ``make_block`` receives it: (host, vertices, inside edges, s,
+    initial coloring)."""
+    seen = []
+    real = dense_lift.make_block
+
+    def recording(host, vertices, inside, x, y, s, *, initial):
+        seen.append((host, tuple(sorted(vertices)), inside, s, initial))
+        return real(host, vertices, inside, x, y, s, initial=initial)
+
+    monkeypatch.setattr(dense_lift, "make_block", recording)
+    for maker in makers:
+        decompose(maker())
+    return seen
+
+
+def crafted_colorings(inside, s, initial, rng):
+    """The block's own coloring, two palette permutations of it, and
+    colorings that each break one of the block checks, with the palette
+    each is checked at."""
+    colors = dict(initial.assignment)
+    perm = list(range(1, s + 1))
+    for _ in range(2):
+        rng.shuffle(perm)
+        yield s, EdgeColoring(s, {eid: perm[c - 1] for eid, c in colors.items()})
+    yield s, initial
+    yield s + 1, initial  # the edge count is not (s+1)(|V|-1)/2
+    yield s - 1, initial
+    yield s, EdgeColoring(s + 1, colors)  # palette is not s
+    a, b = inside[0], inside[-1]
+    yield s, EdgeColoring(s, {eid: c for eid, c in colors.items() if eid != a.id})
+    yield s, EdgeColoring(s, {**colors, a.id: s + 1})  # out of range
+    clash = [e for e in inside if e.id != a.id and {e.u, e.v} & {a.u, a.v}]
+    if clash:
+        yield s, EdgeColoring(s, {**colors, a.id: colors[clash[0].id]})  # improper
+    yield s, EdgeColoring(s, {**colors, max(colors) + 1: colors[b.id]})  # a class too big
+
+
+def check_outcome(check):
+    try:
+        return check()
+    except CovdexError as exc:
+        return type(exc), str(exc)
+
+
+def test_host_edge_block_check_matches_the_induced_graph_reference(monkeypatch):
+    rng = random.Random(5)
+    blocks = decompose_blocks(monkeypatch, [maker for maker, _ in PINNED])
+    outcomes = []
+    for host, verts, inside, s, initial in blocks:
+        for palette, coloring in crafted_colorings(inside, s, initial, rng):
+            expected = check_outcome(lambda: induced_block_masks(host, verts, palette, coloring))
+            got = check_outcome(
+                lambda: dense_lift._dense_block_masks(host, verts, inside, palette, coloring)
+            )
+            if isinstance(got, list):
+                # Host-wide masks: the block's vertices carry the reference's.
+                assert not any(got[v] for v in host.vertices() if v not in verts)
+                got = [got[v] for v in verts]
+            assert got == expected
+            outcomes.append(expected if isinstance(expected, tuple) else list)
+    kinds = {kind if kind is list else kind[0] for kind in outcomes}
+    # Blocks of 3 and of 5 vertices, from at least four graphs.
+    assert {len(b[1]) for b in blocks} == {3, 5} and len({id(b[0]) for b in blocks}) >= 4
+    assert kinds == {list, DensityMismatch, PreconditionViolated, LiftInvariantViolated}

@@ -151,6 +151,8 @@ def test_induced_subgraph_examples():
     assert induced_subgraph(g, set()).vertex_count == 0
     full = induced_subgraph(g, set(g.vertices()))
     assert sorted(e.id for e in full.edges) == sorted(e.id for e in g.edges)
+    # All of the vertices: the graph itself, neither copied nor validated again.
+    assert full is g
 
 
 def test_induced_subgraph_keeps_edge_ids():

@@ -96,10 +96,10 @@ def test_decompose_without_splits_makes_no_fused_pass(monkeypatch):
 
 
 def test_decompose_counts_each_graph_once(monkeypatch):
-    """delta, mu and regularize's degree checks read the odd-set table:
-    no ``decompose`` without blocks builds a graph's incidence or counts
-    its multiplicities, and one with blocks builds only the two incidences
-    that its colourings walk."""
+    """delta, mu and regularize's degree checks read the odd-set table,
+    and the block checks read the host's edges: no ``decompose``, with
+    blocks or without, builds a graph's incidence or counts its
+    multiplicities."""
     counts = {"incidence": 0, "max_multiplicity": 0}
     build_incidence = Multigraph.__dict__["_incidence"].func
     max_multiplicity = Multigraph.max_multiplicity
@@ -119,7 +119,7 @@ def test_decompose_counts_each_graph_once(monkeypatch):
     # Fresh graphs: a graph's incidence is cached once built.
     splits = FuzzConfig(n=6, max_multiplicity=2, edge_probability=0.8, seed=0)
     cases = [(k4, 0, 0), (petersen, 0, 0), (lambda: random_multigraph(splits), 0, 0)]
-    cases += [(planted_two_triangles, 2, 2), (planted_five_block, 2, 2)]
+    cases += [(planted_two_triangles, 2, 0), (planted_five_block, 2, 0)]
     split = []
     for make, blocks, builds in cases:
         g = make()
