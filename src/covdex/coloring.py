@@ -194,7 +194,7 @@ def mask_colors(mask: int) -> list[int]:
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
-def two_color_incidence(
+def _two_color_incidence(
     coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int
 ) -> dict[int, list[Edge]]:
     """Per vertex, its edges colored alpha or beta, in edge order."""
@@ -211,28 +211,20 @@ def two_color_incidence(
     return table
 
 
-def chain(
-    coloring: EdgeColoring, g: Multigraph, v: int, alpha: int, beta: int,
-    *, incidence: dict[int, list[Edge]] | None = None,
-) -> Chain:
+def chain(coloring: EdgeColoring, g: Multigraph, v: int, alpha: int, beta: int) -> Chain:
     """The two-color component containing v, canonically ordered.
 
     Paths run from their smaller endpoint; cycles start at their smallest
     vertex and head toward the smaller neighbor (smaller edge id on a tie,
-    which covers the two-vertex parallel-edge cycle).  A caller that walks
-    several chains of one coloring passes their ``incidence``, built once.
+    which covers the two-vertex parallel-edge cycle).
     """
-    table = two_color_incidence(coloring, g, alpha, beta) if incidence is None else incidence
-    return _component(table, v, alpha, beta)
+    return _component(_two_color_incidence(coloring, g, alpha, beta), v, alpha, beta)
 
 
-def chains(
-    coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int,
-    *, incidence: dict[int, list[Edge]] | None = None,
-) -> list[Chain]:
+def chains(coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int) -> list[Chain]:
     """Every nontrivial two-color component, each ordered as by chain():
     the paths, then the cycles, each by first vertex."""
-    table = two_color_incidence(coloring, g, alpha, beta) if incidence is None else incidence
+    table = _two_color_incidence(coloring, g, alpha, beta)
     found: list[Chain] = []
     seen: set[int] = set()
     for v in sorted(table):

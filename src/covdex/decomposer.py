@@ -31,9 +31,8 @@ from typing import Callable, Mapping, Sequence
 from . import dense_lift
 from .coloring import (
     COLOR_BUDGET_DEFAULT,
+    Chain,
     EdgeColoring,
-    chains,
-    color_masks,
     find_coloring,
     is_proper,
     mask_colors,
@@ -349,35 +348,34 @@ def contract_blocks(
 
 
 def orient_and_augment(
-    h1: Multigraph,
     psi: EdgeColoring,
     punctures: Sequence[Puncture],
     k: int,
     n_original: int,
-    *,
-    masks: Sequence[int] | None = None,
-    incidence: dict[int, list[Edge]] | None = None,
+    masks: Sequence[int] | None,
+    reserve: Sequence[Chain],
 ) -> tuple[list[frozenset[int]], Orientation]:
     """Orient the two reserve color classes and patch classes 1..k into
     sets that each saturate the original vertices.
 
-    The reserve subgraph is the union of the (k+1, k+2)-chains.  Each is
-    oriented as ``chains`` orders it (paths, then cycles, each by first
-    vertex), except that a path whose smaller endpoint is designated is
-    reversed, so no designated vertex starts a path.  ``masks`` and
-    ``incidence``, when given, are psi's as ``assemble_lift`` returns them."""
+    ``masks`` and ``reserve`` are psi's color masks (None when psi is not
+    proper) and its (k+1, k+2)-chains, whose union is the reserve
+    subgraph, as ``assemble_lift`` returns them; no graph is read.  Each
+    chain is oriented in the order of the list (``chains`` lists the
+    paths, then the cycles, each by first vertex), except that a path
+    whose smaller endpoint is designated is reversed, so no designated
+    vertex starts a path."""
     top = k + 2
-    masks = color_masks(h1, psi) if masks is None else masks
     if masks is None:
         raise AugmentationFailed("lifted coloring is not proper")
-    reserve = 1 << (k + 1) | 1 << top
+    both = 1 << (k + 1) | 1 << top
     x_set = {p.x for p in punctures}
     for x in sorted(x_set):
-        if masks[x] & reserve == reserve:
+        if masks[x] & both == both:
             raise AugmentationFailed(f"designated vertex {x} has reserve degree 2")
 
     arcs: list[tuple[int, int, int]] = []
-    for ch in chains(psi, h1, k + 1, top, incidence=incidence):
+    for ch in reserve:
         verts, eids = ch.vertices, ch.edges
         if ch.kind == "path":
             tail, head = ch.endpoints
@@ -429,7 +427,10 @@ def orient_and_augment(
 def map_back(
     sets: Sequence[frozenset[int]], trace: SplitTrace
 ) -> list[frozenset[int]]:
-    """Replace every split-created edge id by the original it descends from."""
+    """Replace every split-created edge id by the original it descends from;
+    without splits the sets are returned as they are."""
+    if not trace.records:
+        return list(sets)
     return [frozenset(trace.resolve(eid) for eid in s) for s in sets]
 
 
@@ -567,16 +568,14 @@ def decompose(
         for p, inside, boundary in zip(punctures, block_inside, block_boundary):
             block_start = EdgeColoring(k + 2, {e.id: colors[e.id] for e in inside})
             bc = dense_lift.make_block(h1, p.block, inside, p.x, p.y, k + 2, initial=block_start)
-            requirements = {e.id: phi2.assignment[e.id] for e in boundary}
-            blocks.append(dense_lift.permute_block_palette(bc, requirements, h1, k))
-        psi, masks, reserve = dense_lift.assemble_lift(
-            h1, phi2, blocks, k, boundaries=block_boundary
-        )
+            requirements = [(e, phi2.assignment[e.id]) for e in boundary]
+            blocks.append(dense_lift.permute_block_palette(bc, requirements, k))
+        psi, masks, reserve = dense_lift.assemble_lift(h1, phi2, blocks, k, block_boundary)
         run.dump["lifted_coloring"] = lambda: _coloring_obj(psi)
 
         run.enter("augment")
         covers_h1, orientation = orient_and_augment(
-            h1, psi, punctures, k, g.vertex_count, masks=masks, incidence=reserve
+            psi, punctures, k, g.vertex_count, masks, reserve
         )
         run.dump["arcs"] = lambda: [list(a) for a in orientation.arcs]
         run.dump["covers_before_mapping"] = lambda: [sorted(c) for c in covers_h1]

@@ -19,25 +19,28 @@ presents a color, from per-vertex color masks that ``coloring.color_masks``
 builds in the one pass over the edges that also decides properness; class
 sizes come from one count over the assignment.  Every mask list runs over
 the host's vertices.  Each coloring's masks are built once: ``make_block``
-keeps a block's for the palette matching, and the lift check hands the
-lifted coloring's masks and its (k+1, k+2) incidence, which all its chain
-walks share, on to the orientation.
+keeps a block's for the palette matching, which reads the boundary edges
+``block_edges`` gave as edges, and the lift check hands the lifted
+coloring's masks on to the orientation.  The lift check also walks every
+(k+1, k+2) chain of the lifted coloring once, checks property 2 on the
+chains through the boundary edges, and hands the whole list on: the
+orientation orients exactly those chains.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
 from .coloring import (
     EdgeColoring,
-    chain,
+    Chain,
+    chains,
     color_masks,
     dense_palette,
     mask_colors,
     palette_mask,
-    two_color_incidence,
 )
 from .errors import (
     DensityMismatch,
@@ -54,9 +57,9 @@ class BlockColoring:
 
     ``vertices`` lists the block's host vertex ids in increasing order.  The
     coloring is keyed by host edge ids.  ``x`` and ``y`` are the endpoints
-    of the punctured edge, as host ids.  ``masks``, when set, are the
-    coloring's per-vertex color masks over the host's vertices (0 outside
-    the block).
+    of the punctured edge, as host ids.  ``masks``, which ``make_block``
+    sets, are the coloring's per-vertex color masks over the host's
+    vertices (0 outside the block).
     """
 
     vertices: tuple[int, ...]
@@ -64,9 +67,6 @@ class BlockColoring:
     x: int
     y: int
     masks: list[int] | None = field(default=None, compare=False)
-
-    def host_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
 
 
 def _dense_block_masks(
@@ -154,35 +154,28 @@ def _try_assign(wants: dict[int, int], taken: dict[int, int], key: int, banned: 
 
 def permute_block_palette(
     bc: BlockColoring,
-    boundary_requirements: Mapping[int, int],
-    host: Multigraph,
+    boundary: Sequence[tuple[Edge, int]],
     k: int,
 ) -> BlockColoring:
     """Apply a palette bijection meeting the boundary and top-color needs.
 
-    ``boundary_requirements`` maps each host boundary edge id to the color
+    ``boundary`` pairs each host boundary edge of the block with the color
     it carries outside; the bijection must leave that color missing at the
     edge's block endpoint, and must route the top color k+2 to a class that
-    misses the designated vertex x.  The block's masks are ``bc.masks``, or
-    else built from its internal host edges.
+    misses the designated vertex x.  It reads the block's masks
+    ``bc.masks``, which ``make_block`` sets.
     """
     s = k + 2
-    required = list(boundary_requirements.values())
+    required = [color for _, color in boundary]
     if len(required) != len(set(required)):
         raise PreconditionViolated("boundary colors at one block must be distinct")
-
     masks = bc.masks
     if masks is None:
-        (edges,), _ = block_edges(host, [bc.vertices])
-        masks = color_masks(host, bc.coloring, edges=edges)
-    if masks is None:
-        raise PreconditionViolated("block coloring is not proper")
+        raise PreconditionViolated("block has no color masks; build it with make_block")
     colors = palette_mask(bc.coloring.palette)
-    inside = bc.host_set()
     wants: dict[int, int] = {}
-    for eid, color in sorted(boundary_requirements.items()):
-        edge = host.edge(eid)
-        allowed = colors & ~masks[edge.u if edge.u in inside else edge.v]
+    for edge, color in sorted(boundary, key=lambda pair: pair[0].id):
+        allowed = colors & ~masks[edge.u if edge.u in bc.vertices else edge.v]
         wants[color] = wants.get(color, allowed) & allowed
     top_allowed = colors & ~masks[bc.x]
     wants[s] = wants.get(s, top_allowed) & top_allowed
@@ -206,9 +199,8 @@ def assemble_lift(
     outer: EdgeColoring,
     blocks: Sequence[BlockColoring],
     k: int,
-    *,
-    boundaries: Sequence[Sequence[Edge]] | None = None,
-) -> tuple[EdgeColoring, list[int], dict[int, list[Edge]] | None]:
+    boundaries: Sequence[Sequence[Edge]],
+) -> tuple[EdgeColoring, list[int], list[Chain]]:
     """Merge the outer coloring with the permuted block colorings.
 
     Every edge inside a block takes its block color; every other edge keeps
@@ -222,7 +214,7 @@ def assemble_lift(
         if e.id not in combined:
             combined[e.id] = colors[e.id]
     psi = EdgeColoring(k + 2, combined)
-    return (psi, *check_lift_properties(h1, psi, blocks, k, boundaries=boundaries))
+    return (psi, *check_lift_properties(h1, psi, blocks, k, boundaries))
 
 
 def block_edges(
@@ -252,13 +244,13 @@ def check_lift_properties(
     psi: EdgeColoring,
     blocks: Sequence[BlockColoring],
     k: int,
-    *,
-    boundaries: Sequence[Sequence[Edge]] | None = None,
-) -> tuple[list[int], dict[int, list[Edge]] | None]:
+    boundaries: Sequence[Sequence[Edge]],
+) -> tuple[list[int], list[Chain]]:
     """Verify that psi is a proper coloring of h1 (property 0) and the
     three properties the downstream orientation relies on; return psi's
-    masks and (k+1, k+2) incidence on h1 (None if no chain was walked).
-    ``boundaries``, if given, are the blocks' as ``block_edges`` returns them.
+    masks and its (k+1, k+2) chains, as ``chains`` lists them.
+    ``boundaries`` are the blocks' as ``block_edges`` returns them, one
+    list per block.
 
     1. No block boundary edge carries the top color k+2.
     2. A (k+1, k+2)-chain through a boundary edge is a path reaching a
@@ -266,38 +258,36 @@ def check_lift_properties(
        color k+1.
     3. The top color class misses each block's designated vertex x.
     """
+    if len(boundaries) != len(blocks):
+        raise PreconditionViolated(
+            f"{len(blocks)} blocks but {len(boundaries)} boundary lists"
+        )
     s = k + 2
     masks = color_masks(h1, psi)
     if masks is None:
         raise LiftInvariantViolated(0, "assembled coloring is not proper")
-    reserve = None  # the (k+1, k+2) incidence, built for the first chain walk
-    all_block_vertices = {v for bc in blocks for v in bc.vertices}
+    reserve = chains(psi, h1, k + 1, s)
+    through = {v: ch for ch in reserve for v in ch.vertices}
+    owner = {v: i for i, bc in enumerate(blocks) for v in bc.vertices}
 
-    if boundaries is None:
-        _, boundaries = block_edges(h1, [bc.vertices for bc in blocks])
-    for bc, boundary in zip(blocks, boundaries):
-        inside = bc.host_set()
+    for i, (bc, boundary) in enumerate(zip(blocks, boundaries)):
         for e in boundary:
             if psi.assignment[e.id] == s:
                 raise LiftInvariantViolated(1, f"boundary edge {e.id} carries color {s}")
         for e in boundary:
             if psi.assignment[e.id] != k + 1:
                 continue
-            anchor = e.u if e.u in inside else e.v
-            if reserve is None:
-                reserve = two_color_incidence(psi, h1, k + 1, s)
-            ch = chain(psi, h1, anchor, k + 1, s, incidence=reserve)
+            ch = through[e.u if owner.get(e.u) == i else e.v]
             if ch.kind != "path":
                 raise LiftInvariantViolated(2, f"chain through edge {e.id} is a cycle")
-            ends_outside = [p for p in ch.endpoints if p not in all_block_vertices]
-            ends_elsewhere = [p for p in ch.endpoints if p in all_block_vertices - inside]
-            if not ends_outside or ends_elsewhere:
+            ends = {owner.get(p) for p in ch.endpoints}
+            if None not in ends or not ends <= {None, i}:
                 raise LiftInvariantViolated(
                     2,
                     f"chain through edge {e.id} ends at {ch.endpoints}, "
                     f"not outside the blocks",
                 )
-            for w in inside:
+            for w in bc.vertices:
                 if not masks[w] >> (k + 1) & 1:
                     raise LiftInvariantViolated(
                         2, f"block vertex {w} does not present color {k + 1}"

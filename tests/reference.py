@@ -7,8 +7,9 @@ answers each question by a direct scan of the edges.  ``present`` and
 ``boundary_counts`` one vertex set's edges, ``without_edge`` and
 ``contract_set`` the graphs that ``puncture`` and ``contract_blocks``
 build in one pass, ``induced_block_masks`` the block check that
-``make_block`` makes on the host's edges, and ``is_connected`` picks
-connected test graphs.
+``make_block`` makes on the host's edges, ``lift_verdict`` the lift check
+that ``check_lift_properties`` makes on the chains it walks once, and
+``is_connected`` picks connected test graphs.
 """
 
 from __future__ import annotations
@@ -154,6 +155,76 @@ def induced_block_masks(host: Multigraph, vertices: Iterable[int], s: int, initi
             if miss[v] & miss[w]:
                 raise LiftInvariantViolated(0, f"vertices {v},{w} share a missing class")
     return masks
+
+
+def _two_color_ends(g: Multigraph, coloring, v: int, alpha: int, beta: int):
+    """The ends, smaller first, of the alpha/beta path through v, found by
+    walking out of v along each of its alpha/beta edges; None when a walk
+    comes back to v (a cycle).  The coloring is proper, so a vertex has at
+    most one edge of each color."""
+    at: dict[int, list[Edge]] = {}
+    for e in g.edges:
+        if coloring.assignment[e.id] in (alpha, beta):
+            at.setdefault(e.u, []).append(e)
+            at.setdefault(e.v, []).append(e)
+    ends = []
+    for first in at[v]:
+        prev, cur = first, first.other(v)
+        while cur != v:
+            onward = [f for f in at[cur] if f.id != prev.id]
+            if not onward:
+                break
+            prev = onward[0]
+            cur = prev.other(cur)
+        else:
+            return None
+        ends.append(cur)
+    if len(ends) == 1:
+        ends.append(v)
+    return tuple(sorted(ends))
+
+
+def lift_verdict(h1: Multigraph, psi, blocks, k: int, boundaries) -> None:
+    """The lift check by direct scans, with the same errors and messages in
+    the same order; ``blocks`` are (vertices, x) pairs and ``boundaries``
+    each block's boundary edges.  psi is a proper coloring of h1 (property
+    0).  Per block: no boundary edge carries k+2 (1); then for each
+    boundary edge colored k+1, in order, the path walked from its block
+    end has an end outside every block and none in another block, and the
+    block's vertices, least first, all present k+1 (2); x sees no k+2 (3).
+    Returns None when every property holds."""
+    s = k + 2
+    present: list[set[int]] = [set() for _ in range(h1.vertex_count)]
+    for e in h1.edges:
+        c = psi.assignment.get(e.id)
+        if c is None or not 1 <= c <= psi.palette or c in present[e.u] | present[e.v]:
+            raise LiftInvariantViolated(0, "assembled coloring is not proper")
+        present[e.u].add(c)
+        present[e.v].add(c)
+    block_of = {v: i for i, (vertices, _) in enumerate(blocks) for v in vertices}
+    for i, ((vertices, x), boundary) in enumerate(zip(blocks, boundaries)):
+        for e in boundary:
+            if psi.assignment[e.id] == s:
+                raise LiftInvariantViolated(1, f"boundary edge {e.id} carries color {s}")
+        for e in boundary:
+            if psi.assignment[e.id] != k + 1:
+                continue
+            ends = _two_color_ends(h1, psi, e.u if e.u in vertices else e.v, k + 1, s)
+            if ends is None:
+                raise LiftInvariantViolated(2, f"chain through edge {e.id} is a cycle")
+            owners = [block_of.get(p) for p in ends]
+            if None not in owners or any(o not in (None, i) for o in owners):
+                raise LiftInvariantViolated(
+                    2, f"chain through edge {e.id} ends at {ends}, not outside the blocks"
+                )
+            for w in sorted(vertices):
+                if k + 1 not in present[w]:
+                    raise LiftInvariantViolated(
+                        2, f"block vertex {w} does not present color {k + 1}"
+                    )
+        if s in present[x]:
+            raise LiftInvariantViolated(3, f"top class touches designated vertex {x}")
+    return None
 
 
 def is_connected(g: Multigraph) -> bool:

@@ -4,18 +4,22 @@ the work each ``decompose`` does per coloring.
 ``puncture`` drops every victim edge from one graph and ``contract_blocks``
 contracts every block in one pass; both must give exactly what chained
 ``without_edge`` and ``contract_set`` calls give.  The coloring stages
-build each coloring's color masks once and hand them on, and walk the
-(k+1, k+2) chains of a coloring from one incidence.
+build each coloring's color masks once and hand them on; the lift check
+walks each (k+1, k+2) chain of the lifted coloring once, and the
+orientation reads those chains.
 """
 
 import importlib
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 
 import covdex
 from conftest import nested_optimal, petersen
-from covdex import build, decompose
+from covdex import build, decompose, dense_lift
+from covdex.coloring import chains
 from covdex.decomposer import Puncture, contract_blocks, puncture, regularize
 from covdex.density import OddSetTable, all_min_optimal_sets, gupta_bound
 from covdex.multigraph import Multigraph
@@ -136,11 +140,11 @@ def test_contract_without_blocks_returns_the_graph_itself():
 @pytest.fixture(name="counted")
 def counted_fixture(monkeypatch):
     """Record every ``color_masks`` call by its coloring object and every
-    ``two_color_incidence`` call by its coloring object and color pair,
+    ``_two_color_incidence`` call by its coloring object and color pair,
     holding the objects so that no id is reused."""
     calls = {"masks": [], "incidence": []}
     original_masks = covdex.coloring.color_masks
-    original_incidence = covdex.coloring.two_color_incidence
+    original_incidence = covdex.coloring._two_color_incidence
 
     def masks(g, coloring, **kwargs):
         calls["masks"].append((coloring,))
@@ -153,7 +157,7 @@ def counted_fixture(monkeypatch):
     # covdex.special_coloring is the re-exported function, not the module.
     for name in ("coloring", "decomposer", "dense_lift", "special_coloring"):
         module = importlib.import_module(f"covdex.{name}")
-        for attr, wrapper in (("color_masks", masks), ("two_color_incidence", incidence)):
+        for attr, wrapper in (("color_masks", masks), ("_two_color_incidence", incidence)):
             if getattr(module, attr, None) in (original_masks, original_incidence):
                 monkeypatch.setattr(module, attr, wrapper)
     return calls
@@ -208,3 +212,55 @@ def test_block_path_builds_no_graph_per_block(monkeypatch, maker):
     assert result.stages["splits"] == 0 and result.stages["blocks"] == 2
     contracted = g.vertex_count - sum(result.stages["block_sizes"]) + 2
     assert built == [g.vertex_count, contracted]
+
+
+@pytest.mark.parametrize("maker", [planted_two_triangles, planted_five_block])
+def test_each_reserve_chain_of_the_lift_is_walked_once(monkeypatch, maker):
+    # The lift check walks every (k+1, k+2) component of the lifted
+    # coloring once, and the orientation walks none again.  No edge is
+    # looked up by id on the punctured graph: the one id map built is the
+    # oracle's, on the input graph.
+    coloring = importlib.import_module("covdex.coloring")
+    tables, walks, lifts, id_maps = [], [], [], []
+    real_incidence, real_component = coloring._two_color_incidence, coloring._component
+    real_assemble = dense_lift.assemble_lift
+    build_id_map = Multigraph.__dict__["_by_id"].func
+
+    def incidence(psi, g, alpha, beta):
+        table = real_incidence(psi, g, alpha, beta)
+        tables.append((table, psi, alpha, beta))
+        return table
+
+    def component(table, v, alpha, beta):
+        ch = real_component(table, v, alpha, beta)
+        walks.append((table, ch))
+        return ch
+
+    def assemble(h1, *args):
+        out = real_assemble(h1, *args)
+        lifts.append((h1, out[0]))
+        return out
+
+    def id_map(self):
+        id_maps.append(self)
+        return build_id_map(self)
+
+    counted = cached_property(id_map)
+    counted.__set_name__(Multigraph, "_by_id")
+    monkeypatch.setattr(Multigraph, "_by_id", counted)
+    monkeypatch.setattr(coloring, "_two_color_incidence", incidence)
+    monkeypatch.setattr(coloring, "_component", component)
+    monkeypatch.setattr(dense_lift, "assemble_lift", assemble)
+    g = maker()
+    result = decompose(g)
+    monkeypatch.undo()
+
+    assert result.stages["blocks"] == 2
+    ((h1, psi),) = lifts
+    k = result.k
+    lifted = [t for t, c, alpha, beta in tables if c is psi and (alpha, beta) == (k + 1, k + 2)]
+    walked = Counter(ch for t, ch in walks if any(t is table for table in lifted))
+    assert len(lifted) == 1
+    assert walked == Counter(chains(psi, h1, k + 1, k + 2))
+    assert set(walked.values()) == {1}
+    assert [id(graph) for graph in id_maps] == [id(g)]

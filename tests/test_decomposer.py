@@ -16,7 +16,7 @@ from covdex import (
     regularize,
     verify_decomposition,
 )
-from covdex.coloring import EdgeColoring
+from covdex.coloring import EdgeColoring, chains, color_masks
 from covdex.decomposer import (
     DecomposeOptions,
     Puncture,
@@ -200,6 +200,11 @@ def test_map_back_identity_without_splits():
     assert map_back(sets, SplitTrace()) == sets
 
 
+def test_map_back_without_splits_returns_the_same_sets():
+    sets = [frozenset({1, 2}), frozenset({3})]
+    assert all(a is b for a, b in zip(map_back(sets, SplitTrace()), sets, strict=True))
+
+
 def test_map_back_resolves_chains():
     trace = SplitTrace(
         (
@@ -291,13 +296,19 @@ def test_run_record_counts_moves_and_stays_out_of_the_payload():
 
 # orient_and_augment on crafted colorings with k = 1: palette 3, the low
 # color 1 and the reserve colors 2 and 3.  A Puncture's block is not read
-# there, and its edge id only joins a cover.
+# there, and its edge id only joins a cover.  The masks and the reserve
+# chains are handed over as the lift check returns them.
+
+
+def orient(g, psi, punctures, k):
+    masks, reserve = color_masks(g, psi), chains(psi, g, k + 1, k + 2)
+    return orient_and_augment(psi, list(punctures), k, g.vertex_count, masks, reserve)
 
 
 def oriented(pairs, colors, punctures=()):
     g = build(1 + max(max(p) for p in pairs), pairs)
     psi = EdgeColoring(3, dict(enumerate(colors)))
-    return orient_and_augment(g, psi, list(punctures), 1, g.vertex_count)
+    return orient(g, psi, punctures, 1)
 
 
 def designated(x, y=None):
@@ -341,7 +352,7 @@ def augment_failure(pairs, colors, k, punctures=()):
     g = build(1 + max(max(p) for p in pairs), pairs)
     psi = EdgeColoring(k + 2, dict(enumerate(colors)))
     with pytest.raises(AugmentationFailed) as caught:
-        orient_and_augment(g, psi, list(punctures), k, g.vertex_count)
+        orient(g, psi, punctures, k)
     return str(caught.value)
 
 

@@ -21,11 +21,11 @@ from covdex import (
     make_block,
     permute_block_palette,
 )
-from covdex.coloring import EdgeColoring, color_masks, two_color_incidence
+from covdex.coloring import EdgeColoring, chains, color_masks
 from covdex.decomposer import DecomposeOptions
 from covdex.dense_lift import BlockColoring, check_lift_properties
 from covdex.multigraph import Edge, induced_subgraph
-from reference import color_class, induced_block_masks, missing, without_edge
+from reference import color_class, induced_block_masks, lift_verdict, missing, without_edge
 from test_output_digests import PINNED, planted_five_block, planted_two_triangles
 
 
@@ -97,19 +97,23 @@ def test_color_dense_block_accepts_matching_unions():
             assert len(miss[v]) == s - g.degree(v)
 
 
-def fixed_k3_block(x=1, y=2):
-    return BlockColoring(
-        vertices=(0, 1, 2),
-        coloring=EdgeColoring(3, {0: 1, 1: 2, 2: 3}),
-        x=x,
-        y=y,
-    )
+def fixed_k3_block(host, x=1, y=2):
+    """The triangle 0,1,2 of ``host`` (its edges 0, 1, 2) colored 1, 2, 3,
+    as ``make_block`` checks it."""
+    inside = [e for e in host.edges if e.id < 3]
+    initial = EdgeColoring(3, {0: 1, 1: 2, 2: 3})
+    return make_block(host, (0, 1, 2), inside, x, y, 3, initial=initial)
+
+
+def outer_colors(host, requirements):
+    """(edge, outer color) pairs for a map from host edge ids to colors."""
+    return [(host.edge(eid), color) for eid, color in requirements.items()]
 
 
 def test_permute_without_boundary_steers_top_class_off_x():
     host = k3()
-    bc = fixed_k3_block(x=1)
-    out = permute_block_palette(bc, {}, host, 1)  # palette s = k+2 = 3
+    bc = fixed_k3_block(host, x=1)
+    out = permute_block_palette(bc, [], 1)  # palette s = k+2 = 3
     top_edges = color_class(out.coloring, 3)
     assert all(not host.edge(e).touches(1) for e in top_edges)
     assert is_proper(host, out.coloring)
@@ -118,10 +122,10 @@ def test_permute_without_boundary_steers_top_class_off_x():
 def test_permute_single_boundary_requirement_is_forced():
     # Host: triangle 0,1,2 plus an outside vertex with one edge at 0.
     host = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-    bc = fixed_k3_block(x=1)
+    bc = fixed_k3_block(host, x=1)
     # vertex 0 misses local class 2 (its edges carry 1 and 3), so requiring
     # color 1 on the boundary edge forces the bijection to send 2 -> 1.
-    out = permute_block_palette(bc, {3: 1}, host, 1)
+    out = permute_block_palette(bc, outer_colors(host, {3: 1}), 1)
     assert color_class(out.coloring, 1) == color_class(bc.coloring, 2)
     top_edges = color_class(out.coloring, 3)
     assert all(not host.edge(e).touches(1) for e in top_edges)
@@ -129,24 +133,25 @@ def test_permute_single_boundary_requirement_is_forced():
 
 def test_permute_requires_distinct_boundary_colors():
     host = build(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
-    bc = fixed_k3_block()
+    bc = fixed_k3_block(host)
     with pytest.raises(PreconditionViolated):
-        permute_block_palette(bc, {3: 1, 4: 1}, host, 1)
+        permute_block_palette(bc, outer_colors(host, {3: 1, 4: 1}), 1)
 
 
-def test_permute_rejects_an_improper_block_coloring():
-    bc = BlockColoring((0, 1, 2), EdgeColoring(3, {0: 1, 1: 1, 2: 3}), 1, 2)
-    with pytest.raises(PreconditionViolated, match="block coloring is not proper"):
-        permute_block_palette(bc, {}, k3(), 1)
+def test_permute_rejects_a_block_without_masks():
+    # make_block sets the masks; its own checks reject an improper coloring.
+    bc = BlockColoring((0, 1, 2), EdgeColoring(3, {0: 1, 1: 2, 2: 3}), 1, 2)
+    with pytest.raises(PreconditionViolated, match="block has no color masks"):
+        permute_block_palette(bc, [], 1)
 
 
 def test_permute_infeasible_when_one_vertex_needs_two_colors():
     # two boundary edges at vertex 0, but a degree-2 vertex of a 3-dense
     # block misses only one class: no bijection can serve both.
     host = build(4, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 3)])
-    bc = fixed_k3_block()
+    bc = fixed_k3_block(host)
     with pytest.raises(NoFeasiblePermutation):
-        permute_block_palette(bc, {3: 1, 4: 2}, host, 1)
+        permute_block_palette(bc, outer_colors(host, {3: 1, 4: 2}), 1)
 
 
 def brute_force_feasible(bc, requirements, host, s):
@@ -194,16 +199,12 @@ def test_permute_agrees_with_exhaustive_bijection_search():
             requirements[next_eid] = color
             next_eid += 1
         host = build(outside, host_pairs)
-        bc = BlockColoring(
-            vertices=tuple(range(n)),
-            coloring=coloring,
-            x=rng.randrange(n),
-            y=0,
-        )
+        inside = host.edges[: len(block_graph.edges)]
+        bc = make_block(host, range(n), inside, rng.randrange(n), 0, s, initial=coloring)
         expected = brute_force_feasible(bc, requirements, host, s)
         k = s - 2
         try:
-            out = permute_block_palette(bc, requirements, host, k)
+            out = permute_block_palette(bc, outer_colors(host, requirements), k)
             got = True
         except NoFeasiblePermutation:
             got = False
@@ -224,12 +225,12 @@ def test_permute_agrees_with_exhaustive_bijection_search():
 def test_assemble_lift_without_blocks_returns_outer():
     g = k3()
     outer = EdgeColoring(3, {0: 1, 1: 2, 2: 3})
-    psi, masks, incidence = assemble_lift(g, outer, [], 1)
+    psi, masks, reserve = assemble_lift(g, outer, [], 1, [])
     assert psi.assignment == outer.assignment
-    # The lift check's masks come back with psi; with no block it walks no
-    # chain, so it builds no (k+1, k+2) incidence.
+    # The lift check's masks and (k+1, k+2) chains come back with psi, also
+    # with no block.
     assert masks == color_masks(g, psi)
-    assert incidence is None
+    assert reserve == chains(psi, g, 2, 3)
 
 
 def test_assemble_lift_single_block_no_boundary():
@@ -237,11 +238,11 @@ def test_assemble_lift_single_block_no_boundary():
     # outside, so the assembled coloring is the permuted block coloring.
     h1 = without_edge(doubled_triangle(), 0)
     block_graph = induced_subgraph(h1, {0, 1, 2})
-    coloring = checked_block(block_graph, 5, initial=find_coloring(block_graph, 5))
-    bc = BlockColoring(vertices=(0, 1, 2), coloring=coloring, x=0, y=1)
-    fixed = permute_block_palette(bc, {}, h1, 3)
+    initial = find_coloring(block_graph, 5)
+    bc = make_block(h1, (0, 1, 2), h1.edges, 0, 1, 5, initial=initial)
+    fixed = permute_block_palette(bc, [], 3)
     outer = EdgeColoring(5, {})
-    psi, masks, _ = assemble_lift(h1, outer, [fixed], 3)
+    psi, masks, _ = assemble_lift(h1, outer, [fixed], 3, [[]])
     assert masks == color_masks(h1, psi)
     assert is_proper(h1, psi)
     assert all(not h1.edge(e).touches(0) for e in color_class(psi, 5))
@@ -254,9 +255,14 @@ def test_assemble_lift_single_block_no_boundary():
 # the message of the check that fires.
 
 
+def lift_check(h1, psi, blocks, k):
+    _, boundaries = dense_lift.block_edges(h1, [bc.vertices for bc in blocks])
+    return check_lift_properties(h1, psi, blocks, k, boundaries)
+
+
 def lift_violation(h1, psi, blocks, k):
     with pytest.raises(LiftInvariantViolated) as caught:
-        check_lift_properties(h1, psi, blocks, k)
+        lift_check(h1, psi, blocks, k)
     return caught.value.prop, str(caught.value)
 
 
@@ -275,36 +281,72 @@ def test_lift_property_1_boundary_edge_with_the_top_color():
     )
 
 
-def test_lift_property_2_chain_through_a_boundary_edge_is_a_cycle():
+def boundary_chain_cycle():
     # The (2,3)-chain 0 -2- 3 -3- 4 -2- 1 -3- 0 leaves block {0,1,2} by
     # edge 2 and comes back by edge 4.
     h1 = build(5, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 1)])
     psi = EdgeColoring(3, {0: 3, 1: 1, 2: 2, 3: 3, 4: 2})
-    assert lift_violation(h1, psi, [host_block((0, 1, 2), 2)], 1) == (
+    return h1, psi, [host_block((0, 1, 2), 2)], 1
+
+
+def boundary_chain_into_another_block():
+    # Edge 2 = (0,3) joins blocks {0,1,2} and {3,4,5}; neither end sees
+    # color 3, so its (2,3)-chain is that one edge, with no outside end.
+    h1 = build(6, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)])
+    psi = EdgeColoring(3, {0: 1, 1: 2, 2: 2, 3: 1, 4: 2})
+    return h1, psi, [host_block((0, 1, 2), 2), host_block((3, 4, 5), 5)], 1
+
+
+def boundary_chain_with_an_end_in_another_block():
+    # The (2,3)-chain 3 -2- 0 -3- 1 -2- 7 leaves block {0,1,2} by edges 0
+    # and 2; it ends outside at 7, but also in block {3,4,5} at 3.
+    h1 = build(8, [(0, 3), (0, 1), (1, 7), (1, 2), (3, 4), (4, 5)])
+    psi = EdgeColoring(3, {0: 2, 1: 3, 2: 2, 3: 1, 4: 1, 5: 2})
+    return h1, psi, [host_block((0, 1, 2), 2), host_block((3, 4, 5), 5)], 1
+
+
+def block_vertices_without_k_plus_1():
+    # k = 2: the (3,4)-chain 3 -3- 0 -4- 2 ends outside, but vertices 1
+    # and 2 of block {0,1,2} see no edge colored 3.
+    h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    psi = EdgeColoring(4, {0: 1, 1: 2, 2: 4, 3: 3})
+    return h1, psi, [host_block((0, 1, 2), 1)], 2
+
+
+PROPERTY_2_VIOLATIONS = [
+    boundary_chain_cycle,
+    boundary_chain_into_another_block,
+    boundary_chain_with_an_end_in_another_block,
+    block_vertices_without_k_plus_1,
+]
+
+
+def test_lift_property_2_chain_through_a_boundary_edge_is_a_cycle():
+    assert lift_violation(*boundary_chain_cycle()) == (
         2,
         "lift property 2: chain through edge 2 is a cycle",
     )
 
 
 def test_lift_property_2_chain_ending_inside_another_block():
-    # Edge 2 = (0,3) joins blocks {0,1,2} and {3,4,5}; neither end sees
-    # color 3, so its (2,3)-chain is that one edge, with no outside end.
-    h1 = build(6, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)])
-    psi = EdgeColoring(3, {0: 1, 1: 2, 2: 2, 3: 1, 4: 2})
-    blocks = [host_block((0, 1, 2), 2), host_block((3, 4, 5), 5)]
-    assert lift_violation(h1, psi, blocks, 1) == (
+    assert lift_violation(*boundary_chain_into_another_block()) == (
         2,
         "lift property 2: chain through edge 2 ends at (0, 3), "
         "not outside the blocks",
     )
 
 
+def test_lift_property_2_chain_with_an_end_in_another_block():
+    assert lift_violation(*boundary_chain_with_an_end_in_another_block()) == (
+        2,
+        "lift property 2: chain through edge 0 ends at (3, 7), "
+        "not outside the blocks",
+    )
+
+
 def test_lift_property_2_block_vertex_without_the_color_k_plus_1():
-    # k = 2: the (3,4)-chain 3 -3- 0 -4- 2 ends outside, but vertices 1
-    # and 2 of block {0,1,2} see no edge colored 3.
-    h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-    psi = EdgeColoring(4, {0: 1, 1: 2, 2: 4, 3: 3})
-    assert lift_violation(h1, psi, [host_block((0, 1, 2), 1)], 2) == (
+    # Both 1 and 2 miss color 3; the least of them is named.
+    assert lift_violation(*block_vertices_without_k_plus_1()) == (
         2,
         "lift property 2: block vertex 1 does not present color 3",
     )
@@ -317,29 +359,105 @@ def test_lift_property_3_top_class_at_the_designated_vertex():
         3,
         "lift property 3: top class touches designated vertex 0",
     )
-    check_lift_properties(h1, psi, [host_block((0, 1, 2), 1)], 1)  # x = 1 is missed
+    lift_check(h1, psi, [host_block((0, 1, 2), 1)], 1)  # x = 1 is missed
 
 
-def test_lift_check_returns_the_masks_and_the_incidence_of_its_chain_walks():
+def test_lift_check_returns_the_masks_and_the_chains():
     # Boundary edge 3 = (0,3) carries k+1 = 2; its (2,3)-chain 3-0-2-1 ends
     # outside at 3, and every block vertex presents color 2.
     h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     psi = EdgeColoring(3, {0: 1, 1: 2, 2: 3, 3: 2})
-    masks, incidence = check_lift_properties(h1, psi, [host_block((0, 1, 2), 1)], 1)
+    masks, reserve = lift_check(h1, psi, [host_block((0, 1, 2), 1)], 1)
     assert masks == color_masks(h1, psi)
-    assert incidence == two_color_incidence(psi, h1, 2, 3)
+    assert reserve == chains(psi, h1, 2, 3)
 
 
 def test_lift_check_reads_given_boundaries_instead_of_finding_them(monkeypatch):
     h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     psi = EdgeColoring(3, {0: 1, 1: 2, 2: 3, 3: 2})
     blocks = [host_block((0, 1, 2), 1)]
-    found = check_lift_properties(h1, psi, blocks, 1)
+    found = color_masks(h1, psi), chains(psi, h1, 2, 3)
     _, boundaries = dense_lift.block_edges(h1, [(0, 1, 2)])
     monkeypatch.setattr(dense_lift, "block_edges", None)
-    assert check_lift_properties(h1, psi, blocks, 1, boundaries=boundaries) == found
-    # Given boundaries are trusted: without edge 3 no chain is walked.
-    assert check_lift_properties(h1, psi, blocks, 1, boundaries=[[]])[1] is None
+    assert check_lift_properties(h1, psi, blocks, 1, boundaries) == found
+    # Given boundaries are trusted: without edge 3 the check still passes.
+    assert check_lift_properties(h1, psi, blocks, 1, [[]]) == found
+
+
+def test_lift_check_rejects_a_boundary_list_of_another_length():
+    # Boundary edge 3 = (0,3) carries the top color 3 (property 1); a
+    # shorter list of boundaries must not skip the block's checks.
+    h1 = build(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    psi = EdgeColoring(3, {0: 1, 1: 3, 2: 2, 3: 3})
+    blocks = [host_block((0, 1, 2), 1)]
+    with pytest.raises(PreconditionViolated, match="^1 blocks but 0 boundary lists$"):
+        check_lift_properties(h1, psi, blocks, 1, [])
+    assert lift_violation(h1, psi, blocks, 1)[0] == 1
+    with pytest.raises(PreconditionViolated, match="^0 blocks but 1 boundary lists$"):
+        assemble_lift(h1, psi, [], 1, [[]])
+
+
+def recorded_lifts(monkeypatch, makers):
+    """Every lift check that ``decompose`` makes on the graphs of the
+    makers, as (h1, psi, blocks, k, boundaries)."""
+    seen = []
+    real = dense_lift.check_lift_properties
+
+    def recording(h1, psi, blocks, k, boundaries):
+        seen.append((h1, psi, blocks, k, boundaries))
+        return real(h1, psi, blocks, k, boundaries)
+
+    monkeypatch.setattr(dense_lift, "check_lift_properties", recording)
+    for maker in makers:
+        decompose(maker())
+    return seen
+
+
+def recolored_lifts(lifts, rng):
+    """Each lift, then the lift with colors c and k+1 swapped for every
+    low color c (the top class stays, so property 2 is what may break),
+    and two palette permutations of it."""
+    for h1, psi, blocks, k, boundaries in lifts:
+        yield h1, psi, blocks, k, boundaries
+        s = k + 2
+        perms = []
+        for c in range(1, k + 1):
+            perm = list(range(s + 1))
+            perm[c], perm[k + 1] = k + 1, c
+            perms.append(perm)
+        for _ in range(2):
+            perms.append([0] + rng.sample(range(1, s + 1), s))
+        for perm in perms:
+            swapped = EdgeColoring(s, {eid: perm[c] for eid, c in psi.assignment.items()})
+            yield h1, swapped, blocks, k, boundaries
+
+
+def test_lift_check_matches_an_independent_chain_walker(monkeypatch):
+    rng = random.Random(3)
+    lifts = recorded_lifts(monkeypatch, [maker for maker, _ in PINNED])
+    monkeypatch.undo()
+    crafted = []
+    for case in PROPERTY_2_VIOLATIONS:
+        h1, psi, blocks, k = case()
+        _, boundaries = dense_lift.block_edges(h1, [bc.vertices for bc in blocks])
+        crafted.append((h1, psi, blocks, k, boundaries))
+    verdicts = []
+    for h1, psi, blocks, k, boundaries in [*recolored_lifts(lifts, rng), *crafted]:
+        pairs = [(bc.vertices, bc.x) for bc in blocks]
+        expected = check_outcome(lambda: lift_verdict(h1, psi, pairs, k, boundaries))
+        got = check_outcome(lambda: check_lift_properties(h1, psi, blocks, k, boundaries))
+        if expected is None:
+            assert got == (color_masks(h1, psi), chains(psi, h1, k + 1, k + 2))
+        else:
+            assert got == expected
+        verdicts.append(expected)
+    failed = [message for verdict in verdicts if verdict is not None for message in verdict[1:]]
+    # Lifts with blocks from at least three graphs, and many passing cases;
+    # properties 1 to 3 each break, property 2 in each of its three ways.
+    assert len({id(lift[0]) for lift in lifts if lift[2]}) >= 3
+    assert sum(verdict is None for verdict in verdicts) >= 10
+    for needle in ("property 1:", "property 3:", "is a cycle", "not outside", "not present"):
+        assert any(needle in message for message in failed), needle
 
 
 def test_decompose_finds_each_graph_s_block_edges_once(monkeypatch):
