@@ -47,20 +47,19 @@ cbd - popcount(X) >= 0, h(U) >= m(|U|-1) - (degree sum of U), so a set
 whose degree sum is at most m(|U|-1) never fires, and neither does a
 single vertex (h = 0).  The look-ahead tracks the odd sets with
 3 <= |U| <= 5 over the touched vertices (larger sets solved no more
-instances in trials), with one parity int per color and one membership
-int per vertex, in one of two forms.  On at most ``LOOKAHEAD_LANE_CORE``
-(13) touched vertices, and with 2m < 128, ``ByteLaneLookahead`` holds
-h/2 + 128 in a byte per set: coloring ab with c subtracts
-(member[a] ^ member[b]) & parity[c], and a byte whose bit 7 clears went
-negative.  The build starts each byte at 128 + m(|U|-1)/2, subtracts
-member[a] & member[b] per edge, and stops at the first negative byte, so
-no byte ever borrows from the next.  Elsewhere ``OddSetLookahead`` holds
-h/2 bit-sliced, a bit per set in each of a few planes; an update or a
-build step is a borrow or carry chain over the planes, and a borrow out
-of the top plane means some set went negative.  Bytes win where Python's
-cost per operation dominates (1.0-1.6 times as fast on fuzz cores of 8
-to 13 vertices), planes where the width of the ints does (0.7-1.0 at
-14-16).  Neither keeps a refuted color: it is undone before the next.
+instances in trials) in ``OddSetLookahead``: one int holds h/2 + 2^(w-1)
+in a w-bit lane per set, with one parity int per color and one membership
+int per vertex laid out alike.  w is the narrowest of 8, 16, 32, ... bits
+with 2m < 2^(w-1), so 8 below m = 64.  Coloring ab with c subtracts
+(member[a] ^ member[b]) & parity[c], and a lane whose bit w-1 clears went
+negative.  The build starts each lane at 2^(w-1) + m(|U|-1)/2, subtracts
+member[a] & member[b] per edge, and stops at the first negative lane, so
+no lane ever borrows from the next.  The table keeps no refuted color: it
+is undone before the next.  Lanes cost time in proportion to the width of
+the ints: on chi-prime cores of 14 to 16 vertices a bit-sliced table (a
+bit per set in each of a few planes) ran the same searches in 0.5 to 1.0
+times the time, median 0.8.  No benchmark workload has cores that large,
+so the table has this one form.
 
 The look-ahead is lazy, and how soon it starts depends on the core's
 size.  On at most ``LOOKAHEAD_SMALL_CORE`` (16) touched vertices the
@@ -69,10 +68,11 @@ that cannot fire change no cut), and the plain search runs until, at a
 dead end, it has visited ``LOOKAHEAD_NODES_PER_SET`` (1/32) times as many
 nodes as there are such sets; a build there takes about 77 us at n = 12
 (1012 sets, 42 edges, 8 colors).  On more vertices it waits for
-``LOOKAHEAD_LARGE_NODES_PER_SET`` (2) nodes per set, and the planes then
-keep only the sets whose degree sum exceeds m(|U|-1), squeezed out of
-the full ints once per build (a quarter to four fifths of the sets drop
-on fuzz cores of 17 to 24 vertices; the early start lost tenfold at 24).
+``LOOKAHEAD_LARGE_NODES_PER_SET`` (2) nodes per set, and the table then
+keeps only the lanes of the sets whose degree sum exceeds m(|U|-1),
+squeezed out of the full ints once per build (a quarter to four fifths
+of the sets drop on fuzz cores of 17 to 24 vertices; the early start
+lost tenfold at 24).
 At switch-on the stack is replayed into the table, and the search jumps
 back to the shallowest prefix that already violates.  From then on a
 color that drives some h negative is treated as tried and failed, without
@@ -80,7 +80,8 @@ counting a node.  Every cut subtree holds no coloring, and the search
 order is unchanged, so the search visits a subsequence of the plain
 search's nodes: the same first coloring, or the same None, within at
 most the plain search's node count (the budget still counts nodes).
-Only the layouts of the sets are kept between calls, one per n to 16.
+Only the layouts of the sets are kept between calls, one per n to 16 and
+lane width.
 """
 
 from __future__ import annotations
@@ -101,8 +102,6 @@ LOOKAHEAD_NODES_PER_SET = 1 / 32
 # ... on at most this many touched vertices, and past that at this many.
 LOOKAHEAD_SMALL_CORE = 16
 LOOKAHEAD_LARGE_NODES_PER_SET = 2
-# Byte lanes (``ByteLaneLookahead``) on at most this many touched vertices.
-LOOKAHEAD_LANE_CORE = 13
 # Odd set sizes the look-ahead tracks.
 LOOKAHEAD_SIZES = (3, 5)
 
@@ -306,10 +305,11 @@ def kempe_swap(coloring: EdgeColoring, ch: Chain) -> EdgeColoring:
 
 
 @lru_cache(maxsize=None)
-def _lookahead_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _lookahead_layout(n: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The tracked odd sets over vertices 0..n-1: those of each size in
-    LOOKAHEAD_SIZES, in ``combinations`` order, set i as bit i.  Returns
-    per vertex the sets that hold it, and per size the bits of its sets."""
+    LOOKAHEAD_SIZES, in ``combinations`` order, set i in the w-bit lane i
+    (bits w*i to w*i + w-1).  Returns per vertex a 1 in the lanes of the
+    sets that hold it, and per size a 1 in the lanes of its sets."""
     top = max(LOOKAHEAD_SIZES)
     # rows[s][x]: the s-sets of the last k vertices, in combinations order,
     # that hold the x-th of them.  The s-sets holding the first of the k
@@ -318,97 +318,106 @@ def _lookahead_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for k in range(1, n + 1):
         for s in range(top, 0, -1):
             first = comb(k - 1, s - 1)
-            rows[s] = [(1 << first) - 1] + [a | b << first for a, b in zip(rows[s - 1], rows[s])]
+            rows[s] = [_ones(first, w)] + [a | b << w * first for a, b in zip(rows[s - 1], rows[s])]
         rows[0] = [0] * k
     member = [0] * n
     masks = []
     offset = 0
     for size in LOOKAHEAD_SIZES:
         for x, row in enumerate(rows[size]):
-            member[x] |= row << offset
+            member[x] |= row << w * offset
         count = comb(n, size)
-        masks.append(((1 << count) - 1) << offset)
+        masks.append(_ones(count, w) << w * offset)
         offset += count
     return tuple(member), tuple(masks)
 
 
-def _take(planes: list[int], borrow: int) -> int:
-    """Subtract one from the bit-sliced value of every set in ``borrow``.
-    Returns the sets that went below zero (a borrow out of the top plane)."""
-    for j, plane in enumerate(planes):
-        if not borrow:
-            return 0
-        planes[j] = plane ^ borrow
-        borrow &= ~plane
-    return borrow
+def _set_count(n: int) -> int:
+    """The number of odd sets over n vertices of a size in LOOKAHEAD_SIZES."""
+    return sum(comb(n, size) for size in LOOKAHEAD_SIZES)
 
 
-def _digits(x: int, width: int) -> bytes:
-    """Bits 0..width-1 of x as the digits b"0" and b"1", bit 0 first."""
-    return format(x, f"0{width}b")[::-1].encode()
-
-
-# Digits to selectors for ``compress``: b"0" to 0 and b"1" to 1.
-_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+def _ones(count: int, w: int) -> int:
+    """A 1 in each of the lowest ``count`` w-bit lanes."""
+    return ((1 << w * count) - 1) // ((1 << w) - 1)
 
 
 class OddSetLookahead:
     """h(U)/2 for every odd set U of a size in LOOKAHEAD_SIZES, against a
-    partial m-coloring, bit-sliced across the sets (see the module
-    docstring).
+    partial m-coloring, one w-bit lane per set (see the module docstring).
 
-    Vertices are 0..n-1 and ``pairs`` lists the edges' endpoints.  Set i is
-    bit i of every int: ``planes[j]`` holds bit j of each h/2, ``member[v]``
-    the sets that contain v, and ``parity[bit]`` the sets on which that
-    color sits at an odd number of vertices.
+    Vertices are 0..n-1 and ``pairs`` lists the edges' endpoints; no vertex
+    is on more than m of them.  Set i is lane i of every int: ``h`` holds
+    h/2 + 2^(w-1), ``member[v]`` a 1 in the lanes of the sets that contain
+    v, and ``parity[bit]`` a 1 in the lanes of the sets on which that color
+    sits at an odd number of vertices.
     """
 
     def __init__(self, n: int, pairs: Sequence[tuple[int, int]], m: int) -> None:
+        # The narrowest lanes of 8, 16, 32, ... bits with 2m < 2^(w-1):
+        # h/2 is at most m(|U|-1)/2 = 2m, and a refuted color is undone
+        # before the next, so no lane leaves 2^(w-1) - 1 .. 2^w - 1, and
+        # bit w-1 of a lane is set exactly while its h/2 >= 0.
+        w = 8
+        while 2 * m >= 1 << (w - 1):
+            w *= 2
+        self.width = w
+        self.sign_bit = sign_bit = w - 1
         # Only the layouts of small cores are kept; a larger one is cheap
         # next to the search that ran before it was asked for.
         layout = _lookahead_layout if n <= LOOKAHEAD_SMALL_CORE else _lookahead_layout.__wrapped__
-        self.member, masks = layout(n)
-        # h/2 starts at m(|U|-1)/2, at most 2m, and loses each edge inside U.
-        starts = [m * (size - 1) // 2 for size in LOOKAHEAD_SIZES]
-        self.planes = [
-            sum(mask for mask, start in zip(masks, starts) if start >> j & 1)
-            for j in range(max(starts).bit_length())
-        ]
+        member, masks = layout(n, w)
+        self.member = member
+        # h/2 starts at m(|U|-1)/2 and loses each edge inside U.  The build
+        # stops at the first negative lane, so no lane borrows from the next:
+        # some set is over the bound before any edge is colored.
+        h = sum(
+            ((1 << sign_bit) + m * (size - 1) // 2) * mask
+            for size, mask in zip(LOOKAHEAD_SIZES, masks)
+        )
         self.parity: dict[int, int] = {}
-        # Some set is over the bound before any edge is colored: no m-coloring.
-        member = self.member
-        self.refuted = any(_take(self.planes, member[u] & member[v]) for u, v in pairs)
-        # The layout's sets that the table tracks, as a mask (-1: all).
-        self.tracked = -1
+        self.refuted = False
+        for u, v in pairs:
+            both = member[u] & member[v]
+            h -= both
+            if h >> sign_bit & both != both:
+                self.refuted = True
+                break
+        self.h = h
+        # The layout's sets that the table tracks, a 1 in their lanes.
+        self.tracked = sum(masks)
         if n > LOOKAHEAD_SMALL_CORE and not self.refuted:
             # Keep only the sets that can fire, those whose degree sum
-            # exceeds m(|U|-1): h at the empty coloring, less one for every
-            # edge with one end in U, is m(|U|-1) minus the degree sum.
-            # An update costs time in proportion to the width of the ints,
-            # and past small cores that outweighs the squeeze, run once.
-            h = [0, *self.planes]
-            fire = 0
+            # exceeds m(|U|-1).  With x = h/2 now and b the edges with one
+            # end in U, that is 2x < b, or x < ceil(b/2): every other such
+            # edge takes one off a copy of the lane, and the lanes that go
+            # negative stay.  2x - b >= -m, as no vertex has more than m
+            # edges, so no lane borrows here either.  An update costs time
+            # in proportion to the width of the ints, and past small cores
+            # that outweighs the squeeze, run once.
+            rest, odd = h, 0
             for u, v in pairs:
-                fire |= _take(h, member[u] ^ member[v])
-            width = masks[-1].bit_length()
-            keep = _digits(fire, width).translate(_SELECTORS)
+                moved = member[u] ^ member[v]
+                rest -= moved & ~odd
+                odd ^= moved
+            fire = ~(rest >> sign_bit) & self.tracked
+            keep = (fire * ((1 << w) - 1)).to_bytes(w // 8 * _set_count(n), "little")
 
             def squeeze(x: int) -> int:
-                return int(b"0" + bytes(compress(_digits(x, width), keep))[::-1], 2)
+                kept = compress(x.to_bytes(len(keep), "little"), keep)
+                return int.from_bytes(bytes(kept), "little")
 
             self.member = [squeeze(x) for x in member]
-            self.planes = [squeeze(x) for x in self.planes]
+            self.h = squeeze(h)
             self.tracked = fire
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
-        """The tracked sets, set i at bit i."""
+        """The tracked sets, set i in lane i."""
         n = len(self.member)
         every = [u for size in LOOKAHEAD_SIZES for u in combinations(range(n), size)]
-        if self.tracked == -1:
-            return tuple(every)
-        keep = _digits(self.tracked, len(every)).translate(_SELECTORS)
-        return tuple(compress(every, keep))
+        step = self.width // 8
+        return tuple(compress(every, self.tracked.to_bytes(step * len(every), "little")[::step]))
 
     def color(self, u: int, v: int, bit: int) -> bool:
         """Color edge uv with the color ``bit``.  False when that drives some
@@ -416,74 +425,25 @@ class OddSetLookahead:
         moved = self.member[u] ^ self.member[v]
         parity = self.parity.get(bit, 0)
         self.parity[bit] = parity ^ moved
-        return not _take(self.planes, moved & parity)
+        dec = moved & parity
+        self.h -= dec
+        return self.h >> self.sign_bit & dec == dec
 
     def uncolor(self, u: int, v: int, bit: int) -> None:
         """Undo color(u, v, bit)."""
         moved = self.member[u] ^ self.member[v]
         parity = self.parity[bit] ^ moved
         self.parity[bit] = parity
-        carry = moved & parity
-        planes = self.planes
-        for j, plane in enumerate(planes):
-            if not carry:
-                return
-            planes[j] = plane ^ carry
-            carry &= plane
-
-    def halves(self) -> list[int]:
-        """h(U)/2 of every tracked set, in the order of ``sets``."""
-        return [
-            sum((plane >> i & 1) << j for j, plane in enumerate(self.planes))
-            for i in range(len(self.sets))
-        ]
-
-
-@lru_cache(maxsize=None)
-def _lane_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``_lookahead_layout(n)`` with byte i in place of bit i."""
-    member, masks = _lookahead_layout(n)
-    width = masks[-1].bit_length()
-    digits = [_digits(x, width).translate(_SELECTORS) for x in member + masks]
-    lanes = tuple(int.from_bytes(x, "little") for x in digits)
-    return lanes[:n], lanes[n:]
-
-
-class ByteLaneLookahead(OddSetLookahead):
-    """The table with h(U)/2 + 128 in byte i of the int ``h`` (see the
-    module docstring); with 2m < 128 no byte leaves 0..255."""
-
-    def __init__(self, n: int, pairs: Sequence[tuple[int, int]], m: int) -> None:
-        member, masks = _lane_layout(n)
-        self.member = member
-        h = sum((128 + m * (size - 1) // 2) * mask for size, mask in zip(LOOKAHEAD_SIZES, masks))
-        self.parity: dict[int, int] = {}
-        self.tracked = -1
-        self.refuted = False
-        for u, v in pairs:
-            both = member[u] & member[v]
-            h -= both
-            if h >> 7 & both != both:
-                self.refuted = True
-                break
-        self.h = h
-
-    def color(self, u: int, v: int, bit: int) -> bool:
-        moved = self.member[u] ^ self.member[v]
-        parity = self.parity.get(bit, 0)
-        self.parity[bit] = parity ^ moved
-        dec = moved & parity
-        self.h -= dec
-        return self.h >> 7 & dec == dec
-
-    def uncolor(self, u: int, v: int, bit: int) -> None:
-        moved = self.member[u] ^ self.member[v]
-        parity = self.parity[bit] ^ moved
-        self.parity[bit] = parity
         self.h += moved & parity
 
     def halves(self) -> list[int]:
-        return [lane - 128 for lane in self.h.to_bytes(len(self.sets), "little")]
+        """h(U)/2 of every tracked set, in the order of ``sets``."""
+        step = self.width // 8
+        raw = self.h.to_bytes(step * len(self.sets), "little")
+        bias = 1 << self.sign_bit
+        return [
+            int.from_bytes(raw[i : i + step], "little") - bias for i in range(0, len(raw), step)
+        ]
 
 
 def find_coloring(
@@ -540,7 +500,7 @@ def find_coloring(
         rate = LOOKAHEAD_NODES_PER_SET
         if len(slot) > LOOKAHEAD_SMALL_CORE:
             rate = LOOKAHEAD_LARGE_NODES_PER_SET
-        switch_at = rate * sum(comb(len(slot), s) for s in LOOKAHEAD_SIZES)
+        switch_at = rate * _set_count(len(slot))
     try:
         while pending:
             nodes += 1
@@ -574,9 +534,7 @@ def find_coloring(
                 prunes += 1  # the dead-end loop below undoes the refuted color
             elif switch_at is not None and nodes >= switch_at:
                 switch_at = None
-                small = len(slot) <= LOOKAHEAD_LANE_CORE and 2 * m < 128
-                form = ByteLaneLookahead if small else OddSetLookahead
-                look = form(len(slot), list(zip(eu, ev)), m)
+                look = OddSetLookahead(len(slot), list(zip(eu, ev)), m)
                 if look.refuted:
                     prunes += 1
                     return None

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import petersen
 from covdex import BudgetExhausted, build, coloring, decomposer, find_coloring
-from covdex.coloring import LOOKAHEAD_SIZES, ByteLaneLookahead, OddSetLookahead
+from covdex.coloring import LOOKAHEAD_SIZES, OddSetLookahead
 from covdex.oracle import FuzzConfig, random_multigraph
 from test_solver_equivalence import (
     REFERENCE_BUDGET,
@@ -275,7 +275,7 @@ def test_a_large_core_tracks_the_sets_the_combination_loop_kept():
         assert not look.refuted
         assert look.sets == tuple(reference)
         assert look.halves() == list(reference.values())
-        assert max(look.member).bit_length() <= len(reference)
+        assert max(look.member).bit_length() <= look.width * len(reference)
     assert coloring._lookahead_layout.cache_info().currsize == cached
 
 
@@ -324,20 +324,36 @@ def test_a_large_core_answers_as_the_full_table_does(monkeypatch):
     assert look.halves() == list(combination_loop_build(n, pairs, m).values())
 
 
-@pytest.mark.parametrize(
-    "form, seed",
-    [pytest.param(OddSetLookahead, seed, id=str(seed)) for seed in range(6)]
-    + [pytest.param(ByteLaneLookahead, seed, id=f"lanes-{seed}") for seed in range(6)],
-)
-def test_bit_sliced_h_matches_a_recount(form, seed):
+def _tight_triangle(seed):
+    """A triangle of 21-fold edges whose corners have 22 more edges each,
+    to three outer vertices at random: every corner has degree 64, and at
+    m = 64 the triangle holds h/2 = 1."""
     rng = random.Random(seed)
-    g = random_multigraph(
-        FuzzConfig(n=7 + seed % 3, max_multiplicity=2, edge_probability=0.7, seed=seed)
-    )
+    outer = [(x, rng.randrange(3, 6)) for x in range(3) for _ in range(22)]
+    return build(6, [(0, 1), (1, 2), (0, 2)] * 21 + outer)
+
+
+# Six walks on byte lanes (m < 64), and six at m >= 64, where the lanes
+# are 16 bits wide.  (Random multigraphs that dense leave so much slack
+# that a walk of 400 steps refutes no color.)
+@pytest.mark.parametrize(
+    "seed, wide",
+    [pytest.param(seed, False, id=str(seed)) for seed in range(6)]
+    + [pytest.param(seed, True, id=f"lanes-{seed}") for seed in range(6)],
+)
+def test_bit_sliced_h_matches_a_recount(seed, wide):
+    rng = random.Random(seed)
+    if wide:
+        g = _tight_triangle(seed)
+    else:
+        g = random_multigraph(
+            FuzzConfig(n=7 + seed % 3, max_multiplicity=2, edge_probability=0.7, seed=seed)
+        )
     pairs = _pairs(g)
     m = g.max_degree() + seed % 2
-    look = form(g.vertex_count, pairs, m)
+    look = OddSetLookahead(g.vertex_count, pairs, m)
     assert not look.refuted and look.sets
+    assert (m >= 64, look.width) == ((True, 16) if wide else (False, 8))
     colors: dict[int, int] = {}
     used = [set() for _ in range(g.vertex_count)]
     fired = 0
@@ -384,16 +400,22 @@ def test_bit_sliced_h_matches_a_recount(form, seed):
     assert fired
 
 
-# --- byte lanes against bit planes -----------------------------------------
+# --- random walks, lane widths and the capped search ------------------------
 
 
-def _random_walk(looks, n, pairs, m, rng, steps=300):
-    """Color and uncolor at random, keeping the coloring proper, in every
-    table of ``looks`` alike; returns how often a color was refuted.  Every
-    refuted color is undone at once, as the search does."""
+def _random_walk(look, n, pairs, m, rng, steps=150):
+    """Color and uncolor at random, keeping the coloring proper, checking
+    the table against a recount every 25 steps and every refuted color
+    against the sets it moved; returns how often a color was refuted.
+    Every refuted color is undone at once, as the search does."""
     colors: dict[int, int] = {}
     used = [0] * n
     fired = 0
+
+    def recount(sets):
+        painted = {index: bit.bit_length() for index, bit in colors.items()}
+        return (_half_h(u, pairs, painted, m) for u in sets)
+
     for step in range(steps):
         blank = [i for i in range(len(pairs)) if i not in colors]
         if colors and (rng.random() < 0.35 or not blank):
@@ -402,8 +424,7 @@ def _random_walk(looks, n, pairs, m, rng, steps=300):
             bit = colors.pop(index)
             used[u] ^= bit
             used[v] ^= bit
-            for look in looks:
-                look.uncolor(u, v, bit)
+            look.uncolor(u, v, bit)
         elif blank:
             index = rng.choice(blank)
             u, v = pairs[index]
@@ -411,25 +432,24 @@ def _random_walk(looks, n, pairs, m, rng, steps=300):
             if not free:
                 continue
             bit = rng.choice(free)
-            answers = {look.color(u, v, bit) for look in looks}
-            assert len(answers) == 1, step
-            if answers == {False}:
-                fired += 1
-                for look in looks:
-                    look.uncolor(u, v, bit)
-            else:
-                colors[index] = bit
+            colors[index] = bit
+            if look.color(u, v, bit):
                 used[u] |= bit
                 used[v] |= bit
+            else:
+                moved = [x for x in look.sets if (u in x) != (v in x)]
+                assert any(h < 0 for h in recount(moved)), step
+                fired += 1
+                del colors[index]
+                look.uncolor(u, v, bit)
         if step % 25 == 0:
-            assert len({tuple(look.halves()) for look in looks}) == 1, step
+            assert look.halves() == list(recount(look.sets)), step
     return fired
 
 
-def test_byte_lanes_match_the_planes_and_the_combination_loop():
-    # Up to 13 vertices the planes keep every set, as the lanes do, so the
-    # two agree set by set; the combination loop gives h/2 of the sets that
-    # can fire.
+def test_lanes_match_the_combination_loop_and_a_recount():
+    # On 3 to 13 vertices the table keeps every set; the combination loop
+    # gives h/2 of the sets that can fire, and the recount h/2 of every set.
     rng = random.Random(18)
     refuted = walked = fired = 0
     for trial in range(66):
@@ -440,130 +460,76 @@ def test_byte_lanes_match_the_planes_and_the_combination_loop():
         )
         pairs = _pairs(g)
         m = max(g.max_degree() + rng.choice((-2, -1, 0, 0, 1, 3)), 1)
-        lanes, planes = ByteLaneLookahead(n, pairs, m), OddSetLookahead(n, pairs, m)
+        look = OddSetLookahead(n, pairs, m)
         reference = combination_loop_build(n, pairs, m)
-        assert lanes.refuted == planes.refuted == any(h < 0 for h in reference.values())
-        assert lanes.sets == planes.sets
-        refuted += lanes.refuted
-        if lanes.refuted:
+        assert look.refuted == any(h < 0 for h in reference.values())
+        assert look.sets == tuple(u for size in (3, 5) for u in combinations(range(n), size))
+        refuted += look.refuted
+        if look.refuted:
             continue
-        halves = dict(zip(lanes.sets, lanes.halves()))
-        assert lanes.halves() == planes.halves()
+        halves = dict(zip(look.sets, look.halves()))
+        assert look.halves() == [_half_h(u, pairs, {}, m) for u in look.sets]
         assert all(halves[u] == h for u, h in reference.items())
-        fired += _random_walk([lanes, planes], n, pairs, m, random.Random(trial))
+        fired += _random_walk(look, n, pairs, m, random.Random(trial))
         walked += 1
     assert refuted >= 5 and walked >= 40 and fired >= 100
 
 
-def _planes_only(monkeypatch):
-    monkeypatch.setattr(coloring, "LOOKAHEAD_LANE_CORE", 0)
-
-
-def test_lanes_and_planes_give_the_same_search(eager):
-    # Every case of the equivalence suite fits the lanes (at most 9
-    # vertices, 2m < 128); with the cut-off at 0 the planes run instead.
-    cases = list(equivalence_cases())
-    assert all(g.vertex_count <= 13 and 2 * m < 128 for g, m in cases)
-    outcomes = []
-    for planes in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            if planes:
-                _planes_only(patch)
-            runs = []
-            for g, m in cases:
-                counters = {}
-                try:
-                    got = find_coloring(g, m, budget=20_000, lookahead=True, counters=counters)
-                except BudgetExhausted:
-                    got = "capped"
-                if got not in (None, "capped"):
-                    got = list(got.assignment.items())
-                runs.append((got, counters))
-            outcomes.append(runs)
-    assert outcomes[0] == outcomes[1]
-    assert sum(c["lookahead_builds"] for _, c in outcomes[0]) >= 80
-    assert sum(c["prunes"] > 0 for _, c in outcomes[0]) >= 80
-
-
-class _Spy:
-    """Records which form of the table find_coloring builds."""
-
-    def __init__(self, monkeypatch):
-        self.built = []
-        for form in (ByteLaneLookahead, OddSetLookahead):
-            monkeypatch.setattr(coloring, form.__name__, self._recording(form))
-
-    def _recording(self, form):
-        spy = self
-
-        class Recording(form):
-            def __init__(self, *args):
-                spy.built.append(form.__name__)
-                super().__init__(*args)
-
-        return Recording
-
-
-@pytest.mark.parametrize("m, form", [(63, "ByteLaneLookahead"), (64, "OddSetLookahead")])
-def test_the_form_switches_where_2m_reaches_128(eager, monkeypatch, m, form):
+@pytest.mark.parametrize("m, width", [(63, 8), (64, 16)])
+def test_the_lanes_widen_where_2m_reaches_128(eager, m, width):
     # A triangle with m + 3 edges: Δ <= m, yet no m-coloring, as every two
     # edges meet.  The first dead end builds the table, and it refutes.
-    spy = _Spy(monkeypatch)
     third = (m + 3) // 3
-    g = build(3, [(0, 1)] * third + [(1, 2)] * third + [(0, 2)] * (m + 3 - 2 * third))
+    pairs = [(0, 1)] * third + [(1, 2)] * third + [(0, 2)] * (m + 3 - 2 * third)
+    assert OddSetLookahead(3, pairs, m).width == width
     counters = {}
-    assert find_coloring(g, m, lookahead=True, counters=counters) is None
-    assert spy.built == [form]
+    assert find_coloring(build(3, pairs), m, lookahead=True, counters=counters) is None
     assert counters["lookahead_builds"] == 1 and counters["prunes"] == 1
 
 
 def test_lanes_hold_h_up_to_the_top_byte():
-    # m = 63: a 5-set with no edge inside holds h/2 = 126, byte 254.
+    # m = 63: a 5-set with no edge inside holds h/2 = 126, byte 254.  At
+    # m = 64 it holds 128, past a byte's 127 above the offset, and the
+    # lanes are 16 bits wide.
     pairs = [(0, 5), (1, 6), (2, 5)]
-    look = ByteLaneLookahead(7, pairs, 63)
-    assert not look.refuted
-    truth = [_half_h(u, pairs, {}, 63) for u in look.sets]
-    assert max(truth) == 126 and look.halves() == truth
-    assert look.color(0, 5, 1 << 1) and look.color(1, 6, 1 << 1)
-    truth = [_half_h(u, pairs, {0: 1, 1: 1}, 63) for u in look.sets]
-    assert look.halves() == truth
+    for m, width in ((63, 8), (64, 16)):
+        look = OddSetLookahead(7, pairs, m)
+        assert not look.refuted and look.width == width
+        truth = [_half_h(u, pairs, {}, m) for u in look.sets]
+        assert max(truth) == 2 * m and look.halves() == truth
+        assert look.color(0, 5, 1 << 1) and look.color(1, 6, 1 << 1)
+        truth = [_half_h(u, pairs, {0: 1, 1: 1}, m) for u in look.sets]
+        assert look.halves() == truth
 
 
 def test_a_build_refuted_by_parallel_edges_leaves_every_other_byte_alone():
     # 300 parallel edges 2-4 at m = 20: the bytes of the 3-sets holding
     # both start at 148, so without the stop the 149th such edge would
     # borrow from the next byte.  The build stops at the 21st, where those
-    # sets reach h/2 = -1.
-    n, m = 9, 20
+    # sets reach h/2 = -1.  At m = 64, on 16-bit lanes, it stops at the 65th.
+    n = 9
     pairs = [(0, 1), (5, 7)] + [(2, 4)] * 300
-    lanes, planes = ByteLaneLookahead(n, pairs, m), OddSetLookahead(n, pairs, m)
-    assert lanes.refuted and planes.refuted
-    inside = dict.fromkeys([(0, 1), (5, 7)], 1)
-    inside[(2, 4)] = m + 1
-    expected = [
-        m * (len(u) - 1) // 2 - sum(c for (a, b), c in inside.items() if a in u and b in u)
-        for u in lanes.sets
-    ]
-    assert lanes.halves() == expected
-    assert min(expected) == -1 and max(expected) == 2 * m
+    for m in (20, 64):
+        look = OddSetLookahead(n, pairs, m)
+        assert look.refuted
+        inside = dict.fromkeys([(0, 1), (5, 7)], 1)
+        inside[(2, 4)] = m + 1
+        expected = [
+            m * (len(u) - 1) // 2 - sum(c for (a, b), c in inside.items() if a in u and b in u)
+            for u in look.sets
+        ]
+        assert look.halves() == expected
+        assert min(expected) == -1 and max(expected) == 2 * m
 
 
 CAPPED = FuzzConfig(n=10, max_multiplicity=2, edge_probability=0.9, seed=2)
 
 
-def test_a_capped_core_runs_the_same_search_on_lanes_and_planes():
+def test_a_capped_core_builds_the_look_ahead_once():
     # Both hypotheses hold, yet chi-prime caps: the look-ahead is built
-    # once, and the search up to the cap is node for node the same.
+    # once, and the budget stops the search.
     g = random_multigraph(CAPPED)
-    runs = []
-    for planes in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            spy = _Spy(patch)
-            if planes:
-                _planes_only(patch)
-            with pytest.raises(BudgetExhausted) as caught:
-                decomposer.decompose(g, decomposer.DecomposeOptions(color_budget=50_000))
-        assert spy.built == ["OddSetLookahead" if planes else "ByteLaneLookahead"]
-        runs.append(caught.value.run["counters"])
-    assert runs[0] == runs[1]
-    assert runs[0]["lookahead_builds"] == 1 and runs[0]["nodes"] == 50_001
+    with pytest.raises(BudgetExhausted) as caught:
+        decomposer.decompose(g, decomposer.DecomposeOptions(color_budget=50_000))
+    counters = caught.value.run["counters"]
+    assert counters["lookahead_builds"] == 1 and counters["nodes"] == 50_001
