@@ -16,7 +16,6 @@ from .decomposer import (
     CoverDecomposition,
     DecomposeOptions,
     FailureReport,
-    Orientation,
     Puncture,
     decompose,
     map_back,

@@ -60,7 +60,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, islice
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -367,19 +367,16 @@ class OddSetTable:
     def _at(self, k: int) -> tuple[bool, list[int]]:
         """Whether some odd set has negative slack, and the masks of those
         at slack 0 in increasing order: read off the cached co-density for a
-        k up to it, else cached per k from one pass with no splits, where an
-        even slack is negative when its flag survives taking 2 off the lane."""
+        k up to it, else cached per k from the sets that ``select`` picks
+        with no splits, those at slack 0 or below."""
         if self._codensity is not None:
             value, _, minimizers = self._codensity
             if value is None or k <= value:
                 return False, minimizers if k == value else []
         if k not in self._bounds:
-            below, tight = False, []
-            for chunk, over, ones, odd, w in self._lanes(k, [0] * len(self.universe)):
-                short = (over - (ones << 1)) & odd
-                below = below or bool(short)
-                tight += _flagged(chunk, over & odd & ~short, w, w - 2)
-            self._bounds[k] = below, tight
+            picked = self.select(k, [0] * len(self.universe))
+            tight = [mask for mask in picked if self.slack(mask, k) == 0]
+            self._bounds[k] = len(tight) < len(picked), tight
         return self._bounds[k]
 
     def below(self, k: int) -> bool:
@@ -392,36 +389,27 @@ class OddSetTable:
         sets), in increasing order."""
         return list(self._at(k)[1])
 
-    def _ordered(self, masks: Iterable[int]) -> list[int]:
-        """The masks by set size, then lexicographic in universe order."""
-        return sorted(masks, key=lambda m: (m.bit_count(), self._positions(m)))
-
     def _sorted_vertices(self, mask: int) -> tuple[int, ...]:
         return tuple(sorted(self.universe[i] for i in self._positions(mask)))
 
-    def _least(self, x: int, ordered: Iterable[int]) -> int | None:
-        """The first of x's masks in (size, lexicographic) order, or None; a
-        second one of the same size raises DisjointnessViolation."""
-        found = list(islice(ordered, 2))
-        if not found:
+    def least_containing(self, x: int, tight: Iterable[int]) -> int | None:
+        """The unique least of the tight masks that hold x, or None; two of
+        that size raise DisjointnessViolation naming the first two in
+        (size, lexicographic) order."""
+        bit = 1 << self._position[x] if x in self._position else 0
+        mine = [mask for mask in tight if mask & bit]
+        if not mine:
             return None
-        size = found[0].bit_count()
-        if len(found) > 1 and found[1].bit_count() == size:
-            first, second = map(self._sorted_vertices, found)
+        size = min(map(int.bit_count, mine))
+        least = [mask for mask in mine if mask.bit_count() == size]
+        if len(least) > 1:
+            first = reduce(_first, least)
+            second = reduce(_first, (mask for mask in least if mask != first))
             raise DisjointnessViolation(
                 f"two minimum optimal sets of size {size} contain vertex {x}: "
-                f"{first} and {second}"
+                f"{self._sorted_vertices(first)} and {self._sorted_vertices(second)}"
             )
-        return found[0]
-
-    def min_containing(self, x: int, tight: list[int]) -> OddSetCertificate | None:
-        """The unique minimum-size set among the tight masks that contains
-        x, or None; a tie raises DisjointnessViolation."""
-        if x not in self._position:
-            return None
-        bit = 1 << self._position[x]
-        least = self._least(x, self._ordered(mask for mask in tight if mask & bit))
-        return None if least is None else self._certificate(least, self._sorted_vertices(least))
+        return least[0]
 
     def slack(self, mask: int, k: int) -> int:
         """2e+(U) - k(|U|+1) for the set U of the mask."""
@@ -573,7 +561,8 @@ def min_optimal_containing(
     """
     universe = g.vertices() if restrict_to is None else restrict_to
     table = OddSetTable(g, universe, cap=cap)
-    return table.min_containing(x, table.tight_sets(k))
+    mask = table.least_containing(x, table.tight_sets(k))
+    return None if mask is None else table._certificate(mask, table._sorted_vertices(mask))
 
 
 def all_min_optimal_sets(
@@ -617,10 +606,8 @@ def all_min_optimal_sets(
         if new:
             fresh[mask] = new
     if tie:
-        # Re-walk the first tied vertex's sets, only to raise its error.
-        first = tie & -tie
-        x = table.universe[first.bit_length() - 1]
-        table._least(x, (mask for mask in table._ordered(tight) if mask & first))
+        # Ask for the first tied vertex's least set, only to raise its error.
+        table.least_containing(table.universe[(tie & -tie).bit_length() - 1], tight)
     # In the order of the least vertex each mask is the least set of.
     collected = sorted(fresh, key=lambda mask: fresh[mask] & -fresh[mask])
     minimal = [a for a in collected if not any(b != a and b & a == b for b in collected)]

@@ -22,8 +22,9 @@ round's progress from those potentials instead of computing them again.
 Which colors a vertex presents or misses is read from per-vertex color
 masks (``coloring.color_masks``), built once per coloring: by the entry
 check for the start coloring, which is returned as it is when no move is
-made, and after each move for the new coloring.  A proper start's masks
-also give the entry check its degrees, as popcounts.
+made, and after each move for the new coloring.  Building them also checks
+that coloring proper, so an improper move is refused where it is made.  A
+proper start's masks also give the entry check its degrees, as popcounts.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Iterable
 from .coloring import (
     Chain, EdgeColoring, chain, chains, color_masks, kempe_swap, mask_colors, palette_mask,
 )
-from .errors import BudgetExhausted, PreconditionViolated, StageAssertionFailed
+from .errors import BudgetExhausted, PreconditionViolated, StageAssertionFailed, VertexOutOfRange
 from .multigraph import Multigraph
 
 
@@ -53,31 +54,20 @@ class Potentials:
 # Stage named by the invariant failures raised here (decompose's name for it).
 _STAGE = "special-coloring"
 
-# A move's coloring with its potentials, color masks and properness.
-_State = tuple[EdgeColoring, Potentials, list[int], bool]
-
-
-def _masks(g: Multigraph, coloring: EdgeColoring) -> tuple[list[int], bool]:
-    """The coloring's per-vertex color masks and whether it is proper.  An
-    improper coloring (a move gone wrong) still gets the colors at each
-    vertex, so the checks after the move run in their order."""
-    masks = color_masks(g, coloring)
-    if masks is not None:
-        return masks, True
-    masks = [0] * g.vertex_count
-    for e in g.edges:
-        masks[e.u] |= 1 << coloring.assignment[e.id]
-        masks[e.v] |= 1 << coloring.assignment[e.id]
-    return masks, False
+# A move's coloring with its potentials and color masks.
+_State = tuple[EdgeColoring, Potentials, list[int]]
 
 
 def potentials(
     g: Multigraph, coloring: EdgeColoring, k: int, S: Iterable[int], masks: list[int] | None = None
 ) -> Potentials:
     """Recompute both counters from scratch, reading exposure from the
-    coloring's per-vertex color ``masks`` (built here unless given)."""
+    proper coloring's per-vertex color ``masks`` (built here unless given).
+    Raises PreconditionViolated when the coloring is not proper."""
     protected = set(S)
-    masks = _masks(g, coloring)[0] if masks is None else masks
+    masks = color_masks(g, coloring) if masks is None else masks
+    if masks is None:
+        raise PreconditionViolated("coloring is not a proper edge coloring")
     exposed = sum(masks[v] >> (k + 2) & 1 for v in protected)
     return Potentials(exposed, len(_bridges(g, coloring, k, protected)))
 
@@ -103,8 +93,11 @@ def special_coloring(
 
     Raises PreconditionViolated when k < 1, when Delta(g) > k+1, when some
     S-vertex has degree above k/2, or when ``initial`` is not a proper
-    (k+2)-coloring.  Raises BudgetExhausted if the move cap is hit (a bug
-    indicator, since termination is otherwise guaranteed).
+    (k+2)-coloring, and VertexOutOfRange for an S-vertex outside g, in the
+    order of the S-vertices' degree checks.  A move that leaves an improper
+    coloring raises StageAssertionFailed at that move, and hitting the move
+    cap raises BudgetExhausted (both bug indicators, since every move keeps
+    the coloring proper and termination is otherwise guaranteed).
     """
     protected = sorted(set(S))
     top = k + 2
@@ -116,11 +109,13 @@ def special_coloring(
     if max(degree.values(), default=0) > k + 1:
         raise PreconditionViolated(f"max degree {max(degree.values())} exceeds k+1 = {k + 1}")
     for v in protected:
+        if v not in degree:
+            raise VertexOutOfRange(f"protected vertex {v} out of range for n={g.vertex_count}")
         if 2 * degree[v] > k:
             raise PreconditionViolated(f"vertex {v} has degree {degree[v]} > k/2")
     if masks is None:
         raise PreconditionViolated("initial coloring is not a proper (k+2)-coloring")
-    cur, proper = initial, True
+    cur = initial
 
     budget = max(1, 10 * len(g.edges) * top * top)
     moves: list[dict] = []
@@ -128,29 +123,25 @@ def special_coloring(
     def spend(move: dict, after: EdgeColoring) -> _State:
         if len(moves) >= budget:
             raise BudgetExhausted(f"recoloring exceeded {budget} moves")
-        after_masks, after_proper = _masks(g, after)
+        after_masks = color_masks(g, after)
+        if after_masks is None:
+            raise StageAssertionFailed(_STAGE, f"{move['move']} move left an improper coloring")
         pot = potentials(g, after, k, protected, after_masks)
         move.update(step=len(moves) + 1, exposed=pot.exposed, bridges=pot.bridges)
         moves.append(move)
-        return after, pot, after_masks, after_proper
+        return after, pot, after_masks
 
     pot = potentials(g, cur, k, protected, masks)
     while pot.exposed or pot.bridges:
         phase = 1 if pot.exposed else 2
-        cur, after, masks, proper = _lower(g, cur, masks, k, protected, phase, spend)
+        cur, after, masks = _lower(g, cur, masks, k, protected, phase, spend)
         if phase == 1 and after.exposed >= pot.exposed:
             raise StageAssertionFailed(_STAGE, "phase-1 round must lower the exposed count")
         if phase == 2 and after.exposed:
             raise StageAssertionFailed(_STAGE, "phase 2 must not re-expose the top color")
         if phase == 2 and after.bridges >= pot.bridges:
             raise StageAssertionFailed(_STAGE, "phase-2 round must lower the bridge count")
-        if not proper:
-            raise StageAssertionFailed(_STAGE, f"phase-{phase} round left an improper coloring")
         pot = after
-
-    # The start coloring was checked at entry, and each move's in the loop.
-    if not proper:
-        raise StageAssertionFailed(_STAGE, "final coloring is improper")
     return cur, moves
 
 
@@ -216,7 +207,7 @@ def _lower(
         side = chain(cur, g, vi, beta, gamma)
         if vim1 in side.vertices:
             cur = kempe_swap(cur, side)
-            _, _, masks, _ = spend({"phase": phase, "move": "linked-swap", "index": index}, cur)
+            _, _, masks = spend({"phase": phase, "move": "linked-swap", "index": index}, cur)
             continue
 
         # Unlinked: one composite move (side swap, edge recolor, and in phase

@@ -317,23 +317,23 @@ def designated(x, y=None):
 
 def test_orient_two_edge_reserve_cycle_starts_along_smaller_edge_id():
     # Edges 1 and 2 join 0 and 1 in colors 3 and 2; edge 0 carries color 1.
-    covers, orientation = oriented([(0, 1)] * 3, [1, 3, 2])
-    assert orientation.arcs == ((0, 1, 1), (1, 0, 2))
+    covers, arcs = oriented([(0, 1)] * 3, [1, 3, 2])
+    assert arcs == ((0, 1, 1), (1, 0, 2))
     assert covers == [frozenset({0})]
 
 
 def test_orient_even_cycle_starts_at_smallest_vertex_toward_smaller_neighbor():
     # The 4-cycle 0-3-1-2-0: from 0 the smaller neighbor is 2, over edge 3.
-    _, orientation = oriented([(0, 3), (3, 1), (1, 2), (2, 0)], [2, 3, 2, 3])
-    assert orientation.arcs == ((0, 2, 3), (2, 1, 2), (1, 3, 1), (3, 0, 0))
+    _, arcs = oriented([(0, 3), (3, 1), (1, 2), (2, 0)], [2, 3, 2, 3])
+    assert arcs == ((0, 2, 3), (2, 1, 2), (1, 3, 1), (3, 0, 0))
 
 
 def test_orient_reverses_a_path_whose_smaller_endpoint_is_designated():
     # The reserve path 0-1-2 with 0 designated (its punctured edge ends at 3)
     # runs from 2 to 0, so vertex 0, which misses color 1, gets an in-arc.
     pairs = [(0, 1), (1, 2), (1, 3), (2, 4)]
-    covers, orientation = oriented(pairs, [2, 3, 1, 1], [designated(0, 3)])
-    assert orientation.arcs == ((2, 1, 1), (1, 0, 0))
+    covers, arcs = oriented(pairs, [2, 3, 1, 1], [designated(0, 3)])
+    assert arcs == ((2, 1, 1), (1, 0, 0))
     assert covers == [frozenset({0, 2, 3})]
 
 
@@ -379,8 +379,8 @@ def test_augment_rejects_an_improper_coloring():
 def test_orient_emits_paths_before_cycles():
     # The reserve digon on 0 and 1 comes after the path 2-3-4.
     pairs = [(0, 1), (0, 1), (2, 3), (3, 4), (2, 5)]
-    _, orientation = oriented(pairs, [2, 3, 2, 3, 1])
-    assert orientation.arcs == ((2, 3, 2), (3, 4, 3), (0, 1, 0), (1, 0, 1))
+    _, arcs = oriented(pairs, [2, 3, 2, 3, 1])
+    assert arcs == ((2, 3, 2), (3, 4, 3), (0, 1, 0), (1, 0, 1))
 
 
 def listed_extend_to_pendants(h1, core, palette):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -7,6 +8,8 @@ from conftest import c5, doubled_triangle, k3
 from covdex import (
     Potentials,
     PreconditionViolated,
+    StageAssertionFailed,
+    VertexOutOfRange,
     build,
     find_coloring,
     is_proper,
@@ -103,6 +106,9 @@ def test_precondition_checks():
     with pytest.raises(PreconditionViolated):
         # an improper initial coloring is refused
         special_coloring(k3(), 2, [], initial=EdgeColoring(4, {0: 1, 1: 1, 2: 2}))
+    with pytest.raises(PreconditionViolated, match="not a proper edge coloring"):
+        # potentials reads exposure only from a proper coloring
+        potentials(k3(), EdgeColoring(4, {0: 1, 1: 1, 2: 2}), 2, [0])
 
 
 FROZEN_BRANCHES = [
@@ -162,7 +168,7 @@ def precondition_outcome(g, k, S, initial):
     """The exception special_coloring raises on entry, as (type, text)."""
     try:
         special_coloring(g, k, S, initial=initial)
-    except (PreconditionViolated, KeyError) as exc:
+    except (PreconditionViolated, VertexOutOfRange) as exc:
         return type(exc).__name__, str(exc)
     return None
 
@@ -191,8 +197,39 @@ def test_precondition_messages_keep_their_order():
     ]
     for g, k, S, initial, message in cases:
         assert precondition_outcome(g, k, S, initial) == ("PreconditionViolated", message)
-    # A protected vertex outside the graph raises KeyError, from either start.
+    # A protected vertex outside the graph raises VertexOutOfRange, from
+    # either start, where its degree would be checked.
     star = build(4, [(0, 1), (0, 2), (0, 3)])
     for S, missing in (([7], 7), ([-1], -1), ([1, 9], 9)):
         for start in (find_coloring(star, 5), EdgeColoring(5, {0: 1, 1: 1, 2: 1})):
-            assert precondition_outcome(star, 3, S, start) == ("KeyError", str(missing))
+            assert precondition_outcome(star, 3, S, start) == (
+                "VertexOutOfRange", f"protected vertex {missing} out of range for n=4"
+            )
+    assert precondition_outcome(star, 3, [0, 9], find_coloring(star, 5)) == (
+        "PreconditionViolated", "vertex 0 has degree 3 > k/2"
+    )
+
+
+def test_an_improper_move_is_refused_where_it_is_made(monkeypatch):
+    # Every Kempe swap returns one color on every edge.  The first move that
+    # swaps raises, naming its kind, before any later move or round check.
+    swaps = []
+
+    def one_color(coloring, ch):
+        swaps.append(ch)
+        return EdgeColoring(coloring.palette, dict.fromkeys(coloring.assignment, 1))
+
+    monkeypatch.setattr(importlib.import_module("covdex.special_coloring"), "kempe_swap", one_color)
+    # Leaf 1 presents the top color 6, and its (1, 6) chain ends at the hub.
+    star = build(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(StageAssertionFailed, match="endpoint-swap move left an improper coloring"):
+        special_coloring(star, 4, [1, 2, 3], initial=EdgeColoring(6, {0: 6, 1: 5, 2: 2}))
+    assert len(swaps) == 1
+    # The first frozen instance swaps only in its linked swaps.
+    seed, n, mm, prob, k, perm, _ = FROZEN_BRANCHES[0]
+    g = random_multigraph(FuzzConfig(n=n, max_multiplicity=mm, edge_probability=prob, seed=seed))
+    S = [v for v in g.vertices() if 2 * g.degree(v) <= k]
+    start = scrambled(find_coloring(g, k + 2, 200_000), perm)
+    with pytest.raises(StageAssertionFailed, match="linked-swap move left an improper coloring"):
+        special_coloring(g, k, S, initial=start)
+    assert len(swaps) == 2
