@@ -17,7 +17,10 @@ territory), and with a dump of every artifact built up to the failure.
 
 Both outcomes also carry ``run``: the wall time of each stage reached, in
 ``perf_counter_ns`` (``spans_ns``, from "bound" on), and work counters
-(the chi-prime solver's "nodes" and "prunes", and "moves.<kind>" for each
+("odd_set_tables", the times the odd-set table was counted: 1 without
+splits, 2 when regularize's least-id plan stands, 4 when the splits are
+made again, tracked, to the end, which "regularize_tracked" marks with 1;
+the chi-prime solver's "nodes" and "prunes"; and "moves.<kind>" for each
 kind of recoloring move).  It varies between runs, so it is left out of
 equality and of ``to_dict()``.
 """
@@ -136,10 +139,10 @@ def _coloring_obj(c: EdgeColoring) -> dict:
 class _Run:
     """The record of one ``decompose`` run: the stage it is in, with a
     ``perf_counter_ns`` span per stage reached, the payload's ``stages``
-    summary, work counters (solver nodes and prunes, Kempe moves by kind),
-    and the failure dump's artifacts as thunks, serialized only if a stage
-    fails.  Thunks are called late, so none may read a name that is bound
-    again after it is stored."""
+    summary, work counters (table counts, solver nodes and prunes, Kempe
+    moves by kind), and the failure dump's artifacts as thunks, serialized
+    only if a stage fails.  Thunks are called late, so none may read a name
+    that is bound again after it is stored."""
 
     def __init__(self) -> None:
         self.stage = "bound"
@@ -163,37 +166,24 @@ class _Run:
         return {key: thunk() for key, thunk in self.dump.items()}
 
 
-def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
-    """Split edges off high-degree vertices of ``table.graph``, a table
-    over its vertices 0..n-1, until every original vertex has degree
-    exactly k+1, re-verifying the odd-set bound after each split.
+def _split_down(
+    table: OddSetTable, k: int, tracked: bool
+) -> tuple[Multigraph, tuple[SplitRecord, ...], SplitCandidates | None]:
+    """Split edges off each vertex of ``table.graph`` in turn until it has
+    degree k+1; returns the graph after the splits, the records and, on a
+    tracked run, the candidates.
 
-    Degrees are the table's, e+ of each singleton.  The splits are those
-    of chained ``split_off`` calls (the moved edge leaves the edge order,
-    its replacement is appended with the next id), kept in an edge dict
-    and per-vertex incidence; the graph and its trace are built once at
-    the end.  At the first split the table gives the tight sets and the
-    split candidates: deg(x) - (k+1) splits are made at each vertex x, so
-    only the odd sets U whose slack is at most twice the sum of that over
-    U, the dense sets, can reach slack 0 or drop below it (see
-    ``SplitCandidates``).  Each split is checked over the candidates it
-    changes; a k above the bound fails at the first split.  The table is
-    then counted again from the final graph (``OddSetTable.recount``):
-    each original vertex must have degree k+1, no odd set may be below the
-    bound, which clears every graph in between as no slack ever rises, and
-    every tracked candidate slack must agree."""
+    The splits are those of chained ``split_off`` calls (the moved edge
+    leaves the edge order, its replacement is appended with the next id),
+    kept in an edge dict and per-vertex incidence; the graph is built once
+    at the end.  An untracked run moves the least edge id at x every time.
+    A tracked run reads the tight sets and the split candidates off the
+    table at its first split, steers each split at a vertex of a tight set
+    into the least one, checks each split over the candidates it changes,
+    and fails at the first split when k is above the bound."""
     g = table.graph
     n = g.vertex_count
     original = range(n)
-    if table.universe != tuple(original):
-        raise StageAssertionFailed(
-            "regularize",
-            f"odd-set table over {list(table.universe)}, not the graph's vertices 0..{n - 1}",
-        )
-    if min(table.degrees, default=0) < k + 1:
-        raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
-    if all(degree == k + 1 for degree in table.degrees):
-        return g, SplitTrace()
     incidence: dict[int, dict[int, int]] = {v: {} for v in original}
     for e in g.edges:
         incidence[e.u][e.id] = e.v
@@ -206,7 +196,7 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
     for x in original:
         mine = incidence[x]
         while len(mine) >= k + 2:
-            if candidates is None:
+            if tracked and candidates is None:
                 candidates = SplitCandidates(
                     table, k, [len(incidence[v]) - (k + 1) for v in table.universe]
                 )
@@ -233,6 +223,8 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
                 incidence[y][next_id] = new_vertex
             records.append(SplitRecord(new_vertex, x, eid, next_id))
             next_id += 1
+            if candidates is None:
+                continue
             dropped, became_tight = candidates.split(x, y)
             if dropped or (len(records) == 1 and table.below(k)):
                 h = Multigraph(n + len(records), tuple(edges.values()))
@@ -242,9 +234,64 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
                     f"{value} < {k} at {witness.vertices if witness else ()}"
                 )
             tight += became_tight
-    h = Multigraph(n + len(records), tuple(edges.values()))
-    candidates.end_splits()
-    table.recount(h)
+    return Multigraph(n + len(records), tuple(edges.values())), tuple(records), candidates
+
+
+def regularize(
+    table: OddSetTable, k: int, counters: dict[str, int] | None = None
+) -> tuple[Multigraph, SplitTrace]:
+    """Split edges off high-degree vertices of ``table.graph``, a table
+    over its vertices 0..n-1, until every original vertex has degree
+    exactly k+1, re-verifying the odd-set bound over the splits; the table
+    then counts the regularized graph.
+
+    Degrees are the table's, e+ of each singleton.  The splits are planned
+    first, each moving the least edge id at its vertex (``_split_down``),
+    and the table is counted again from the graph after them
+    (``OddSetTable.recount``).  A split lowers each slack by 0 or 2 and
+    never raises one, so a recount with no odd set at slack 0 or below
+    proves that no set was tight or below the bound at any split: the plan
+    is what a tracked run makes, and it stands.  Otherwise the table is
+    counted again from the input graph and the splits are made again,
+    tracked.  At its first split the table gives the tight sets and the
+    split candidates: deg(x) - (k+1) splits are made at each vertex x, so
+    only the odd sets U whose slack is at most twice the sum of that over
+    U, the dense sets, can reach slack 0 or drop below it (see
+    ``SplitCandidates``).  Each split is checked over the candidates it
+    changes; a k above the bound fails at the first split.  The table is
+    then counted from the final graph, and every tracked candidate slack
+    must agree with it.  Either way each original vertex must end at
+    degree k+1, and no odd set of the final count may be below the bound,
+    which clears every graph in between.
+
+    ``counters``, when given, adds the table's recounts to
+    "odd_set_tables", and 1 to "regularize_tracked" when the splits are
+    made again, tracked."""
+    g = table.graph
+    n = g.vertex_count
+    if table.universe != tuple(range(n)):
+        raise StageAssertionFailed(
+            "regularize",
+            f"odd-set table over {list(table.universe)}, not the graph's vertices 0..{n - 1}",
+        )
+    if min(table.degrees, default=0) < k + 1:
+        raise StageAssertionFailed("regularize", f"minimum degree below {k + 1}")
+    if all(degree == k + 1 for degree in table.degrees):
+        return g, SplitTrace()
+    counters = {} if counters is None else counters
+
+    def recount(graph: Multigraph) -> None:
+        table.recount(graph)
+        counters["odd_set_tables"] = counters.get("odd_set_tables", 0) + 1
+
+    h, records, candidates = _split_down(table, k, tracked=False)
+    recount(h)
+    if table.below(k) or table.tight_sets(k):
+        counters["regularize_tracked"] = counters.get("regularize_tracked", 0) + 1
+        recount(g)
+        h, records, candidates = _split_down(table, k, tracked=True)
+        candidates.end_splits()
+        recount(h)
     for v, degree in enumerate(table.degrees):
         if degree != k + 1:
             raise StageAssertionFailed("regularize", f"vertex {v} ended at degree {degree}")
@@ -252,11 +299,11 @@ def regularize(table: OddSetTable, k: int) -> tuple[Multigraph, SplitTrace]:
         raise StageAssertionFailed(
             "regularize", f"an odd set fell below the bound {k} unnoticed by the split checks"
         )
-    if not candidates.agrees_with(table):
+    if candidates is not None and not candidates.agrees_with(table):
         raise StageAssertionFailed(
             "regularize", "candidate slacks tracked across the splits differ from a rebuild"
         )
-    return h, SplitTrace(tuple(records))
+    return h, SplitTrace(records)
 
 
 def puncture(table: OddSetTable, k: int) -> tuple[Multigraph, tuple[Puncture, ...]]:
@@ -414,11 +461,11 @@ def orient_and_augment(
 def map_back(
     sets: Sequence[frozenset[int]], trace: SplitTrace
 ) -> list[frozenset[int]]:
-    """Replace every split-created edge id by the original it descends from;
-    without splits the sets are returned as they are."""
+    """Replace every split-created edge id by the original it descends from,
+    one lookup per edge; without splits the sets are returned as they are."""
     if not trace.records:
         return list(sets)
-    return [frozenset(trace.resolve(eid) for eid in s) for s in sets]
+    return [frozenset(map(trace.resolve, s)) for s in sets]
 
 
 def _extend_to_pendants(
@@ -488,7 +535,9 @@ def decompose(
         run.dump.update(original=lambda: _graph_obj(g), k=lambda: k)
 
         run.enter("regularize")
-        h, trace = regularize(table, k)
+        # The table built for the bound; regularize counts its recounts.
+        run.counters.update(odd_set_tables=1, regularize_tracked=0)
+        h, trace = regularize(table, k, counters=run.counters)
         stages["splits"] = len(trace.records)
         run.dump["regularized"] = lambda: _graph_obj(h)
         run.dump["splits"] = lambda: [

@@ -39,15 +39,18 @@ lane (a one-chunk table keeps the int its build packed), and the repunit,
 the widths |U|+1 and the flags of the odd sets of size >= 3 constant
 lanes, cached per number of high bits; one lane-wise subtraction per
 chunk tests every mask.  ``SplitCandidates`` keeps the slacks of the sets
-it picks split by split.  With no split planned the pass answers the
-bound and the tight sets at any k that the cached co-density does not
-settle, and the co-density itself: every set at the best 3-set's or
-largest odd set's ratio a/b or below is selected at k = ceil(a/b), so the
-least ratio among the selected sets is the co-density.
+it picks split by split, on the rare ``regularize`` run that tracks its
+splits.  With no split planned the pass answers the bound and the tight
+sets at any k that the cached co-density does not settle, and the
+co-density itself: every set at the best 3-set's or largest odd set's
+ratio a/b or below is selected at k = ceil(a/b), so the least ratio among
+the selected sets is the co-density.
 
 The table carries the graph it counts, and its count is the only count
 of that graph: e+({v}) is v's degree.  ``decompose`` builds it once and
-hands it to ``regularize``, which counts it again only after splits.
+hands it to ``regularize``, which counts it again only after splits: once
+after its least-id splits, and, when those bring an odd set to slack 0 or
+below, from the input again and once more after the tracked splits.
 
 Witnesses follow the enumeration order of odd subsets by increasing size,
 then lexicographic in universe order.
@@ -425,7 +428,8 @@ class OddSetTable:
 
 class SplitCandidates:
     """The odd sets that a planned run of splits can bring to slack 0 or
-    below, with their slacks kept split by split.
+    below, with their slacks kept split by split.  ``regularize`` selects
+    them only when its least-id splits brought some odd set there.
 
     ``splits[i]`` is the number of splits planned at the universe's i-th
     vertex, and D(U) their sum over U.  A split lowers a slack by 0 or 2,

@@ -131,14 +131,18 @@ class SplitTrace:
         return SplitTrace(self.records + (record,))
 
     @cached_property
-    def _back(self) -> dict[int, int]:
-        return {r.new_edge: r.moved_edge for r in self.records}
+    def _origin(self) -> dict[int, int]:
+        """Each split-created edge id with the original edge id it descends
+        from.  A record's moved edge is an original or was created by an
+        earlier record, so one pass in order resolves every chain."""
+        origin: dict[int, int] = {}
+        for r in self.records:
+            origin[r.new_edge] = origin.get(r.moved_edge, r.moved_edge)
+        return origin
 
     def resolve(self, edge_id: int) -> int:
         """Map a derived-graph edge id back to the original edge id."""
-        while edge_id in self._back:
-            edge_id = self._back[edge_id]
-        return edge_id
+        return self._origin.get(edge_id, edge_id)
 
 
 def build(n: int, edge_list: Iterable[tuple[int, int]]) -> Multigraph:

@@ -64,29 +64,37 @@ def test_regularize_brings_degrees_down_to_k_plus_one():
 
 def test_regularize_rebuild_catches_what_the_split_checks_miss(monkeypatch):
     # Six parallel edges per pair: degree 12 and co-density 9.  At k = 10
-    # the triangle starts below the bound; with the first-split check and
-    # the candidates' answers blinded, only the recounted table is left.
+    # the triangle starts below the bound, so the planned run's recount
+    # sends the splits to a tracked run; with its first-split check and the
+    # candidates' answers blinded, only the recounted table is left.
     g = build(3, [(0, 1), (1, 2), (0, 2)] * 6)
     below = OddSetTable.below
     asked = []
 
-    def blind_first(self, k):
+    def blind_first_split(self, k):
         asked.append(k)
-        return len(asked) > 1 and below(self, k)
+        return len(asked) != 2 and below(self, k)
 
-    monkeypatch.setattr(OddSetTable, "below", blind_first)
+    monkeypatch.setattr(OddSetTable, "below", blind_first_split)
     monkeypatch.setattr(SplitCandidates, "split", lambda self, x, y: (False, []))
+    counters = {}
     with pytest.raises(StageAssertionFailed, match="fell below the bound 10 unnoticed"):
-        regularize(OddSetTable(g, range(3)), 10)
-    assert asked == [10, 10]
+        regularize(OddSetTable(g, range(3)), 10, counters)
+    # The planned recount, the tracked run's first split, its recount.
+    assert asked == [10, 10, 10]
+    assert counters == {"odd_set_tables": 3, "regularize_tracked": 1}
 
 
 def test_regularize_recount_catches_slacks_the_candidates_missed(monkeypatch):
     # Candidates that never see their splits keep their starting slacks.
-    g = random_multigraph(FuzzConfig(n=8, max_multiplicity=2, edge_probability=0.7, seed=0))
+    # The least-id plan brings a set of this graph to slack 0, so the
+    # splits are made again by a tracked run, the only one with candidates.
+    g = random_multigraph(FuzzConfig(n=8, max_multiplicity=2, edge_probability=0.93, seed=20))
     monkeypatch.setattr(SplitCandidates, "split", lambda self, x, y: (False, []))
+    counters = {}
     with pytest.raises(StageAssertionFailed, match="tracked across the splits differ"):
-        regularize(OddSetTable(g, range(8)), gupta_bound(g).k)
+        regularize(OddSetTable(g, range(8)), gupta_bound(g).k, counters)
+    assert counters["regularize_tracked"] == 1
 
 
 def test_regularize_rejects_low_degree():

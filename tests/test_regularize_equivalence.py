@@ -3,10 +3,11 @@
 The reference below is the earlier ``regularize``: one ``split_off`` per
 split, the tight-set search on a table of the current graph, and a full
 scan of every odd set's slack after each split.  The production version
-keeps one edge dict and one table, checks each split only over the sets it
-changes, and builds the graph once; it must give the same graph (edge
-order and ids included), the same trace, and the same exception with the
-same text.
+keeps one edge dict and one table, makes the least-id splits and keeps
+them when the recount finds no odd set at slack 0 or below, else makes
+the splits again, checking each only over the sets it changes, and builds
+the graph once; it must give the same graph (edge order and ids
+included), the same trace, and the same exception with the same text.
 """
 
 import random
@@ -97,7 +98,7 @@ def corpus():
 
 
 def test_regularize_matches_the_reference_on_seeded_multigraphs():
-    splits = blocks = dropped = rejected = 0
+    splits = blocks = dropped = rejected = planned = tracked = 0
     for g in corpus():
         n = g.vertex_count
         bound = gupta_bound(g)
@@ -108,8 +109,13 @@ def test_regularize_matches_the_reference_on_seeded_multigraphs():
         for k in ks:
             expected = outcome(reference_regularize, g, k)
             table = OddSetTable(g, range(n))
-            got = outcome(regularize, table, k)
+            counters = {}
+            got = outcome(regularize, table, k, counters)
             assert got[0] == expected[0]
+            # A run that splits keeps its least-id plan or makes the splits
+            # again, tracked.
+            tracked += counters.get("regularize_tracked", 0)
+            planned += counters == {"odd_set_tables": 1}
             if expected[0] != "ok":
                 assert got[1] == expected[1]
                 dropped += expected[0] is CodensityDropped
@@ -139,26 +145,49 @@ def test_regularize_matches_the_reference_on_seeded_multigraphs():
     # errors.  Random graphs rarely leave room for k above the bound (delta
     # must reach k + 2).  Where they do here, no set below the bound is one
     # the first split touches, so only the full scan after that split
-    # reports it.
+    # reports it.  Most runs keep their plan (179 here); the tracked ones
+    # (16 here) reach a tight set or the bound's failure.
     assert splits >= 2000 and blocks >= 10 and dropped >= 5 and rejected >= 1
+    assert planned >= 150 and tracked >= 10
 
 
-def test_decompose_builds_a_second_table_only_after_splits(monkeypatch):
-    built = []
-    init = OddSetTable.__init__
+def least_id_plan(g, k):
+    """The splits of a run that never steers: the least edge id at x."""
+    h, trace = g, SplitTrace()
+    for x in range(g.vertex_count):
+        while h.degree(x) >= k + 2:
+            h, record = split_off(h, x, min(e.id for e in h.incident(x)))
+            trace = trace.extend(record)
+    return trace.records
 
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(OddSetTable, "__init__", counting)
+def test_regularize_steers_off_the_least_id_plan_when_a_set_turns_tight():
+    # The plan brings an odd set of this graph to slack 0, so regularize
+    # makes the splits again, tracked, and steers some into the tight set.
+    g = random_multigraph(FuzzConfig(n=8, max_multiplicity=2, edge_probability=0.93, seed=23))
+    k = gupta_bound(g).k
+    counters = {}
+    h, trace = regularize(OddSetTable(g, range(8)), k, counters)
+    assert counters == {"odd_set_tables": 3, "regularize_tracked": 1}
+    assert trace.records != least_id_plan(g, k)
+    ref_h, ref_trace = reference_regularize(g, k)
+    assert graph_key(h) == graph_key(ref_h)
+    assert trace.records == ref_trace.records
+
+
+def test_decompose_builds_a_second_table_only_after_splits():
     # With and without splits, with and without punctured blocks.
     split = []
     for g in (k4(), petersen(), doubled_triangle(), nested_optimal(), SPLITS, SPLITS_AND_BLOCK):
-        built.clear()
         result = decompose(g)
         assert isinstance(result, CoverDecomposition) and result.k >= 1
         split.append(result.stages["splits"] > 0)
-        # The shared table, and its recount after regularize when it split.
-        assert len(built) == 1 + split[-1]
+        counters = result.run["counters"]
+        # The shared table, and its recount after the planned splits; a
+        # block after the splits is a set at slack 0, so the splits are
+        # made again, tracked, on a table counted from the input again and
+        # once more after them.
+        tracked = counters["regularize_tracked"]
+        assert tracked == (result.stages["blocks"] > 0 and split[-1])
+        assert counters["odd_set_tables"] == 1 + split[-1] + 2 * tracked
     assert any(split) and not all(split)

@@ -60,24 +60,44 @@ def count_passes(monkeypatch):
     return counts
 
 
-def test_decompose_makes_two_tables_two_scans_and_one_candidate_pass(monkeypatch):
+def test_decompose_makes_two_tables_two_scans_and_no_candidate_pass(monkeypatch):
     counts = count_passes(monkeypatch)
     g = random_multigraph(FuzzConfig(n=16, max_multiplicity=2, edge_probability=0.5, seed=0))
     result = decompose(g)
     assert isinstance(result, CoverDecomposition) and result.stages["splits"] >= 50
-    # The shared table and its recount after the splits; one co-density
-    # pass for the bound, a selection with no splits, one selection of
-    # split candidates, and one selection with no splits over the recount,
-    # whose tight sets the puncture reads: no pass over all 2^16 sets per
-    # split.
+    # The shared table and its recount after the planned splits; one
+    # co-density pass for the bound, and one selection with no splits over
+    # the recount, which finds no set at slack 0 or below: the plan stands,
+    # no candidates are selected, and the puncture reads the same pass.  No
+    # pass over all 2^16 sets per split.
     assert len(counts["built"]) == 2
+    assert result.run["counters"]["odd_set_tables"] == 2
+    assert result.run["counters"]["regularize_tracked"] == 0
     assert len(counts["ratio"]) == 1
-    assert len(counts["candidates"]) == 1
-    assert len(counts["lanes"]) == 3
-    ratio, candidates, recounted = counts["lanes"]
-    assert not any(ratio[1]) and any(candidates[1])
+    assert len(counts["candidates"]) == 0
+    assert len(counts["lanes"]) == 2
+    ratio, recounted = counts["lanes"]
+    assert not any(ratio[1])
     assert recounted == (result.k, [0] * 16)
-    assert len(counts["chunks"]) == 3
+    assert len(counts["chunks"]) == 2
+
+
+def test_decompose_makes_four_tables_on_a_tracked_run(monkeypatch):
+    counts = count_passes(monkeypatch)
+    # The least-id plan brings an odd set of this graph to slack 0.
+    g = random_multigraph(FuzzConfig(n=8, max_multiplicity=2, edge_probability=0.93, seed=23))
+    result = decompose(g)
+    assert isinstance(result, CoverDecomposition) and result.stages["splits"] > 0
+    # The shared table; its recount after the plan; a recount from the
+    # input for the tracked run, which selects candidates and the tight
+    # sets; and its recount after the splits, whose check the puncture
+    # reads.
+    assert len(counts["built"]) == result.run["counters"]["odd_set_tables"] == 4
+    assert result.run["counters"]["regularize_tracked"] == 1
+    assert len(counts["candidates"]) == 1
+    ratio, planned, candidates, tight, recounted = counts["lanes"]
+    assert not any(ratio[1]) and any(candidates[1])
+    assert planned == tight == recounted == (result.k, [0] * 8)
 
 
 def test_decompose_without_splits_makes_no_fused_pass(monkeypatch):
