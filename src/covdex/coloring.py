@@ -211,83 +211,54 @@ def _two_color_incidence(
 
 
 def chain(coloring: EdgeColoring, g: Multigraph, v: int, alpha: int, beta: int) -> Chain:
-    """The two-color component containing v, canonically ordered.
-
-    Paths run from their smaller endpoint; cycles start at their smallest
-    vertex and head toward the smaller neighbor (smaller edge id on a tie,
-    which covers the two-vertex parallel-edge cycle).
-    """
-    return _component(_two_color_incidence(coloring, g, alpha, beta), v, alpha, beta)
+    """The two-color component containing v, as ``chains`` lists it, or
+    the trivial path (v,) when no edge at v has either color."""
+    for ch in chains(coloring, g, alpha, beta):
+        if v in ch.vertices:
+            return ch
+    return Chain(alpha, beta, (v,), (), "path")
 
 
 def chains(coloring: EdgeColoring, g: Multigraph, alpha: int, beta: int) -> list[Chain]:
-    """Every nontrivial two-color component, each ordered as by chain():
-    the paths, then the cycles, each by first vertex."""
+    """Every nontrivial two-color component, the paths, then the cycles,
+    each by first vertex.  Each is walked once, from the first of its
+    vertices met in the path ends (one alpha/beta edge) in increasing
+    order, then in every vertex in increasing order: a path runs from its
+    smaller end, and a cycle starts at its least vertex (``_component``)."""
     table = _two_color_incidence(coloring, g, alpha, beta)
+    ends = sorted(v for v, here in table.items() if len(here) == 1)
     found: list[Chain] = []
     seen: set[int] = set()
-    for v in sorted(table):
+    for v in ends + sorted(table):
         if v not in seen:
             ch = _component(table, v, alpha, beta)
             seen.update(ch.vertices)
             found.append(ch)
-    found.sort(key=lambda ch: (ch.kind == "cycle", ch.vertices[0]))
     return found
 
 
 def _component(table: dict[int, list[Edge]], v: int, alpha: int, beta: int) -> Chain:
-    here = table.get(v, [])
-    if not here:
-        return Chain(alpha, beta, (v,), (), "path")
-
-    def walk(start_edge: Edge) -> tuple[list[int], list[int], bool]:
-        verts = [v]
-        eids: list[int] = []
-        cur, e = v, start_edge
-        while True:
-            eids.append(e.id)
-            cur = e.other(cur)
-            verts.append(cur)
-            if cur == v:
-                return verts, eids, True
-            options = [f for f in table[cur] if f.id != e.id]
-            if not options:
-                return verts, eids, False
-            e = options[0]
-
-    if len(here) == 1:
-        verts, eids, closed = walk(here[0])
-        if closed:
-            raise StageAssertionFailed("chain", "a walk from a path endpoint closed a cycle")
-        vertices, edges = tuple(verts), tuple(eids)
-    else:
-        verts1, eids1, closed = walk(here[0])
-        if closed:
-            cyc_verts = verts1[:-1]
-            if len(eids1) % 2:
+    """The component walked from v, a path end or a cycle's least vertex,
+    first along its edge least by (neighbor, edge id): on a cycle that
+    heads toward the smaller neighbor, the smaller edge id on a tie, which
+    covers the two-vertex parallel-edge cycle.  A path end has one edge,
+    and the walk never takes back the edge it came in on, so it comes back
+    to v only around a cycle."""
+    e = min(table[v], key=lambda f: (f.other(v), f.id))
+    vertices, edges = [v], []
+    cur = v
+    while True:
+        edges.append(e.id)
+        cur = e.other(cur)
+        if cur == v:
+            if len(edges) % 2:
                 raise StageAssertionFailed("chain", "two-color cycles are even")
-            return _canonical_cycle(alpha, beta, cyc_verts, eids1)
-        verts2, eids2, _ = walk(here[1])
-        vertices = tuple(reversed(verts1)) + tuple(verts2[1:])
-        edges = tuple(reversed(eids1)) + tuple(eids2)
-    if vertices[0] > vertices[-1]:
-        vertices = tuple(reversed(vertices))
-        edges = tuple(reversed(edges))
-    return Chain(alpha, beta, vertices, edges, "path")
-
-
-def _canonical_cycle(alpha: int, beta: int, verts: list[int], eids: list[int]) -> Chain:
-    # verts[i] -- eids[i] -- verts[i+1 mod L]; rotate to the smallest vertex,
-    # then pick the direction with the smaller successor (edge id on a tie).
-    size = len(verts)
-    start = verts.index(min(verts))
-    fwd_v = [verts[(start + i) % size] for i in range(size)]
-    fwd_e = [eids[(start + i) % size] for i in range(size)]
-    bwd_v = [verts[(start - i) % size] for i in range(size)]
-    bwd_e = [eids[(start - 1 - i) % size] for i in range(size)]
-    if (bwd_v[1], bwd_e[0]) < (fwd_v[1], fwd_e[0]):
-        return Chain(alpha, beta, tuple(bwd_v), tuple(bwd_e), "cycle")
-    return Chain(alpha, beta, tuple(fwd_v), tuple(fwd_e), "cycle")
+            return Chain(alpha, beta, tuple(vertices), tuple(edges), "cycle")
+        vertices.append(cur)
+        onward = [f for f in table[cur] if f.id != e.id]
+        if not onward:
+            return Chain(alpha, beta, tuple(vertices), tuple(edges), "path")
+        e = onward[0]
 
 
 def kempe_swap(coloring: EdgeColoring, ch: Chain) -> EdgeColoring:

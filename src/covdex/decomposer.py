@@ -167,20 +167,20 @@ class _Run:
 
 
 def _split_down(
-    table: OddSetTable, k: int, tracked: bool
-) -> tuple[Multigraph, tuple[SplitRecord, ...], SplitCandidates | None]:
+    table: OddSetTable, k: int, candidates: SplitCandidates | None = None
+) -> tuple[Multigraph, tuple[SplitRecord, ...]]:
     """Split edges off each vertex of ``table.graph`` in turn until it has
-    degree k+1; returns the graph after the splits, the records and, on a
-    tracked run, the candidates.
+    degree k+1; returns the graph after the splits and the records.
 
     The splits are those of chained ``split_off`` calls (the moved edge
     leaves the edge order, its replacement is appended with the next id),
     kept in an edge dict and per-vertex incidence; the graph is built once
-    at the end.  An untracked run moves the least edge id at x every time.
-    A tracked run reads the tight sets and the split candidates off the
-    table at its first split, steers each split at a vertex of a tight set
-    into the least one, checks each split over the candidates it changes,
-    and fails at the first split when k is above the bound."""
+    at the end.  Without candidates the least edge id at x moves every
+    time.  A tracked run, given the split candidates of the table before
+    its splits, reads the tight sets off them, steers each split at a
+    vertex of a tight set into the least one, checks each split over the
+    candidates it changes, and fails at the first split when k is above
+    the bound."""
     g = table.graph
     n = g.vertex_count
     original = range(n)
@@ -191,16 +191,10 @@ def _split_down(
     edges = {e.id: e for e in g.edges}
     next_id = max(edges, default=-1) + 1
     records: list[SplitRecord] = []
-    candidates: SplitCandidates | None = None
-    tight: list[int] = []
+    tight = [] if candidates is None else candidates.tight()
     for x in original:
         mine = incidence[x]
         while len(mine) >= k + 2:
-            if tracked and candidates is None:
-                candidates = SplitCandidates(
-                    table, k, [len(incidence[v]) - (k + 1) for v in table.universe]
-                )
-                tight = table.tight_sets(k)
             least = table.least_containing(x, tight) if tight else None
             if least is None:
                 eid = min(mine)
@@ -226,7 +220,7 @@ def _split_down(
             if candidates is None:
                 continue
             dropped, became_tight = candidates.split(x, y)
-            if dropped or (len(records) == 1 and table.below(k)):
+            if dropped or (len(records) == 1 and candidates.below()):
                 h = Multigraph(n + len(records), tuple(edges.values()))
                 value, witness = codensity(h, restrict_to=original, cap=table.cap)
                 raise CodensityDropped(
@@ -234,7 +228,7 @@ def _split_down(
                     f"{value} < {k} at {witness.vertices if witness else ()}"
                 )
             tight += became_tight
-    return Multigraph(n + len(records), tuple(edges.values())), tuple(records), candidates
+    return Multigraph(n + len(records), tuple(edges.values())), tuple(records)
 
 
 def regularize(
@@ -253,12 +247,14 @@ def regularize(
     proves that no set was tight or below the bound at any split: the plan
     is what a tracked run makes, and it stands.  Otherwise the table is
     counted again from the input graph and the splits are made again,
-    tracked.  At its first split the table gives the tight sets and the
-    split candidates: deg(x) - (k+1) splits are made at each vertex x, so
-    only the odd sets U whose slack is at most twice the sum of that over
-    U, the dense sets, can reach slack 0 or drop below it (see
-    ``SplitCandidates``).  Each split is checked over the candidates it
-    changes; a k above the bound fails at the first split.  The table is
+    tracked.  Before them the table gives the split candidates, in one
+    pass: deg(x) - (k+1) splits are made at each vertex x, so only the odd
+    sets U whose slack is at most twice the sum of that over U, the dense
+    sets, can reach slack 0 or drop below it (see ``SplitCandidates``).
+    Every set at slack 0 or below is one of them, so the tight sets, and
+    whether k is above the bound, are read off the candidates.  Each split
+    is checked over the candidates it changes; a k above the bound fails
+    at the first split.  The table is
     then counted from the final graph, and every tracked candidate slack
     must agree with it.  Either way each original vertex must end at
     degree k+1, and no odd set of the final count may be below the bound,
@@ -284,12 +280,14 @@ def regularize(
         table.recount(graph)
         counters["odd_set_tables"] = counters.get("odd_set_tables", 0) + 1
 
-    h, records, candidates = _split_down(table, k, tracked=False)
+    h, records = _split_down(table, k)
     recount(h)
+    candidates = None
     if table.below(k) or table.tight_sets(k):
         counters["regularize_tracked"] = counters.get("regularize_tracked", 0) + 1
         recount(g)
-        h, records, candidates = _split_down(table, k, tracked=True)
+        candidates = SplitCandidates(table, k, [d - (k + 1) for d in table.degrees])
+        h, records = _split_down(table, k, candidates)
         candidates.end_splits()
         recount(h)
     for v, degree in enumerate(table.degrees):
@@ -340,44 +338,41 @@ def puncture(table: OddSetTable, k: int) -> tuple[Multigraph, tuple[Puncture, ..
 def contract_blocks(
     h1: Multigraph,
     punctures: Sequence[Puncture],
+    boundaries: Sequence[Sequence[Edge]],
     k: int,
     hypotheses_held: bool,
 ) -> tuple[Multigraph, dict[int, int], list[int], bool]:
     """Contract every punctured block; returns the graph, the composed
     vertex map, the merged vertex ids (aligned with punctures), and whether
-    every merged vertex met the k/2 degree bound.
+    every merged vertex met the k/2 degree bound.  ``boundaries`` are the
+    blocks' boundary edges in h1, as ``block_edges`` returns them.
 
     One pass gives what contracting the blocks in turn gives: the r vertices
     outside every block keep their order, block i becomes vertex r+i, edges
-    inside a block drop out; each merged vertex's degree, its block's
-    boundary, is counted."""
+    inside a block drop out; each merged vertex's degree is its block's
+    boundary."""
     owner = {v: i for i, p in enumerate(punctures) for v in p.block}
     r = h1.vertex_count - len(owner)
     outside = iter(range(r))
     vmap = {v: r + owner[v] if v in owner else next(outside) for v in h1.vertices()}
     if not punctures:
         return h1, vmap, [], True
-    merged = list(range(r, r + len(punctures)))
-    degree = [0] * (r + len(punctures))
     edges = []
     for e in h1.edges:
         a = owner.get(e.u)
         if a is not None and a == owner.get(e.v):
             continue
-        f = Edge(e.id, vmap[e.u], vmap[e.v])
-        degree[f.u] += 1
-        degree[f.v] += 1
-        edges.append(f)
+        edges.append(Edge(e.id, vmap[e.u], vmap[e.v]))
     h2 = Multigraph(r + len(punctures), tuple(edges))
     degree_ok = True
-    for p, u in zip(punctures, merged):
-        if 2 * degree[u] > k:
+    for p, boundary in zip(punctures, boundaries):
+        if 2 * len(boundary) > k:
             if hypotheses_held:
                 raise DegreeBoundFailed(
-                    f"block {sorted(p.block)} has boundary {degree[u]} > k/2 = {k}/2"
+                    f"block {sorted(p.block)} has boundary {len(boundary)} > k/2 = {k}/2"
                 )
             degree_ok = False
-    return h2, vmap, merged, degree_ok
+    return h2, vmap, list(range(r, r + len(punctures))), degree_ok
 
 
 def orient_and_augment(
@@ -583,7 +578,9 @@ def decompose(
                 seen.add(c)
 
         run.enter("contract")
-        h2, vmap, merged, degree_ok = contract_blocks(h1, punctures, k, hypotheses_held)
+        h2, vmap, merged, degree_ok = contract_blocks(
+            h1, punctures, block_boundary, k, hypotheses_held
+        )
         run.dump["contracted"] = lambda: _graph_obj(h2)
         run.dump["vertex_map"] = lambda: sorted(vmap.items())
         stages["degree_bound_ok"] = degree_ok

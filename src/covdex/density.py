@@ -429,7 +429,8 @@ class OddSetTable:
 class SplitCandidates:
     """The odd sets that a planned run of splits can bring to slack 0 or
     below, with their slacks kept split by split.  ``regularize`` selects
-    them only when its least-id splits brought some odd set there.
+    them only when its least-id splits brought some odd set there, and
+    reads the tight sets and the bound off them (``tight``, ``below``).
 
     ``splits[i]`` is the number of splits planned at the universe's i-th
     vertex, and D(U) their sum over U.  A split lowers a slack by 0 or 2,
@@ -489,14 +490,29 @@ class SplitCandidates:
         if y in self._position:
             touched &= ~self._member[self._position[y]]
         self._lanes -= touched << 1
-        lanes = self._lanes
+        return self._below(touched), self._tight(touched)
+
+    def tight(self) -> list[int]:
+        """The masks of the candidates now at slack 0, in increasing order.
+        Before the first split these are all the odd sets at slack 0: D(U)
+        >= 0, so every set at slack 0 or below is a candidate."""
+        return self._tight(self._offsets >> (self._w - 2))
+
+    def below(self) -> bool:
+        """Whether some candidate's slack is now below 0; before the first
+        split, whether some odd set's is, as for ``tight``."""
+        return self._below(self._offsets >> (self._w - 2))
+
+    def _below(self, among: int) -> bool:
         # A lane's offset bit is clear exactly when its slack is negative.
-        w = self._w
-        dropped = (lanes >> (w - 2)) & touched != touched
+        return (self._lanes >> (self._w - 2)) & among != among
+
+    def _tight(self, among: int) -> list[int]:
         # XOR leaves 0 in the lanes at slack 0, and the addition then sets
         # the top bit of every other lane.
-        zero = touched & ~(((lanes ^ self._offsets) + self._to_top) >> (w - 1))
-        return dropped, _flagged(self._masks, zero, w, 0)
+        w = self._w
+        zero = among & ~(((self._lanes ^ self._offsets) + self._to_top) >> (w - 1))
+        return _flagged(self._masks, zero, w, 0)
 
     def end_splits(self) -> None:
         """Drop what only ``split`` reads, the membership ints above all,

@@ -8,7 +8,9 @@ answers each question by a direct scan of the edges.  ``present`` and
 ``contract_set`` the graphs that ``puncture`` and ``contract_blocks``
 build in one pass, ``induced_block_masks`` the block check that
 ``make_block`` makes on the host's edges, ``lift_verdict`` the lift check
-that ``check_lift_properties`` makes on the chains it walks once, and
+that ``check_lift_properties`` makes on the chains it walks once,
+``reference_chain`` and ``reference_chains`` the two-color components
+that ``chain`` and ``chains`` walk from their canonical starts, and
 ``is_connected`` picks connected test graphs.
 """
 
@@ -22,6 +24,7 @@ from covdex.errors import (
     DensityMismatch,
     LiftInvariantViolated,
     PreconditionViolated,
+    StageAssertionFailed,
     VertexOutOfRange,
 )
 from covdex.multigraph import Edge, Multigraph
@@ -182,6 +185,94 @@ def _two_color_ends(g: Multigraph, coloring, v: int, alpha: int, beta: int):
     if len(ends) == 1:
         ends.append(v)
     return tuple(sorted(ends))
+
+
+def _reference_incidence(coloring, g: Multigraph, alpha: int, beta: int) -> dict[int, list[Edge]]:
+    table: dict[int, list[Edge]] = {}
+    for e in g.edges:
+        if coloring.assignment[e.id] in (alpha, beta):
+            table.setdefault(e.u, []).append(e)
+            table.setdefault(e.v, []).append(e)
+    return table
+
+
+def reference_chain(coloring, g: Multigraph, v: int, alpha: int, beta: int):
+    """The alpha/beta component through v as (vertices, edges, kind),
+    walked from v itself and then put in canonical order: from an interior
+    vertex the two half-walks are joined, a path is turned to run from its
+    smaller end, and a cycle is rotated to its least vertex and turned
+    toward the smaller neighbor (the smaller edge id on a tie)."""
+    return _reference_component(_reference_incidence(coloring, g, alpha, beta), v)
+
+
+def reference_chains(coloring, g: Multigraph, alpha: int, beta: int) -> list:
+    """Every nontrivial component as ``reference_chain`` gives it, walked
+    from the first of its vertices in increasing order, then sorted: the
+    paths, then the cycles, each by first vertex."""
+    table = _reference_incidence(coloring, g, alpha, beta)
+    found = []
+    seen: set[int] = set()
+    for v in sorted(table):
+        if v not in seen:
+            component = _reference_component(table, v)
+            seen.update(component[0])
+            found.append(component)
+    found.sort(key=lambda component: (component[2] == "cycle", component[0][0]))
+    return found
+
+
+def _reference_component(table: dict[int, list[Edge]], v: int):
+    here = table.get(v, [])
+    if not here:
+        return (v,), (), "path"
+
+    def walk(start_edge: Edge) -> tuple[list[int], list[int], bool]:
+        verts = [v]
+        eids: list[int] = []
+        cur, e = v, start_edge
+        while True:
+            eids.append(e.id)
+            cur = e.other(cur)
+            verts.append(cur)
+            if cur == v:
+                return verts, eids, True
+            options = [f for f in table[cur] if f.id != e.id]
+            if not options:
+                return verts, eids, False
+            e = options[0]
+
+    if len(here) == 1:
+        verts, eids, closed = walk(here[0])
+        if closed:
+            raise StageAssertionFailed("chain", "a walk from a path endpoint closed a cycle")
+        vertices, edges = tuple(verts), tuple(eids)
+    else:
+        verts1, eids1, closed = walk(here[0])
+        if closed:
+            if len(eids1) % 2:
+                raise StageAssertionFailed("chain", "two-color cycles are even")
+            return _reference_cycle(verts1[:-1], eids1)
+        verts2, eids2, _ = walk(here[1])
+        vertices = tuple(reversed(verts1)) + tuple(verts2[1:])
+        edges = tuple(reversed(eids1)) + tuple(eids2)
+    if vertices[0] > vertices[-1]:
+        vertices = tuple(reversed(vertices))
+        edges = tuple(reversed(edges))
+    return vertices, edges, "path"
+
+
+def _reference_cycle(verts: list[int], eids: list[int]):
+    # verts[i] -- eids[i] -- verts[i+1 mod L]; rotate to the smallest vertex,
+    # then pick the direction with the smaller successor (edge id on a tie).
+    size = len(verts)
+    start = verts.index(min(verts))
+    fwd_v = [verts[(start + i) % size] for i in range(size)]
+    fwd_e = [eids[(start + i) % size] for i in range(size)]
+    bwd_v = [verts[(start - i) % size] for i in range(size)]
+    bwd_e = [eids[(start - 1 - i) % size] for i in range(size)]
+    if (bwd_v[1], bwd_e[0]) < (fwd_v[1], fwd_e[0]):
+        return tuple(bwd_v), tuple(bwd_e), "cycle"
+    return tuple(fwd_v), tuple(fwd_e), "cycle"
 
 
 def lift_verdict(h1: Multigraph, psi, blocks, k: int, boundaries) -> None:

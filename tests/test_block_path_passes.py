@@ -118,7 +118,8 @@ def test_one_pass_puncture_and_contract_match_the_chained_references():
         assert punctures == expected_punctures
         assert edge_rows(h1) == edge_rows(expected_h1)
 
-        h2, vmap, merged, degree_ok = contract_blocks(h1, punctures, k, False)
+        _, boundaries = dense_lift.block_edges(h1, [p.block for p in punctures])
+        h2, vmap, merged, degree_ok = contract_blocks(h1, punctures, boundaries, k, False)
         ref_h2, ref_map, ref_merged, ref_ok = chained_contract(h1, punctures, k)
         assert edge_rows(h2) == edge_rows(ref_h2)
         assert vmap == ref_map
@@ -134,7 +135,7 @@ def test_one_pass_puncture_and_contract_match_the_chained_references():
 
 def test_contract_without_blocks_returns_the_graph_itself():
     g = petersen()
-    assert contract_blocks(g, [], 2, True) == (g, {v: v for v in g.vertices()}, [], True)
+    assert contract_blocks(g, [], [], 2, True) == (g, {v: v for v in g.vertices()}, [], True)
 
 
 @pytest.fixture(name="counted")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from covdex import (
 )
 from covdex.coloring import EdgeColoring
 from covdex.oracle import FuzzConfig, random_multigraph
-from reference import missing, present
+from reference import missing, present, reference_chain, reference_chains
 
 
 def k3_coloring():
@@ -218,6 +219,79 @@ def test_chains_partition_two_color_subgraph(seed):
     for ch in listed:
         for v in ch.vertices:
             assert chain(coloring, g, v, a, b) == ch
+
+
+def triples(found):
+    return [(ch.vertices, ch.edges, ch.kind) for ch in found]
+
+
+def assert_walks_match_reference(coloring, g, a, b):
+    """chains() and chain(v), for every v, against the walker that started
+    anywhere and then joined, turned and rotated its walks."""
+    assert triples(chains(coloring, g, a, b)) == reference_chains(coloring, g, a, b)
+    for v in g.vertices():
+        assert triples([chain(coloring, g, v, a, b)]) == [reference_chain(coloring, g, v, a, b)]
+
+
+def alternating(n, walks, extra=()):
+    """A graph whose edges follow each walk, colored 1, 2, 1, ... along it
+    (edge ids in the order listed), then the ``extra`` pairs colored 3."""
+    pairs, colors = [], []
+    for walk in walks:
+        for i, (u, v) in enumerate(zip(walk, walk[1:])):
+            pairs.append((u, v))
+            colors.append(1 + i % 2)
+    for u, v in extra:
+        pairs.append((u, v))
+        colors.append(3)
+    return build(n, pairs), EdgeColoring(3, dict(enumerate(colors)))
+
+
+def test_chains_start_at_the_canonical_vertex():
+    g, c = alternating(
+        17,
+        [
+            (0, 1, 0),  # a 2-cycle of parallel edges
+            (7, 3, 9, 5, 7),  # a 4-cycle listed from 7
+            (13, 6, 12, 4, 11, 8, 13),  # a 6-cycle listed from 13
+            (14, 2, 10),  # a path whose least vertex is interior
+        ],
+        # Color 3 runs the 1-3 and 2-3 chains on through 5 and 6, and is
+        # all that 15 and 16 see.
+        extra=[(5, 6), (15, 16)],
+    )
+    assert triples(chains(c, g, 1, 2)) == [
+        ((10, 2, 14), (13, 12), "path"),
+        ((0, 1), (0, 1), "cycle"),
+        ((3, 7, 5, 9), (2, 5, 4, 3), "cycle"),
+        ((4, 11, 8, 13, 6, 12), (9, 10, 11, 6, 7, 8), "cycle"),
+    ]
+    assert triples([chain(c, g, 15, 1, 2)]) == [((15,), (), "path")]
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        assert_walks_match_reference(c, g, a, b)
+
+
+def test_chains_match_the_joining_walker_on_fuzz_colorings():
+    compared = interior_starts = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = random_multigraph(
+            FuzzConfig(n=rng.randint(3, 10), max_multiplicity=rng.randint(1, 3), seed=seed)
+        )
+        if not g.edges:
+            continue
+        m = g.max_degree() + 1
+        coloring = find_coloring(g, m)
+        while coloring is None:
+            m += 1
+            coloring = find_coloring(g, m)
+        for a, b in combinations(range(1, m + 1), 2):
+            assert_walks_match_reference(coloring, g, a, b)
+            compared += 1
+            for ch in chains(coloring, g, a, b):
+                if ch.kind == "path":
+                    interior_starts += min(ch.vertices) < ch.vertices[0]
+    assert compared >= 500 and interior_starts >= 10
 
 
 def list_and_set_is_proper(g, coloring):

@@ -25,6 +25,7 @@ from covdex.decomposer import (
     orient_and_augment,
     puncture,
 )
+from covdex.dense_lift import block_edges
 from covdex.density import OddSetTable, SplitCandidates
 from covdex.multigraph import Edge, Multigraph, SplitRecord, SplitTrace
 from covdex.oracle import FuzzConfig, random_multigraph
@@ -65,23 +66,26 @@ def test_regularize_brings_degrees_down_to_k_plus_one():
 def test_regularize_rebuild_catches_what_the_split_checks_miss(monkeypatch):
     # Six parallel edges per pair: degree 12 and co-density 9.  At k = 10
     # the triangle starts below the bound, so the planned run's recount
-    # sends the splits to a tracked run; with its first-split check and the
-    # candidates' answers blinded, only the recounted table is left.
+    # sends the splits to a tracked run; with the candidates' first-split
+    # check and their answers per split blinded, only the recounted table
+    # is left.
     g = build(3, [(0, 1), (1, 2), (0, 2)] * 6)
     below = OddSetTable.below
     asked = []
 
-    def blind_first_split(self, k):
+    def counted(self, k):
         asked.append(k)
-        return len(asked) != 2 and below(self, k)
+        return below(self, k)
 
-    monkeypatch.setattr(OddSetTable, "below", blind_first_split)
+    monkeypatch.setattr(OddSetTable, "below", counted)
+    monkeypatch.setattr(SplitCandidates, "below", lambda self: False)
     monkeypatch.setattr(SplitCandidates, "split", lambda self, x, y: (False, []))
     counters = {}
     with pytest.raises(StageAssertionFailed, match="fell below the bound 10 unnoticed"):
         regularize(OddSetTable(g, range(3)), 10, counters)
-    # The planned recount, the tracked run's first split, its recount.
-    assert asked == [10, 10, 10]
+    # The planned recount and the tracked run's recount; the first split
+    # asks the candidates.
+    assert asked == [10, 10]
     assert counters == {"odd_set_tables": 3, "regularize_tracked": 1}
 
 
@@ -134,7 +138,8 @@ def test_puncture_removes_one_internal_edge_per_block():
 def test_contract_blocks_merges_and_checks_degree():
     g = doubled_triangle()
     h1, punctures = puncture(OddSetTable(g, range(3)), 3)
-    h2, vmap, merged, degree_ok = contract_blocks(h1, punctures, 3, True)
+    _, boundaries = block_edges(h1, [p.block for p in punctures])
+    h2, vmap, merged, degree_ok = contract_blocks(h1, punctures, boundaries, 3, True)
     assert h2.vertex_count == 1
     assert h2.edges == ()
     assert merged == [0]

@@ -89,15 +89,15 @@ def test_decompose_makes_four_tables_on_a_tracked_run(monkeypatch):
     result = decompose(g)
     assert isinstance(result, CoverDecomposition) and result.stages["splits"] > 0
     # The shared table; its recount after the plan; a recount from the
-    # input for the tracked run, which selects candidates and the tight
-    # sets; and its recount after the splits, whose check the puncture
-    # reads.
+    # input for the tracked run, which selects candidates and reads the
+    # tight sets off them; and its recount after the splits, whose check
+    # the puncture reads.
     assert len(counts["built"]) == result.run["counters"]["odd_set_tables"] == 4
     assert result.run["counters"]["regularize_tracked"] == 1
     assert len(counts["candidates"]) == 1
-    ratio, planned, candidates, tight, recounted = counts["lanes"]
+    ratio, planned, candidates, recounted = counts["lanes"]
     assert not any(ratio[1]) and any(candidates[1])
-    assert planned == tight == recounted == (result.k, [0] * 8)
+    assert planned == recounted == (result.k, [0] * 8)
 
 
 def test_decompose_without_splits_makes_no_fused_pass(monkeypatch):

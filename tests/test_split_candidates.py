@@ -163,6 +163,42 @@ def test_candidates_past_16_bit_masks_match_the_dict_class():
     assert high >= 100 and splits >= 90 and tight >= 5
 
 
+@pytest.mark.parametrize("chunk_bits,codes", CHUNKS_AND_LANES)
+def test_tight_and_below_are_the_table_answers_before_the_splits(monkeypatch, chunk_bits, codes):
+    # D(U) >= 0, so every set at slack 0 or below is a candidate: before
+    # the first split the candidates answer what the table answers with no
+    # splits, and after each they read their own slacks.
+    monkeypatch.setattr(density, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(density, "_CODES", codes)
+    rng = random.Random(200 + chunk_bits)
+    below = tight = 0
+    for seed in range(30):
+        n = 3 + seed % 9
+        g = random_multigraph(
+            FuzzConfig(n=n, max_multiplicity=1 + seed % 2, edge_probability=0.7, seed=seed)
+        )
+        plan = planned_run(g, rng, 2 * n)
+        planned = [sum(1 for x, _ in plan if x == v) for v in range(n)]
+        value, _ = codensity(g)
+        for k in range(max(int(value) - 1, 0), int(value) + 2):
+            table = OddSetTable(g, range(n))
+            packed = SplitCandidates(table, k, planned)
+            assert packed.tight() == table.tight_sets(k)
+            assert packed.below() == table.below(k)
+            below += packed.below()
+            tight += bool(packed.tight())
+            h = g
+            for x, eid in plan:
+                y = h.edge(eid).other(x)
+                h, _ = split_off(h, x, eid)
+                packed.split(x, y)
+                slacks = packed.slacks
+                assert packed.tight() == sorted(m for m, slack in slacks.items() if slack == 0)
+                assert packed.below() == any(slack < 0 for slack in slacks.values())
+    # k one above the co-density starts some set below 0 on every graph.
+    assert below == 30 and tight >= 15
+
+
 def test_pack_and_unpack_round_trip_on_16_bit_lanes():
     rng = random.Random(6)
     top = (1 << 15) - 1
