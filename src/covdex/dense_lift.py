@@ -5,8 +5,9 @@ any proper s-coloring every class is a near-perfect matching and the
 missing sets of distinct vertices are disjoint.  That freedom is spent in
 two ways: a palette bijection aligns each block's missing colors with the
 colors its boundary edges received outside, and the class colored k+2 is
-steered to miss the block's designated vertex.  The bijection is found by
-bipartite matching between constrained global colors and local classes;
+steered to miss the block's designated vertex.  Each constrained color
+wants the classes missing at one block vertex, and those sets are disjoint,
+so the bijection is assigned vertex by vertex, with no search;
 infeasibility is dumped, never patched.
 
 A block is read on the host's edges: ``make_block`` checks it from its
@@ -19,7 +20,7 @@ presents a color, from per-vertex color masks that ``coloring.color_masks``
 builds in the one pass over the edges that also decides properness; class
 sizes come from one count over the assignment.  Every mask list runs over
 the host's vertices.  Each coloring's masks are built once: ``make_block``
-keeps a block's for the palette matching, which reads the boundary edges
+keeps a block's for the palette bijection, which reads the boundary edges
 ``block_edges`` gave as edges, and the lift check hands the lifted
 coloring's masks on to the orientation.  The lift check also walks every
 (k+1, k+2) chain of the lifted coloring once, checks property 2 on the
@@ -130,28 +131,6 @@ def make_block(
     return BlockColoring(verts, initial, x, y, _dense_block_masks(host, verts, inside, s, initial))
 
 
-def _max_bipartite_matching(wants: dict[int, int]) -> dict[int, int]:
-    """Augmenting-path matching: each key gets one of its allowed targets
-    (the set bits of its mask), or {} when no complete matching exists."""
-    matched_to: dict[int, int] = {}  # target -> key
-    for key in sorted(wants):
-        if not _try_assign(wants, matched_to, key, set()):
-            return {}
-    return {key: t for t, key in matched_to.items()}
-
-
-def _try_assign(wants: dict[int, int], taken: dict[int, int], key: int, banned: set[int]) -> bool:
-    # An augmenting path from key; not a closure, which would leave a cycle.
-    for t in mask_colors(wants[key]):
-        if t in banned:
-            continue
-        banned.add(t)
-        if t not in taken or _try_assign(wants, taken, taken[t], banned):
-            taken[t] = key
-            return True
-    return False
-
-
 def permute_block_palette(
     bc: BlockColoring,
     boundary: Sequence[tuple[Edge, int]],
@@ -164,6 +143,10 @@ def permute_block_palette(
     edge's block endpoint, and must route the top color k+2 to a class that
     misses the designated vertex x.  It reads the block's masks
     ``bc.masks``, which ``make_block`` sets.
+
+    Each color wants one block vertex's missing classes, so wants are equal
+    or disjoint (others are refused); the colors wanting one vertex's
+    classes take them largest color first, in increasing class order.
     """
     s = k + 2
     required = [color for _, color in boundary]
@@ -175,19 +158,30 @@ def permute_block_palette(
     colors = palette_mask(bc.coloring.palette)
     wants: dict[int, int] = {}
     for edge, color in sorted(boundary, key=lambda pair: pair[0].id):
-        allowed = colors & ~masks[edge.u if edge.u in bc.vertices else edge.v]
-        wants[color] = wants.get(color, allowed) & allowed
+        u_inside = edge.u in bc.vertices
+        if u_inside == (edge.v in bc.vertices):
+            raise PreconditionViolated(f"boundary edge {edge.id} must have just one end in the block")
+        wants[color] = colors & ~masks[edge.u if u_inside else edge.v]
     top_allowed = colors & ~masks[bc.x]
     wants[s] = wants.get(s, top_allowed) & top_allowed
 
-    matching = _max_bipartite_matching(wants)
-    if not matching:
-        detail = {c: mask_colors(a) for c, a in wants.items()}
-        raise NoFeasiblePermutation(f"no palette bijection satisfies {detail}")
+    groups: dict[int, list[int]] = {}
+    for color in sorted(wants):
+        groups.setdefault(wants[color], []).append(color)
+    to_global: dict[int, int] = {}
+    wanted = 0
+    for want, group in groups.items():
+        if want & wanted:
+            raise PreconditionViolated("block vertices share a missing class")
+        wanted |= want
+        classes = mask_colors(want)
+        if len(group) > len(classes):
+            detail = {c: mask_colors(a) for c, a in wants.items()}
+            raise NoFeasiblePermutation(f"no palette bijection satisfies {detail}")
+        to_global.update(zip(classes, reversed(group)))
 
-    to_global = {local: glob for glob, local in matching.items()}
     free_local = [c for c in range(1, s + 1) if c not in to_global]
-    free_global = [c for c in range(1, s + 1) if c not in matching]
+    free_global = [c for c in range(1, s + 1) if c not in wants]
     to_global.update(zip(free_local, free_global))
 
     recolored = {eid: to_global[c] for eid, c in bc.coloring.assignment.items()}

@@ -10,8 +10,10 @@ build in one pass, ``induced_block_masks`` the block check that
 ``make_block`` makes on the host's edges, ``lift_verdict`` the lift check
 that ``check_lift_properties`` makes on the chains it walks once,
 ``reference_chain`` and ``reference_chains`` the two-color components
-that ``chain`` and ``chains`` walk from their canonical starts, and
-``is_connected`` picks connected test graphs.
+that ``chain`` and ``chains`` walk from their canonical starts,
+``max_bipartite_matching`` the palette bijection that
+``permute_block_palette`` assigns vertex by vertex, and ``is_connected``
+picks connected test graphs.
 """
 
 from __future__ import annotations
@@ -316,6 +318,30 @@ def lift_verdict(h1: Multigraph, psi, blocks, k: int, boundaries) -> None:
         if s in present[x]:
             raise LiftInvariantViolated(3, f"top class touches designated vertex {x}")
     return None
+
+
+def max_bipartite_matching(wants: dict[int, int]) -> dict[int, int]:
+    """Augmenting-path matching: each key, least first, gets one of its
+    allowed targets (the set bits of its mask), or {} when no complete
+    matching exists."""
+    matched_to: dict[int, int] = {}  # target -> key
+    for key in sorted(wants):
+        if not _try_assign(wants, matched_to, key, set()):
+            return {}
+    return {key: t for t, key in matched_to.items()}
+
+
+def _try_assign(wants: dict[int, int], taken: dict[int, int], key: int, banned: set[int]) -> bool:
+    # An augmenting path from key, trying its targets in increasing order.
+    allowed = wants[key]
+    for t in range(allowed.bit_length()):
+        if not allowed >> t & 1 or t in banned:
+            continue
+        banned.add(t)
+        if t not in taken or _try_assign(wants, taken, taken[t], banned):
+            taken[t] = key
+            return True
+    return False
 
 
 def is_connected(g: Multigraph) -> bool:

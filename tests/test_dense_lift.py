@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,14 @@ from covdex.coloring import EdgeColoring, chains, color_masks
 from covdex.decomposer import DecomposeOptions
 from covdex.dense_lift import BlockColoring, check_lift_properties
 from covdex.multigraph import Edge, induced_subgraph
-from reference import color_class, induced_block_masks, lift_verdict, missing, without_edge
+from reference import (
+    color_class,
+    induced_block_masks,
+    lift_verdict,
+    max_bipartite_matching,
+    missing,
+    without_edge,
+)
 from test_output_digests import PINNED, planted_five_block, planted_two_triangles
 
 
@@ -220,6 +228,80 @@ def test_permute_agrees_with_exhaustive_bijection_search():
             assert s in missing(out.coloring, block_graph, x_local)
         agreements += 1
     assert feasible_count > 0
+
+
+def test_permute_refuses_a_boundary_edge_without_one_end_in_the_block():
+    # Edge 4 = (3,4) has no end in the triangle 0,1,2; edge 0 = (0,1) both.
+    host = build(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
+    bc = fixed_k3_block(host)
+    for eid in (4, 0):
+        with pytest.raises(
+            PreconditionViolated,
+            match=f"^boundary edge {eid} must have just one end in the block$",
+        ):
+            permute_block_palette(bc, outer_colors(host, {eid: 2}), 1)
+
+
+def test_permute_refuses_masks_with_a_shared_missing_class():
+    # Hand-built masks: vertex 0 misses classes 2 and 3, vertex 2 misses
+    # class 2 as well, which no proper coloring of a dense block gives.
+    host = build(5, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 4)])
+    masks = [0b0010, 0b0110, 0b1010, 0, 0]
+    bc = BlockColoring((0, 1, 2), EdgeColoring(3, {0: 1, 1: 2, 2: 3}), 1, 2, masks)
+    with pytest.raises(PreconditionViolated, match="^block vertices share a missing class$"):
+        permute_block_palette(bc, outer_colors(host, {3: 1, 4: 2}), 1)
+
+
+def test_permute_gives_the_reference_matching_bijection():
+    # On seeded dense blocks with random boundary colors, the bijection is
+    # the one the augmenting-path matching finds, or both find none.
+    rng = random.Random(29)
+    seen = Counter()
+    for case in range(240):
+        n, s = rng.choice((3, 5, 7)), rng.randint(3, 6)
+        block_graph = matching_union(n, s, case)
+        half = (n - 1) // 2
+        # matching_union lays the classes out in order, half edges each.
+        coloring = EdgeColoring(s, {e.id: e.id // half + 1 for e in block_graph.edges})
+        miss = [missing(coloring, block_graph, v) for v in range(n)]
+        classes = [sum(1 << c for c in m) for m in miss]
+        multi = [v for v in range(n) if len(miss[v]) >= 2]
+        x = rng.randrange(n)
+        pairs = [(e.u, e.v) for e in block_graph.edges]
+        ends = {}  # boundary edge id -> (block end, outer color)
+        for color in rng.sample(range(1, s + 1), rng.randint(0, s - 1)):
+            w = rng.choice(multi) if multi and rng.random() < 0.5 else rng.randrange(n)
+            ends[len(pairs)] = (w, color)
+            pairs.append((w, n + len(pairs) % 2))
+        host = build(n + 2, pairs)
+        inside = host.edges[: len(block_graph.edges)]
+        bc = make_block(host, range(n), inside, x, 0, s, initial=coloring)
+        requirements = {eid: color for eid, (_, color) in ends.items()}
+        wants = {color: classes[w] for w, color in ends.values()}
+        wants[s] = wants.get(s, classes[x]) & classes[x]
+        matching = max_bipartite_matching(wants)
+        # Colors wanting each vertex's classes; a top color that is also a
+        # boundary color is counted once, at its boundary edge's end.
+        at = Counter(w for w, _ in ends.values())
+        at[x] += s not in requirements.values()
+        seen["two colors at one vertex", bool(matching)] += max(at.values()) >= 2
+        seen["top color at x", bool(matching)] += (x, s) in ends.values()
+        if not matching:
+            seen["infeasible"] += 1
+            with pytest.raises(NoFeasiblePermutation, match="^no palette bijection satisfies"):
+                permute_block_palette(bc, outer_colors(host, requirements), s - 2)
+            continue
+        to_global = {local: glob for glob, local in matching.items()}
+        free_local = [c for c in range(1, s + 1) if c not in to_global]
+        to_global.update(zip(free_local, [c for c in range(1, s + 1) if c not in matching]))
+        out = permute_block_palette(bc, outer_colors(host, requirements), s - 2)
+        assert out.coloring == EdgeColoring(
+            s, {eid: to_global[c] for eid, c in coloring.assignment.items()}
+        )
+        seen["feasible"] += 1
+    # Feasible and infeasible cases, each with two colors wanting one
+    # vertex's classes and with the top color on a boundary edge at x.
+    assert min(seen.values()) >= 5 and len(seen) == 6, seen
 
 
 def test_assemble_lift_without_blocks_returns_outer():

@@ -50,6 +50,26 @@ def test_imports_are_the_package_or_the_standard_library():
     assert found == []
 
 
+def test_no_function_calls_itself_outside_the_oracle():
+    # Recursion depth grows with the input; only the oracle's partition
+    # search, capped at 16 edges, may recurse.
+    found = []
+    for path in SOURCES:
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            found += [
+                f"{path.name}:{call.lineno} {node.name}"
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == node.name
+            ]
+    assert found == []
+
+
 def _tracer_layers() -> list[tuple[str, str]]:
     # Read from the source, so the benchmark's tracer is never imported.
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
